@@ -21,7 +21,7 @@ lowest terms with positive denominator and equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -129,13 +129,7 @@ class RationalInterval:
     def midpoint(self) -> Fraction:
         if self.is_empty():
             raise ValidationError("empty interval has no midpoint")
-        if self.lower is None and self.upper is None:
-            return Fraction(0)
-        if self.lower is None:
-            return self.upper - 1
-        if self.upper is None:
-            return self.lower + 1
-        return (self.lower + self.upper) / 2
+        return _midpoint(self.lower, self.upper)
 
     def closure(self) -> "RationalInterval":
         return RationalInterval(self.lower, self.upper,
@@ -192,12 +186,15 @@ class FeasibleRegion:
     ``s_intervals`` echoes the per-index partial-sum constraints the system
     was built from.  ``witness`` is present exactly when the status is
     feasible, and then satisfies every stored interval and the strict
-    simplex chain 0 < S_1 < ... < S_{n-1} < 1.
+    simplex chain 0 < S_1 < ... < S_{n-1} < 1.  ``certificate`` is the
+    clash at which the strict sweep ran dry; it is evidence for a verdict
+    and is not part of the region's serialized form.
     """
 
     s_intervals: tuple[RationalInterval, ...]
     status: str
     witness: Optional[Polarization] = None
+    certificate: Optional[InfeasibilityCertificate] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s_intervals", tuple(self.s_intervals))
@@ -320,14 +317,15 @@ def _excludes(lo: _Bound, hi: _Bound) -> bool:
     return lo.value > hi.value or (lo.value == hi.value and (lo.open or hi.open))
 
 
-def _midpoint(lo: _Bound, hi: _Bound) -> Fraction:
-    if lo.value is None and hi.value is None:
+def _midpoint(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+    """The witness rule: the midpoint, or one step inside a single finite end."""
+    if lo is None and hi is None:
         return Fraction(0)
-    if lo.value is None:
-        return hi.value - 1
-    if hi.value is None:
-        return lo.value + 1
-    return (lo.value + hi.value) / 2
+    if lo is None:
+        return hi - 1
+    if hi is None:
+        return lo + 1
+    return (lo + hi) / 2
 
 
 class _Edge(NamedTuple):
@@ -416,7 +414,7 @@ def _sweep(intervals: Sequence[RationalInterval], edges: Sequence[_Edge],
     # Backward pass: fix S_{n-1} at the midpoint of its final interval, then
     # walk down, restricting each earlier reach interval by the step out of it.
     sums: list[Optional[Fraction]] = [None] * (n - 1)
-    sums[n - 2] = _midpoint(lo, hi)
+    sums[n - 2] = _midpoint(lo.value, hi.value)
     for i in range(n - 2, 0, -1):
         rlo, rhi = reach[i - 1]
         step = edges[i]
@@ -430,7 +428,7 @@ def _sweep(intervals: Sequence[RationalInterval], edges: Sequence[_Edge],
         chi_ = _tightest_upper(rhi, bhi)
         if _excludes(clo, chi_):
             raise InternalInvariantError("backward witness extraction hit an empty interval")
-        sums[i - 1] = _midpoint(clo, chi_)
+        sums[i - 1] = _midpoint(clo.value, chi_.value)
     return _SweepResult(sums)
 
 
@@ -444,6 +442,22 @@ def _weights_from_sums(sums: Sequence[Fraction]) -> Polarization:
     return Polarization(tuple(weights))
 
 
+def _certificate(res: _SweepResult) -> InfeasibilityCertificate:
+    """The clashing pair of accumulated bounds where a strict sweep ran dry."""
+    cert = InfeasibilityCertificate(
+        quantity=res.fail_quantity,
+        lower=res.fail_lower.value,
+        lower_open=res.fail_lower.open,
+        lower_reason="; ".join(res.fail_lower.why),
+        upper=res.fail_upper.value,
+        upper_open=res.fail_upper.open,
+        upper_reason="; ".join(res.fail_upper.why),
+    )
+    if not cert.verify():
+        raise InternalInvariantError("infeasibility certificate failed self-verification")
+    return cert
+
+
 def simplex_intersect(intervals: Sequence[RationalInterval],
                       bounds: Sequence[WeightBound] = ()) -> FeasibleRegion:
     """Decide whether the interval chain meets the open weight simplex.
@@ -453,7 +467,9 @@ def simplex_intersect(intervals: Sequence[RationalInterval],
     simplex constraints is solvable but every solution degenerates some
     weight to 0 or pins a partial sum to a forbidden open endpoint;
     infeasible means not even the closed relaxation is solvable.  Supplied
-    weight bounds keep their own strictness in both systems.
+    weight bounds keep their own strictness in both systems.  A region that
+    is not feasible carries the certificate of the strict sweep's failure;
+    the relaxed sweep runs only to tell boundary-only from infeasible.
     """
     ivs = tuple(intervals)
     if not ivs:
@@ -464,7 +480,7 @@ def simplex_intersect(intervals: Sequence[RationalInterval],
         return FeasibleRegion(ivs, FEASIBLE, _weights_from_sums(res.partial_sums))
     relaxed = _sweep(ivs, _build_edges(n, bounds, False), False)
     status = BOUNDARY_ONLY if relaxed.partial_sums is not None else INFEASIBLE
-    return FeasibleRegion(ivs, status, None)
+    return FeasibleRegion(ivs, status, None, _certificate(res))
 
 
 def find_polarization(sheaf: SheafNumerics) -> FeasibleRegion:
@@ -485,22 +501,7 @@ def prove_infeasible_with_certificate(
     the first index where the forward sweep ran dry; a reader re-verifies it
     by one rational comparison.
     """
-    ivs = tuple(bigas_intervals(sheaf))
-    res = _sweep(ivs, _build_edges(len(ivs) + 1, bounds, True), True)
-    if res.partial_sums is not None:
-        return None
-    cert = InfeasibilityCertificate(
-        quantity=res.fail_quantity,
-        lower=res.fail_lower.value,
-        lower_open=res.fail_lower.open,
-        lower_reason="; ".join(res.fail_lower.why),
-        upper=res.fail_upper.value,
-        upper_open=res.fail_upper.open,
-        upper_reason="; ".join(res.fail_upper.why),
-    )
-    if not cert.verify():
-        raise InternalInvariantError("infeasibility certificate failed self-verification")
-    return cert
+    return simplex_intersect(bigas_intervals(sheaf), bounds).certificate
 
 
 def subsheaf_slope_constraints(curve, pair, line, target_slope) -> list[WeightBound]:
@@ -520,20 +521,24 @@ def subsheaf_slope_constraints(curve, pair, line, target_slope) -> list[WeightBo
     if line.n != curve.n:
         raise ValidationError(f"twist multidegree must have length {curve.n}, got {line.n}")
     target = _as_fraction("target_slope", target_slope)
+    bounds = (subsheaf_weight_bound(curve, line, target, j)
+              for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1])
+    return [b for b in bounds if b is not None]
+
+
+def subsheaf_weight_bound(curve, line, target: Fraction, j: int) -> Optional[WeightBound]:
+    """The weight bound forced by component j's kernel subsheaf, if any.
+
+    The subsheaf's slope (deg L_j - delta_j + 1 - g_j) / w_j must stay at or
+    below ``target``; ``None`` when that holds for every weight.  See
+    ``subsheaf_slope_constraints`` for the three signs of the target.
+    """
     label = "subsheaf slope bound"
-    bounds = []
-    for j in range(1, curve.n + 1):
-        if not pair.ker_rho_nonzero[j - 1]:
-            continue
-        numer = line.multidegree[j - 1] - curve.node_count(j) + 1 - curve.genera[j - 1]
-        if target < 0:
-            bounds.append(WeightBound(j, Fraction(numer) / target, label=label))
-        elif target == 0:
-            if numer > 0:
-                bounds.append(WeightBound(j, Fraction(0), open=True,
-                                          label=label + " (unsatisfiable)"))
-        else:
-            if numer > 0:
-                lower = Fraction(numer) / target
-                bounds.append(WeightBound(j, 1 - lower, complement=True, label=label))
-    return bounds
+    numer = line.multidegree[j - 1] - curve.node_count(j) + 1 - curve.genera[j - 1]
+    if target < 0:
+        return WeightBound(j, Fraction(numer) / target, label=label)
+    if numer <= 0:
+        return None
+    if target == 0:
+        return WeightBound(j, Fraction(0), open=True, label=label + " (unsatisfiable)")
+    return WeightBound(j, 1 - Fraction(numer) / target, complement=True, label=label)

@@ -199,6 +199,8 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
     """
     if (sheaf is None) == (pair is None):
         raise ValidationError("provide exactly one of sheaf or pair")
+    if twist_range < 0:
+        raise ValidationError(f"twist range must be non-negative, got {twist_range}")
     notes = []
     if pair is not None:
         validate_pair(curve, pair)

@@ -13,26 +13,28 @@ contradictory inputs are rejected before any rule fires:
   weight bound that clashes with the necessary slope inequalities for every
   polarization at once.
 
-``analyze`` runs the strong-instability rules in a fixed order, then the
-semistability certificate, then a generic infeasibility engine that combines
-the slope-inequality intervals with all declared subsheaf bounds, and
-aggregates everything into one report.
+A subject has one weight system: the slope-inequality intervals of the
+(possibly twisted) kernel, the weight bound of every declared destabilizing
+subsheaf, and the bounds that firing rules contribute.  The rules are
+predicates over the subject that report whether they fire and which bounds
+they add; ``analyze`` builds the system once and decides it with one
+sweep, so the certificate or witness of a verdict always comes from the
+region printed beside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
                           arithmetic_genus, kernel_numerics, twist, validate_pair)
 from .errors import (ContradictoryHypotheses, InternalInvariantError, RuleNotApplicable,
                      ValidationError)
 from .feasibility import (FEASIBLE, FeasibleRegion, InfeasibilityCertificate, Polarization,
-                          WeightBound, bigas_intervals, find_polarization,
-                          prove_infeasible_with_certificate, simplex_intersect,
-                          subsheaf_slope_constraints)
+                          RationalInterval, WeightBound, bigas_intervals, find_polarization,
+                          simplex_intersect, subsheaf_slope_constraints, subsheaf_weight_bound)
 
 W_SEMISTABLE = "w_semistable"
 W_STABLE = "w_stable"
@@ -49,6 +51,13 @@ CRITERION_GENERIC = "weight-system-infeasible"
 CRITERION_NONE = "none"
 
 _KINDS = (W_SEMISTABLE, W_STABLE, STRONGLY_UNSTABLE, INCONCLUSIVE)
+
+_EVERY_TWIST = ("instability holds for every line-bundle twist: the firing condition "
+                "does not involve the twist")
+_SCREEN_CONFLICT = ("the declared subsheaf bounds exclude every polarization while every "
+                    "kernel restriction is declared semistable")
+# Rules whose firing condition alone empties the weight system.
+_CLASHING = (CRITERION_ENDPOINT, CRITERION_MIDDLE, CRITERION_ALL_TWISTS)
 
 METHOD_CLIFFORD = "clifford"
 METHOD_RIEMANN_ROCH = "riemann_roch_h1_zero"
@@ -114,9 +123,42 @@ class Report:
     notes: tuple[str, ...] = ()
 
 
-def _obstruction_flags(pair: GeneratedPairData) -> tuple[bool, ...]:
-    return tuple(ts and ss for ts, ss in
-                 zip(pair.twisted_sections_nonzero, pair.restriction_semistable))
+class _System(NamedTuple):
+    """A subject's weight system before any rule contributes to it."""
+
+    curve: ChainCurve
+    pair: GeneratedPairData
+    line: LineBundleTwist
+    subject: SheafNumerics
+    target: Fraction
+    intervals: list[RationalInterval]
+    declared: list[WeightBound]
+
+
+def _system(curve: ChainCurve, pair: GeneratedPairData, kernel: SheafNumerics,
+            line: LineBundleTwist) -> _System:
+    subject = twist(kernel, line)
+    target = Fraction(subject.chi, pair.kernel_rank)
+    return _System(curve, pair, line, subject, target, bigas_intervals(subject),
+                   subsheaf_slope_constraints(curve, pair, line, target))
+
+
+class _Rule(NamedTuple):
+    """One rule's evaluation: whether it fired, why, and the bounds it adds."""
+
+    criterion: str
+    fired: bool
+    notes: tuple[str, ...]
+    bounds: tuple[WeightBound, ...] = ()
+
+
+def _obstructions(pair: GeneratedPairData) -> tuple[tuple[bool, ...], list[int]]:
+    """Obstructed components, and the 1-based ones also declared kernel-semistable."""
+    obstructed = tuple(ts and ss for ts, ss in
+                       zip(pair.twisted_sections_nonzero, pair.restriction_semistable))
+    conflicts = [j + 1 for j, (o, ks) in
+                 enumerate(zip(obstructed, pair.kernel_restriction_semistable)) if o and ks]
+    return obstructed, conflicts
 
 
 def restriction_obstruction(curve: ChainCurve, pair: GeneratedPairData) -> list[bool]:
@@ -129,9 +171,7 @@ def restriction_obstruction(curve: ChainCurve, pair: GeneratedPairData) -> list[
     contradiction and is rejected.
     """
     validate_pair(curve, pair)
-    obstructed = _obstruction_flags(pair)
-    conflicts = [j + 1 for j, (o, ks) in
-                 enumerate(zip(obstructed, pair.kernel_restriction_semistable)) if o and ks]
+    obstructed, conflicts = _obstructions(pair)
     if conflicts:
         raise ContradictoryHypotheses(
             f"components {conflicts}: the kernel restriction cannot be semistable when a "
@@ -139,27 +179,32 @@ def restriction_obstruction(curve: ChainCurve, pair: GeneratedPairData) -> list[
     return list(obstructed)
 
 
+def _semistable(pair: GeneratedPairData, region: FeasibleRegion,
+                notes: tuple[str, ...] = ()) -> Verdict:
+    kind = W_STABLE if any(pair.kernel_restriction_stable) else W_SEMISTABLE
+    return Verdict(kind, CRITERION_KERNEL_RESTRICTIONS, witness=region.witness, notes=notes)
+
+
 def certify_w_semistable(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
     """Constructive semistability certificate for the kernel bundle.
 
-    Requires every kernel restriction to be declared semistable; the kernel
-    has negative global and per-component chi, so a witness polarization
-    always exists and failure to find one is an internal error.  A stable
-    restriction on any component upgrades the verdict to w-stable.
+    Requires every kernel restriction to be declared semistable; the witness
+    satisfies the slope inequalities and every declared subsheaf bound, and
+    declared bounds that exclude every polarization contradict the
+    semistability claim.  A stable restriction on any component upgrades
+    the verdict to w-stable.
     """
-    validate_pair(curve, pair)
+    kernel = kernel_numerics(curve, pair)
     if not all(pair.kernel_restriction_semistable):
         missing = [j + 1 for j, f in enumerate(pair.kernel_restriction_semistable) if not f]
         return Verdict(INCONCLUSIVE, CRITERION_KERNEL_RESTRICTIONS,
                        notes=(f"kernel restriction semistability not asserted for "
                               f"components {missing}",))
-    region = find_polarization(kernel_numerics(curve, pair))
+    system = _system(curve, pair, kernel, LineBundleTwist.trivial(curve.n))
+    region = simplex_intersect(system.intervals, system.declared)
     if region.status != FEASIBLE:
-        raise InternalInvariantError(
-            "the kernel bundle has negative chi on every component, so a polarization "
-            "must exist; the sweep disagreed")
-    kind = W_STABLE if any(pair.kernel_restriction_stable) else W_SEMISTABLE
-    return Verdict(kind, CRITERION_KERNEL_RESTRICTIONS, witness=region.witness)
+        raise ContradictoryHypotheses(_SCREEN_CONFLICT)
+    return _semistable(pair, region)
 
 
 def clifford_h0_bound(genus: int, rank: int, degree: int, semistable: bool = True,
@@ -224,48 +269,129 @@ def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
                         h0=h0)
 
 
-def _component_weight_bound(curve: ChainCurve, pair: GeneratedPairData, j: int,
-                            line: LineBundleTwist) -> WeightBound:
-    """Upper bound on w_j from the component-supported kernel subsheaf."""
-    m = pair.kernel_rank
-    chi = twist(kernel_numerics(curve, pair), line).chi
-    target = Fraction(chi, m)
-    numer = line.multidegree[j - 1] - curve.node_count(j) + 1 - curve.genera[j - 1]
-    if target >= 0:
-        raise InternalInvariantError("component weight bounds are only emitted for "
-                                     "negative subject slope")
-    return WeightBound(j, Fraction(numer) / target, label="subsheaf slope bound")
+def _component_bound(system: _System, j: int) -> tuple[WeightBound, ...]:
+    bound = subsheaf_weight_bound(system.curve, system.line, system.target, j)
+    return () if bound is None else (bound,)
 
 
-def _rule_certificate(curve: ChainCurve, pair: GeneratedPairData,
-                      j: int) -> InfeasibilityCertificate:
-    """Clash between the slope inequalities and the subsheaf bound at component j."""
-    kernel = kernel_numerics(curve, pair)
-    bound = _component_weight_bound(curve, pair, j, LineBundleTwist.trivial(curve.n))
-    cert = prove_infeasible_with_certificate(kernel, [bound])
-    if cert is None:
+def _endpoint(system: _System) -> _Rule:
+    pair, m = system.pair, system.pair.kernel_rank
+    for j in (1, system.curve.n):
+        if (pair.twisted_sections_nonzero[j - 1] and pair.restriction_semistable[j - 1]
+                and m < pair.multidegree[j - 1]):
+            return _Rule(CRITERION_ENDPOINT, True,
+                         (f"component {j}: kernel rank {m} < degree {pair.multidegree[j - 1]}",),
+                         _component_bound(system, j))
+    return _Rule(CRITERION_ENDPOINT, False, ("end-component conditions not met",))
+
+
+def _middle(system: _System) -> _Rule:
+    pair, m = system.pair, system.pair.kernel_rank
+    for j in range(2, system.curve.n):
+        if (pair.twisted_sections_nonzero[j - 1] and pair.restriction_semistable[j - 1]
+                and m < Fraction(pair.multidegree[j - 1], 2)):
+            return _Rule(CRITERION_MIDDLE, True,
+                         (f"component {j}: kernel rank {m} < degree "
+                          f"{pair.multidegree[j - 1]}/2",),
+                         _component_bound(system, j))
+    if system.curve.n == 2:
+        return _Rule(CRITERION_MIDDLE, False, ("no middle component on a two-component chain",))
+    return _Rule(CRITERION_MIDDLE, False, ("middle-component conditions not met",))
+
+
+def _all_twists(system: _System) -> _Rule:
+    curve, pair, m = system.curve, system.pair, system.pair.kernel_rank
+    if not all(pair.ker_rho_nonzero):
+        return _Rule(CRITERION_ALL_TWISTS, False,
+                     ("restriction kernels are not declared non-zero everywhere",))
+    if Fraction(pair.total_degree, m) <= curve.n - 1:
+        return _Rule(CRITERION_ALL_TWISTS, False,
+                     (f"degree ratio {pair.total_degree}/{m} does not exceed {curve.n - 1}",))
+    notes = [_EVERY_TWIST]
+    if not system.line.is_trivial():
+        from . import oracle
+        w = Polarization(tuple(Fraction(1, curve.n) for _ in range(curve.n)))
+        witness = oracle.destabilizer_witness(curve, pair, w, system.line)
+        if witness is not None:
+            notes.append(
+                f"supplied twist, barycentric weights: component {witness.component} "
+                f"subsheaf slope {witness.subsheaf_slope} exceeds {witness.target_slope}")
+    return _Rule(CRITERION_ALL_TWISTS, True, tuple(notes))
+
+
+def _two_component(system: _System) -> _Rule:
+    curve, pair = system.curve, system.pair
+    if curve.n != 2:
+        return _Rule(CRITERION_TWO_COMPONENT, False,
+                     ("rule applies to two-component chains only",))
+    if not (all(pair.ker_rho_nonzero) and all(pair.restriction_semistable)):
+        return _Rule(CRITERION_TWO_COMPONENT, False,
+                     ("needs non-zero restriction kernels and semistable restrictions on "
+                      "both components",))
+    try:
+        kb = k_bound_check(curve, pair)
+    except RuleNotApplicable as exc:
+        return _Rule(CRITERION_TWO_COMPONENT, False, (str(exc),))
+    if Fraction(pair.total_degree, pair.kernel_rank) <= curve.n - 1:
+        return _Rule(CRITERION_TWO_COMPONENT, False,
+                     ("declared section count is inconsistent with the derived "
+                      f"bound {kb.bound}; degree condition not confirmed",))
+    return _Rule(CRITERION_TWO_COMPONENT, True,
+                 (f"section bound {kb.bound} < degree + rank = "
+                  f"{pair.total_degree + pair.rank} forces the degree ratio", _EVERY_TWIST))
+
+
+def _genus_bound(system: _System) -> _Rule:
+    curve, pair, m = system.curve, system.pair, system.pair.kernel_rank
+    if not (all(pair.h1_vanishes) and all(pair.ker_rho_nonzero)):
+        return _Rule(CRITERION_GENUS_BOUND, False,
+                     ("needs h1 vanishing and non-zero restriction kernels everywhere",))
+    p_a = arithmetic_genus(curve)
+    threshold = Fraction((curve.n - 2) * m, pair.rank)
+    if p_a <= threshold:
+        return _Rule(CRITERION_GENUS_BOUND, False,
+                     (f"arithmetic genus {p_a} does not exceed {threshold}",))
+    notes = [f"arithmetic genus {p_a} > {threshold}; instability holds for every "
+             "line-bundle twist"]
+    if Fraction(pair.total_degree, m) <= curve.n - 1:
+        notes.append("declared section count is inconsistent with the h1-vanishing "
+                     "section count")
+    return _Rule(CRITERION_GENUS_BOUND, True, tuple(notes))
+
+
+# The fixed order in which rules are evaluated; the first that fires names the verdict.
+_RULES = (_endpoint, _middle, _all_twists, _two_component, _genus_bound)
+
+
+def _unstable(named: _Rule, fired: Sequence[str], region: FeasibleRegion) -> Verdict:
+    if region.status == FEASIBLE and any(c in fired for c in _CLASHING):
         raise InternalInvariantError(
-            f"the firing condition at component {j} guarantees a clash")
-    return cert
+            f"the firing conditions of {', '.join(fired)} guarantee a clash with the "
+            "slope inequalities; the sweep disagreed")
+    return Verdict(STRONGLY_UNSTABLE, named.criterion, certificate=region.certificate,
+                   notes=named.notes)
+
+
+def _evaluate(rule, curve: ChainCurve, pair: GeneratedPairData,
+              line: Optional[LineBundleTwist] = None) -> Verdict:
+    """One rule alone on the subject's system, decided by one sweep."""
+    system = _system(curve, pair, kernel_numerics(curve, pair),
+                     line if line is not None else LineBundleTwist.trivial(curve.n))
+    result = rule(system)
+    if not result.fired:
+        return Verdict(INCONCLUSIVE, result.criterion, notes=result.notes)
+    region = simplex_intersect(system.intervals, system.declared + list(result.bounds))
+    return _unstable(result, (result.criterion,), region)
 
 
 def strongly_unstable_endpoint(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
     """End-component criterion: kernel rank strictly below the end degree.
 
     Fires at component 1 or n when a twisted section exists there, the
-    restriction is semistable, and (sections - rank) < degree.
+    restriction is semistable, and (sections - rank) < degree.  The firing
+    component's subsheaf bound joins the system, which then has no solution.
     """
-    validate_pair(curve, pair)
-    m = pair.kernel_rank
-    for j in (1, curve.n):
-        if (pair.twisted_sections_nonzero[j - 1] and pair.restriction_semistable[j - 1]
-                and m < pair.multidegree[j - 1]):
-            return Verdict(
-                STRONGLY_UNSTABLE, CRITERION_ENDPOINT,
-                certificate=_rule_certificate(curve, pair, j),
-                notes=(f"component {j}: kernel rank {m} < degree {pair.multidegree[j - 1]}",))
-    return Verdict(INCONCLUSIVE, CRITERION_ENDPOINT,
-                   notes=("end-component conditions not met",))
+    return _evaluate(_endpoint, curve, pair)
 
 
 def strongly_unstable_middle(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
@@ -273,22 +399,10 @@ def strongly_unstable_middle(curve: ChainCurve, pair: GeneratedPairData) -> Verd
 
     Fires at some j in 2..n-1 when a twisted section exists there, the
     restriction is semistable, and (sections - rank) < degree/2 (exact
-    rational comparison, never floored).
+    rational comparison, never floored).  The firing component's subsheaf
+    bound joins the system, which then has no solution.
     """
-    validate_pair(curve, pair)
-    m = pair.kernel_rank
-    for j in range(2, curve.n):
-        if (pair.twisted_sections_nonzero[j - 1] and pair.restriction_semistable[j - 1]
-                and m < Fraction(pair.multidegree[j - 1], 2)):
-            return Verdict(
-                STRONGLY_UNSTABLE, CRITERION_MIDDLE,
-                certificate=_rule_certificate(curve, pair, j),
-                notes=(f"component {j}: kernel rank {m} < degree {pair.multidegree[j - 1]}/2",))
-    if curve.n == 2:
-        return Verdict(INCONCLUSIVE, CRITERION_MIDDLE,
-                       notes=("no middle component on a two-component chain",))
-    return Verdict(INCONCLUSIVE, CRITERION_MIDDLE,
-                   notes=("middle-component conditions not met",))
+    return _evaluate(_middle, curve, pair)
 
 
 def strongly_unstable_all_twists(curve: ChainCurve, pair: GeneratedPairData,
@@ -298,37 +412,11 @@ def strongly_unstable_all_twists(curve: ChainCurve, pair: GeneratedPairData,
     Fires when the restriction kernel is non-zero on every component and
     d/(sections - rank) > n - 1 (exact).  The firing condition does not
     mention the twist, so the conclusion holds for every line bundle twist;
-    when a concrete twist is supplied, a sample destabilizer for the
-    barycentric polarization is attached as corroboration.
+    the certificate is computed for the kernel twisted by ``line``, and a
+    non-trivial twist also attaches a sample destabilizer for the
+    barycentric polarization as corroboration.
     """
-    validate_pair(curve, pair)
-    m = pair.kernel_rank
-    if not all(pair.ker_rho_nonzero):
-        return Verdict(INCONCLUSIVE, CRITERION_ALL_TWISTS,
-                       notes=("restriction kernels are not declared non-zero everywhere",))
-    if Fraction(pair.total_degree, m) <= curve.n - 1:
-        return Verdict(INCONCLUSIVE, CRITERION_ALL_TWISTS,
-                       notes=(f"degree ratio {pair.total_degree}/{m} does not exceed "
-                              f"{curve.n - 1}",))
-    trivial = LineBundleTwist.trivial(curve.n)
-    kernel = kernel_numerics(curve, pair)
-    target = Fraction(kernel.chi, m)
-    cert = prove_infeasible_with_certificate(
-        kernel, subsheaf_slope_constraints(curve, pair, trivial, target))
-    if cert is None:
-        raise InternalInvariantError("the degree-ratio condition guarantees a clash")
-    notes = ["instability holds for every line-bundle twist: the firing condition "
-             "does not involve the twist"]
-    if line is not None and not line.is_trivial():
-        from . import oracle
-        w = Polarization(tuple(Fraction(1, curve.n) for _ in range(curve.n)))
-        witness = oracle.destabilizer_witness(curve, pair, w, line)
-        if witness is not None:
-            notes.append(
-                f"supplied twist, barycentric weights: component {witness.component} "
-                f"subsheaf slope {witness.subsheaf_slope} exceeds {witness.target_slope}")
-    return Verdict(STRONGLY_UNSTABLE, CRITERION_ALL_TWISTS, certificate=cert,
-                   notes=tuple(notes))
+    return _evaluate(_all_twists, curve, pair, line)
 
 
 def strongly_unstable_two_component(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
@@ -336,61 +424,20 @@ def strongly_unstable_two_component(curve: ChainCurve, pair: GeneratedPairData) 
 
     On a two-component chain, non-zero restriction kernels on both sides and
     semistable restrictions force total degree > kernel rank through the
-    section-count bound, which is exactly the degree-ratio condition; the
-    verdict then follows from the twist-independent rule.
+    section-count bound, which is exactly the degree-ratio condition of the
+    twist-independent rule.
     """
-    validate_pair(curve, pair)
-    if curve.n != 2:
-        return Verdict(INCONCLUSIVE, CRITERION_TWO_COMPONENT,
-                       notes=("rule applies to two-component chains only",))
-    if not (all(pair.ker_rho_nonzero) and all(pair.restriction_semistable)):
-        return Verdict(INCONCLUSIVE, CRITERION_TWO_COMPONENT,
-                       notes=("needs non-zero restriction kernels and semistable "
-                              "restrictions on both components",))
-    try:
-        kb = k_bound_check(curve, pair)
-    except RuleNotApplicable as exc:
-        return Verdict(INCONCLUSIVE, CRITERION_TWO_COMPONENT, notes=(str(exc),))
-    delegated = strongly_unstable_all_twists(curve, pair)
-    if delegated.kind != STRONGLY_UNSTABLE:
-        return Verdict(INCONCLUSIVE, CRITERION_TWO_COMPONENT,
-                       notes=("declared section count is inconsistent with the derived "
-                              f"bound {kb.bound}; degree condition not confirmed",))
-    return Verdict(STRONGLY_UNSTABLE, CRITERION_TWO_COMPONENT,
-                   certificate=delegated.certificate,
-                   notes=(f"section bound {kb.bound} < degree + rank = "
-                          f"{pair.total_degree + pair.rank} forces the degree ratio",)
-                   + delegated.notes[:1])
+    return _evaluate(_two_component, curve, pair)
 
 
 def strongly_unstable_genus_bound(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
     """Genus criterion: arithmetic genus above (n-2)(sections-rank)/rank.
 
     Needs h1 vanishing and a non-zero restriction kernel on every component;
-    the conclusion holds for every line-bundle twist.
+    the conclusion holds for every line-bundle twist.  A certificate is
+    attached when the weight system has no solution.
     """
-    validate_pair(curve, pair)
-    m = pair.kernel_rank
-    if not (all(pair.h1_vanishes) and all(pair.ker_rho_nonzero)):
-        return Verdict(INCONCLUSIVE, CRITERION_GENUS_BOUND,
-                       notes=("needs h1 vanishing and non-zero restriction kernels "
-                              "everywhere",))
-    p_a = arithmetic_genus(curve)
-    threshold = Fraction((curve.n - 2) * m, pair.rank)
-    if p_a <= threshold:
-        return Verdict(INCONCLUSIVE, CRITERION_GENUS_BOUND,
-                       notes=(f"arithmetic genus {p_a} does not exceed {threshold}",))
-    notes = [f"arithmetic genus {p_a} > {threshold}; instability holds for every "
-             "line-bundle twist"]
-    cert = None
-    if Fraction(pair.total_degree, m) > curve.n - 1:
-        delegated = strongly_unstable_all_twists(curve, pair)
-        cert = delegated.certificate
-    else:
-        notes.append("declared section count is inconsistent with the h1-vanishing "
-                     "section count; no numeric certificate attached")
-    return Verdict(STRONGLY_UNSTABLE, CRITERION_GENUS_BOUND, certificate=cert,
-                   notes=tuple(notes))
+    return _evaluate(_genus_bound, curve, pair)
 
 
 def analyze_sheaf(sheaf: SheafNumerics) -> Report:
@@ -406,8 +453,7 @@ def analyze_sheaf(sheaf: SheafNumerics) -> Report:
                           notes=("weight system feasible; component semistability unknown, "
                                  "so no sufficiency criterion applies",))
     else:
-        cert = prove_infeasible_with_certificate(sheaf)
-        verdict = Verdict(STRONGLY_UNSTABLE, CRITERION_GENERIC, certificate=cert,
+        verdict = Verdict(STRONGLY_UNSTABLE, CRITERION_GENERIC, certificate=region.certificate,
                           notes=("no polarization satisfies the necessary slope "
                                  "inequalities",))
     return Report(verdict=verdict, region=region, sheaf=sheaf, obstructions=(),
@@ -418,78 +464,65 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
             line: Optional[LineBundleTwist] = None) -> Report:
     """Full analysis of a generated pair's kernel bundle (optionally twisted).
 
-    Order: input-contradiction screening, the strong-instability rules in a
-    fixed order, the semistability certificate, then the generic engine
-    (slope-inequality intervals plus all declared subsheaf bounds for the
-    supplied or trivial twist).  The strongest verdict wins; contradictory
-    hypothesis sets are rejected before any rule fires.
+    Builds the subject's weight system once: the slope-inequality intervals
+    of the kernel twisted by ``line``, every declared subsheaf bound, and
+    the bounds of every strong-instability rule that fires.  Contradictory
+    hypothesis sets are rejected first.  One sweep then decides the system:
+    the first firing rule, in a fixed order, names a strong-instability
+    verdict; otherwise an empty system is itself the verdict, and a
+    non-empty one yields the semistability witness when every kernel
+    restriction is declared semistable.  The certificate or witness is that
+    of the printed region.
     """
-    validate_pair(curve, pair)
+    kernel = kernel_numerics(curve, pair)
+    trivial = LineBundleTwist.trivial(curve.n)
+    system = _system(curve, pair, kernel, line if line is not None else trivial)
     problems = []
-    obstructed = _obstruction_flags(pair)
-    conflicts = [j + 1 for j, (o, ks) in
-                 enumerate(zip(obstructed, pair.kernel_restriction_semistable)) if o and ks]
+    obstructed, conflicts = _obstructions(pair)
     if conflicts:
         problems.append(
             f"components {conflicts}: kernel restriction declared semistable but "
             "certified non-semistable by the twisted-section obstruction")
+    rules = [rule(system) for rule in _RULES]
+    fired = tuple(r.criterion for r in rules if r.fired)
 
-    twist_line = line if line is not None else LineBundleTwist.trivial(curve.n)
-    if twist_line.n != curve.n:
-        raise ValidationError(f"twist multidegree must have length {curve.n}")
-    m = pair.kernel_rank
-    subject = twist(kernel_numerics(curve, pair), twist_line)
-    target = Fraction(subject.chi, m)
-    engine_bounds = subsheaf_slope_constraints(curve, pair, twist_line, target)
-    region = simplex_intersect(bigas_intervals(subject), engine_bounds)
-
-    rule_verdicts = [
-        strongly_unstable_endpoint(curve, pair),
-        strongly_unstable_middle(curve, pair),
-        strongly_unstable_all_twists(curve, pair, line),
-        strongly_unstable_two_component(curve, pair),
-        strongly_unstable_genus_bound(curve, pair),
-    ]
-    fired = tuple(v.criterion for v in rule_verdicts if v.kind == STRONGLY_UNSTABLE)
-
+    region = None
     if all(pair.kernel_restriction_semistable):
         if fired:
             problems.append(
                 f"strong-instability conditions ({', '.join(fired)}) hold while every "
                 "kernel restriction is declared semistable")
         else:
-            screen = region
-            if not twist_line.is_trivial():
-                kernel = kernel_numerics(curve, pair)
-                screen = simplex_intersect(
-                    bigas_intervals(kernel),
-                    subsheaf_slope_constraints(curve, pair, LineBundleTwist.trivial(curve.n),
-                                               Fraction(kernel.chi, m)))
+            # Semistability is declared for the untwisted kernel, so the screen
+            # decides its system; with no rule fired that system holds the
+            # declared bounds only, and without a twist it is the subject's own.
+            untwisted = system
+            if not system.line.is_trivial():
+                untwisted = _system(curve, pair, kernel, trivial)
+            screen = simplex_intersect(untwisted.intervals, untwisted.declared)
             if screen.status != FEASIBLE:
-                problems.append(
-                    "the declared subsheaf bounds exclude every polarization while every "
-                    "kernel restriction is declared semistable")
+                problems.append(_SCREEN_CONFLICT)
+            if untwisted is system:
+                region = screen
     if problems:
         raise ContradictoryHypotheses("; ".join(problems))
+    if region is None:
+        region = simplex_intersect(system.intervals,
+                                   system.declared + [b for r in rules for b in r.bounds])
 
     notes = []
     if fired:
-        verdict = next(v for v in rule_verdicts if v.kind == STRONGLY_UNSTABLE)
+        verdict = _unstable(next(r for r in rules if r.fired), fired, region)
     elif region.status != FEASIBLE:
-        cert = prove_infeasible_with_certificate(subject, engine_bounds)
-        extra = () if twist_line.is_trivial() else \
-            (f"instability certified for the kernel twisted by {twist_line.multidegree}",)
-        verdict = Verdict(STRONGLY_UNSTABLE, CRITERION_GENERIC, certificate=cert,
+        extra = () if system.line.is_trivial() else \
+            (f"instability certified for the kernel twisted by {system.line.multidegree}",)
+        verdict = Verdict(STRONGLY_UNSTABLE, CRITERION_GENERIC, certificate=region.certificate,
                           notes=("no polarization satisfies the slope inequalities "
                                  "together with the declared subsheaf bounds",) + extra)
     elif all(pair.kernel_restriction_semistable):
-        if twist_line.is_trivial():
-            verdict = certify_w_semistable(curve, pair)
-        else:
-            kind = W_STABLE if any(pair.kernel_restriction_stable) else W_SEMISTABLE
-            verdict = Verdict(kind, CRITERION_KERNEL_RESTRICTIONS, witness=region.witness,
-                              notes=("component semistability is preserved under line-bundle "
-                                     "twists, so the twisted kernel inherits the verdict",))
+        verdict = _semistable(pair, region, () if system.line.is_trivial() else
+                              ("component semistability is preserved under line-bundle "
+                               "twists, so the twisted kernel inherits the verdict",))
     else:
         verdict = Verdict(INCONCLUSIVE, CRITERION_NONE,
                           notes=("no instability criterion fired and kernel restriction "
@@ -504,6 +537,6 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
     except RuleNotApplicable as exc:
         notes.append(f"section bound not applicable: {exc}")
 
-    return Report(verdict=verdict, region=region, sheaf=subject,
+    return Report(verdict=verdict, region=region, sheaf=system.subject,
                   obstructions=obstructed, fired=fired, k_bound=k_bound,
                   notes=tuple(notes))

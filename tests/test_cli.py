@@ -114,6 +114,13 @@ class TestOracle:
         assert payload["grid_count"] == 0
         assert payload["region_status"] == "infeasible"
 
+    def test_negative_twist_range_rejected(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, ENDPOINT_PAIR)
+        assert cli.main(["oracle", path, "--twist-range", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "twist range" in captured.err
+
 
 class TestSchema:
     def test_prints_format(self, capsys):

@@ -387,6 +387,23 @@ class TestAnalyze:
         assert report.fired == ("endpoint-degree-excess",)
         assert report.obstructions == (True, False)
 
+    def test_twisted_endpoint_certificate_is_for_the_twisted_sheaf(self):
+        # kernel rank 2, degrees (6, 1), twist (1, 0): chi_1 = 2(1-2) - 6 + 2 = -6
+        # and chi = -13 + 2 = -11, so the slope inequality gives S_1 >= 6/11; the
+        # component-1 subsheaf numerator is 1 - 1 + 1 - 2 = -1 against the slope
+        # -11/2, so w_1 <= 2/11
+        curve = ChainCurve((2, 2))
+        report = analyze(curve, endpoint_pair(), LineBundleTwist((1, 0)))
+        assert report.sheaf.chi == -11
+        assert report.verdict.criterion == "endpoint-degree-excess"
+        assert report.region.status == INFEASIBLE
+        cert = report.verdict.certificate
+        assert cert.quantity == "S_1"
+        assert (cert.lower, cert.lower_open) == (F(6, 11), False)
+        assert (cert.upper, cert.upper_open) == (F(2, 11), False)
+        assert cert.upper_reason == "S_0 = 0; w_1 <= 2/11 (subsheaf slope bound)"
+        assert cert.verify()
+
     def test_semistable_scenario(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
@@ -478,9 +495,14 @@ class TestAnalyze:
 
     def test_no_dual_verdicts_randomized(self):
         # verdicts from analyze are never both semistable and unstable for a
-        # single input; contradictory inputs raise instead
+        # single input; contradictory inputs raise instead.  The evidence
+        # agrees with the printed region: a rule whose firing empties the
+        # system comes with a non-feasible region and a verified certificate,
+        # and a semistability witness is the region's own witness.
         rng = random.Random(17)
         kinds = set()
+        clashing = {"endpoint-degree-excess", "middle-degree-excess",
+                    "all-twists-degree-ratio", "two-component-kernel-sections"}
         for _ in range(300):
             n = rng.randint(2, 4)
             curve = ChainCurve(tuple(rng.randint(2, 4) for _ in range(n)))
@@ -493,12 +515,21 @@ class TestAnalyze:
                 flags[name] = tuple(rng.random() < 0.5 for _ in range(n))
             flags["twisted_sections_nonzero"] = tuple(
                 ts and d >= r for ts, d in zip(flags["twisted_sections_nonzero"], degs))
+            line = None
+            if rng.random() < 0.5:
+                line = LineBundleTwist(tuple(rng.randint(-3, 3) for _ in range(n)))
             try:
                 report = analyze(curve, GeneratedPairData(rank=r, sections=k,
-                                                          multidegree=degs, **flags))
+                                                          multidegree=degs, **flags), line)
             except ContradictoryHypotheses:
                 continue
-            kinds.add(report.verdict.kind)
+            verdict = report.verdict
+            kinds.add(verdict.kind)
+            if verdict.criterion in clashing:
+                assert report.region.status != FEASIBLE
+                assert verdict.certificate is not None and verdict.certificate.verify()
+            if verdict.kind in (W_SEMISTABLE, W_STABLE):
+                assert verdict.witness == report.region.witness
         assert kinds <= {W_SEMISTABLE, W_STABLE, STRONGLY_UNSTABLE, INCONCLUSIVE}
 
 
