@@ -7,11 +7,12 @@ from .errors import (ChainstabError, ContradictoryHypotheses, InternalInvariantE
                      RuleNotApplicable, UnsupportedData, ValidationError)
 from .feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, FeasibleRegion,
                           InfeasibilityCertificate, Polarization, RationalInterval,
-                          WeightBound, bigas_intervals, check_bigas, find_polarization,
-                          prove_infeasible_with_certificate, simplex_intersect, slope,
-                          subsheaf_slope_constraints)
-from .oracle import (DestabilizerWitness, GridSpec, ValidationReport, brute_force_region,
-                     cross_validate, destabilizer_witness, enumerate_polarizations)
+                          WeightBound, WeightSystem, bigas_intervals, check_bigas,
+                          find_polarization, prove_infeasible_with_certificate,
+                          simplex_intersect, slope, subsheaf_slope_constraints, weight_system)
+from .oracle import (ORACLE_WORK_LIMIT, DestabilizerWitness, GridSpec, ValidationReport,
+                     brute_force_region, cross_validate, destabilizer_witness,
+                     enumerate_polarizations, work_estimate)
 from .stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE, H0Bound,
                         KBoundResult, Report, Verdict, analyze, analyze_sheaf,
                         certify_w_semistable, clifford_h0_bound, h0_global_bound,

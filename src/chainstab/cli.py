@@ -19,11 +19,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics, sheaf_from_multidegree, twist)
+                          kernel_numerics, sheaf_from_multidegree)
 from .errors import InternalInvariantError, ValidationError
 from .feasibility import (FeasibleRegion, InfeasibilityCertificate, Polarization,
-                          RationalInterval, find_polarization)
-from .oracle import GridSpec, cross_validate
+                          RationalInterval, simplex_intersect, weight_system)
+from .oracle import ORACLE_WORK_LIMIT, GridSpec, cross_validate
 from .stability import Report, Verdict, analyze, analyze_sheaf
 
 SCHEMA_TEXT = """\
@@ -51,13 +51,15 @@ pair fields:
 Commands:
   polarize  feasibility region and witness for the subject's weight system
   check     full criterion analysis with certificates
-  oracle    brute-force grid cross-validation (--denominator, --twist-range)
+  oracle    brute-force grid cross-validation of the (twisted) subject's weight
+            system (--denominator, --twist-range); runs estimated above
+            {limit} units of work are refused with exit code 2
   schema    print this description
 
 All numbers in scenario files are integers; rationals appear only in output,
 as reduced "p/q" strings.  Exit codes: 0 analysis completed, 2 invalid
 input, 3 internal invariant violation.
-"""
+""".replace("{limit}", f"{ORACLE_WORK_LIMIT:,}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,8 @@ def load_scenario(path: str) -> Scenario:
         raise ValidationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, over-long integer literals
+        raise ValidationError(f"{path}: {exc}") from exc
     return parse_scenario(data)
 
 
@@ -319,27 +323,15 @@ def render_text(payload: dict) -> str:
 # Commands.
 # --------------------------------------------------------------------------
 
-def _subject_numerics(scn: Scenario) -> SheafNumerics:
-    if scn.sheaf is not None:
-        subject = scn.sheaf
-        if scn.twist is not None:
-            subject = twist(subject, scn.twist)
-        return subject
-    kernel = kernel_numerics(scn.curve, scn.pair)
-    if scn.twist is not None:
-        kernel = twist(kernel, scn.twist)
-    return kernel
-
-
 def cmd_polarize(scn: Scenario) -> dict:
-    subject = _subject_numerics(scn)
-    region = find_polarization(subject)
+    untwisted = scn.sheaf if scn.sheaf is not None else kernel_numerics(scn.curve, scn.pair)
+    system = weight_system(scn.curve, untwisted, scn.twist)
     return {
         "command": "polarize",
         "curve": {"genera": list(scn.curve.genera)},
         "subject": "sheaf" if scn.sheaf is not None else "pair",
-        "sheaf": _sheaf_json(subject),
-        "region": _region_json(region),
+        "sheaf": _sheaf_json(system.subject),
+        "region": _region_json(simplex_intersect(system.intervals)),
     }
 
 
@@ -347,7 +339,7 @@ def cmd_check(scn: Scenario) -> dict:
     if scn.pair is not None:
         report = analyze(scn.curve, scn.pair, scn.twist)
     else:
-        report = analyze_sheaf(_subject_numerics(scn))
+        report = analyze_sheaf(scn.sheaf, scn.twist)
     payload = {
         "command": "check",
         "curve": {"genera": list(scn.curve.genera)},

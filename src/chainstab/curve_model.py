@@ -268,6 +268,10 @@ class GeneratedPairData:
     def total_degree(self) -> int:
         return sum(self.multidegree)
 
+    def degree_ratio_exceeds(self) -> bool:
+        """Total degree over kernel rank above n - 1; exact in integers, kernel rank >= 1."""
+        return self.total_degree > (self.n - 1) * self.kernel_rank
+
 
 def validate_pair(curve: ChainCurve, pair: GeneratedPairData) -> None:
     """Check that pair data refers to the same number of components as the curve."""

@@ -17,6 +17,10 @@ is reported ``boundary-only``, never feasible.
 
 Every rational is a ``fractions.Fraction``, so values are automatically in
 lowest terms with positive denominator and equality is structural.
+
+``weight_system`` is the one place that decides what a subject's system is:
+it twists the subject (a sheaf, or a pair's kernel) and builds its
+intervals and, for a pair, the declared subsheaf bounds.
 """
 
 from __future__ import annotations
@@ -25,12 +29,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .curve_model import SheafNumerics
+from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics, twist,
+                          validate_pair)
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 BOUNDARY_ONLY = "boundary-only"
+
+
+def _clash(lower: Fraction, lower_open: bool, upper: Fraction, upper_open: bool) -> bool:
+    """A lower bound excludes an upper one: it exceeds it, or they meet with an open side."""
+    return lower > upper or (lower == upper and (lower_open or upper_open))
 
 
 def _as_fraction(name: str, value) -> Fraction:
@@ -113,10 +123,8 @@ class RationalInterval:
         return cls(Fraction(0), Fraction(0), True, True)
 
     def is_empty(self) -> bool:
-        if self.lower is None or self.upper is None:
-            return False
-        return self.lower > self.upper or (
-            self.lower == self.upper and (self.lower_open or self.upper_open))
+        return (self.lower is not None and self.upper is not None
+                and _clash(self.lower, self.lower_open, self.upper, self.upper_open))
 
     def contains(self, value) -> bool:
         v = Fraction(value)
@@ -175,8 +183,7 @@ class InfeasibilityCertificate:
     upper_reason: str
 
     def verify(self) -> bool:
-        return self.lower > self.upper or (
-            self.lower == self.upper and (self.lower_open or self.upper_open))
+        return _clash(self.lower, self.lower_open, self.upper, self.upper_open)
 
 
 @dataclass(frozen=True)
@@ -312,9 +319,8 @@ def _shift(a: _Bound, b: _Bound) -> _Bound:
 
 
 def _excludes(lo: _Bound, hi: _Bound) -> bool:
-    if lo.value is None or hi.value is None:
-        return False
-    return lo.value > hi.value or (lo.value == hi.value and (lo.open or hi.open))
+    return (lo.value is not None and hi.value is not None
+            and _clash(lo.value, lo.open, hi.value, hi.open))
 
 
 def _midpoint(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
@@ -516,7 +522,6 @@ def subsheaf_slope_constraints(curve, pair, line, target_slope) -> list[WeightBo
     for positive target it becomes a lower bound, encoded as a bound on the
     complementary sum.
     """
-    from .curve_model import validate_pair
     validate_pair(curve, pair)
     if line.n != curve.n:
         raise ValidationError(f"twist multidegree must have length {curve.n}, got {line.n}")
@@ -542,3 +547,40 @@ def subsheaf_weight_bound(curve, line, target: Fraction, j: int) -> Optional[Wei
     if target == 0:
         return WeightBound(j, Fraction(0), open=True, label=label + " (unsatisfiable)")
     return WeightBound(j, 1 - Fraction(numer) / target, complement=True, label=label)
+
+
+class WeightSystem(NamedTuple):
+    """A subject's weight system before any rule contributes to it.
+
+    ``subject`` is the twisted sheaf whose slope inequalities give
+    ``intervals``; ``target`` (its slope per kernel rank) and the
+    ``declared`` subsheaf bounds exist only for a pair's kernel.
+    """
+
+    curve: ChainCurve
+    pair: Optional[GeneratedPairData]
+    line: LineBundleTwist
+    subject: SheafNumerics
+    target: Optional[Fraction]
+    intervals: list[RationalInterval]
+    declared: list[WeightBound]
+
+
+def weight_system(curve: ChainCurve, sheaf: SheafNumerics,
+                  line: Optional[LineBundleTwist] = None,
+                  pair: Optional[GeneratedPairData] = None) -> WeightSystem:
+    """The weight system of ``sheaf`` twisted by ``line``.
+
+    ``sheaf`` is the untwisted subject: raw sheaf numerics, or the kernel
+    ``kernel_numerics(curve, pair)`` of a generated pair.  Without ``line``
+    the subject is not twisted.  With ``pair`` the system also holds the
+    kernel's target slope and every declared subsheaf bound for that slope.
+    """
+    subject = sheaf if line is None else twist(sheaf, line)
+    line = line if line is not None else LineBundleTwist.trivial(curve.n)
+    intervals = bigas_intervals(subject)
+    if pair is None:
+        return WeightSystem(curve, None, line, subject, None, intervals, [])
+    target = Fraction(subject.chi, pair.kernel_rank)
+    return WeightSystem(curve, pair, line, subject, target, intervals,
+                        subsheaf_slope_constraints(curve, pair, line, target))

@@ -1,11 +1,14 @@
 """Brute-force cross-validation of the feasibility engine.
 
 Enumerates every polarization with a fixed common denominator D (integer
-compositions of D into n positive parts) and checks the exact inequality
-systems pointwise, independently of the interval sweep.  Also sweeps the
-known family of component-supported destabilizing subsheaves over grids of
-polarizations and twists to corroborate twist-independent instability
-verdicts.
+compositions of D into n positive parts) and checks the subject's weight
+system pointwise, independently of the interval sweep.  The subject (a
+sheaf or a pair's kernel, twisted when a twist is given) and its system
+come from ``feasibility.weight_system``, as for ``check`` and ``polarize``.
+Also sweeps the known family of component-supported destabilizing
+subsheaves over grids of polarizations and twists to corroborate
+twist-independent instability verdicts.  The work a run will do is
+estimated up front and refused above ``ORACLE_WORK_LIMIT``.
 """
 
 from __future__ import annotations
@@ -17,10 +20,16 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics, kernel_twisted_chi, twist, validate_pair)
+                          kernel_numerics, kernel_twisted_chi, validate_pair)
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
-from .feasibility import (FEASIBLE, Polarization, WeightBound, bigas_intervals, check_bigas,
-                          find_polarization, simplex_intersect, subsheaf_slope_constraints)
+from .feasibility import (FEASIBLE, Polarization, WeightBound, check_bigas, simplex_intersect,
+                          weight_system)
+
+# Most work units (grid points plus destabilizer checks) one cross-validation
+# may do; at a few microseconds per unit this is well under a minute.
+ORACLE_WORK_LIMIT = 10**7
+# Work estimates are exact up to this many units and print as "more than" it beyond.
+_WORK_CAP = 10**18
 
 
 @dataclass(frozen=True)
@@ -45,42 +54,32 @@ class GridSpec:
         return math.comb(self.denominator - 1, self.n - 1)
 
 
+def _parts(cuts: tuple[int, ...], d: int) -> list[int]:
+    """Composition parts a_1..a_n of ``d`` from the cut positions 0 < c_1 < ... < d."""
+    return [hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,))]
+
+
 def enumerate_polarizations(spec: GridSpec) -> Iterator[Polarization]:
     """Yield every composition of the denominator into n positive parts.
 
     Deterministic lexicographic order by cut positions; fractions reduce
     automatically, so the count is exactly C(D-1, n-1).
     """
-    d, n = spec.denominator, spec.n
-    for cuts in itertools.combinations(range(1, d), n - 1):
-        prev = 0
-        parts = []
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(d - prev)
-        yield Polarization(tuple(Fraction(a, d) for a in parts))
+    d = spec.denominator
+    for cuts in itertools.combinations(range(1, d), spec.n - 1):
+        yield Polarization(tuple(Fraction(a, d) for a in _parts(cuts, d)))
 
 
-def _bound_tests(bounds: Sequence[WeightBound], d: int):
-    """Compile weight bounds into integer predicates on composition parts."""
-    tests = []
-    for b in bounds:
-        num, den = b.upper.numerator, b.upper.denominator
-        if b.complement:
-            # a_j / d >= (den - num) / den
-            rhs = (den - num) * d
-            if b.open:
-                tests.append(lambda parts, i=b.index - 1, r=rhs, dn=den: parts[i] * dn > r)
-            else:
-                tests.append(lambda parts, i=b.index - 1, r=rhs, dn=den: parts[i] * dn >= r)
-        else:
-            rhs = num * d
-            if b.open:
-                tests.append(lambda parts, i=b.index - 1, r=rhs, dn=den: parts[i] * dn < r)
-            else:
-                tests.append(lambda parts, i=b.index - 1, r=rhs, dn=den: parts[i] * dn <= r)
-    return tests
+def _admits(bound: WeightBound, a: int, d: int) -> bool:
+    """Whether the weight a/d meets ``bound``, by integer cross-multiplication."""
+    num, den = bound.upper.numerator, bound.upper.denominator
+    if bound.complement:
+        # a/d >= 1 - num/den
+        lhs, rhs = (den - num) * d, a * den
+    else:
+        # a/d <= num/den
+        lhs, rhs = a * den, num * d
+    return lhs < rhs if bound.open else lhs <= rhs
 
 
 def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
@@ -104,7 +103,6 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
         part += sheaf.chi_components[i - 1]
         lo_consts.append((part - m * i) * d)
         hi_consts.append((part - m * (i - 1)) * d)
-    tests = _bound_tests(bounds, d)
 
     survivors = []
     for cuts in itertools.combinations(range(1, d), spec.n - 1):
@@ -116,13 +114,8 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
                 break
         if not ok:
             continue
-        prev = 0
-        parts = []
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(d - prev)
-        if all(t(parts) for t in tests):
+        parts = _parts(cuts, d)
+        if all(_admits(b, parts[b.index - 1], d) for b in bounds):
             survivors.append(Polarization(tuple(Fraction(a, d) for a in parts)))
     for w in survivors:
         if not check_bigas(sheaf, w):
@@ -185,38 +178,65 @@ def _twist_sample(n: int, twist_range: int) -> list[LineBundleTwist]:
     return [LineBundleTwist(degs) for degs in itertools.product(span, repeat=n)]
 
 
+def _sweeps_twists(pair: Optional[GeneratedPairData]) -> bool:
+    """Whether ``cross_validate`` runs the destabilizer sweep over all sampled twists."""
+    return pair is not None and all(pair.ker_rho_nonzero) and pair.degree_ratio_exceeds()
+
+
+def work_estimate(grid: GridSpec, pair: Optional[GeneratedPairData] = None,
+                  twist_range: int = 3) -> int:
+    """Work units ``cross_validate`` will do: grid points, plus one destabilizer
+    check per grid point and sampled twist when the sweep runs.
+
+    The twist count (2B+1)^n is only multiplied in while the grid alone is
+    within ``ORACLE_WORK_LIMIT``, and only as far as ``_WORK_CAP``: the
+    estimate is exact up to that cap and ``_WORK_CAP + 1`` beyond it.
+    """
+    work = grid.count
+    if work <= ORACLE_WORK_LIMIT and _sweeps_twists(pair):
+        checks = work
+        for _ in range(grid.n):
+            checks *= 2 * twist_range + 1
+            if checks > _WORK_CAP:
+                break
+        work += checks
+    return min(work, _WORK_CAP + 1)
+
+
 def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumerics] = None,
                    pair: Optional[GeneratedPairData] = None,
                    line: Optional[LineBundleTwist] = None,
                    twist_range: int = 3) -> ValidationReport:
     """Compare the sweep's verdict with grid enumeration, and sweep destabilizers.
 
-    Agreement rules: a non-empty grid requires a feasible region; a feasible
-    region whose witness denominator divides the grid denominator requires
-    the witness to appear among the grid points.  For scenarios meeting the
-    twist-independent instability condition, a destabilizer must exist for
-    every grid polarization and every sampled twist.
+    The subject is ``sheaf``, or the kernel of ``pair``, twisted by ``line``;
+    its weight system (with a pair's declared subsheaf bounds) is decided
+    both by the sweep and on the grid.  Agreement rules: a non-empty grid
+    requires a feasible region; a feasible region whose witness denominator
+    divides the grid denominator requires the witness to appear among the
+    grid points.  For scenarios meeting the twist-independent instability
+    condition, a destabilizer must exist for every grid polarization and
+    every sampled twist.  A run whose ``work_estimate`` exceeds
+    ``ORACLE_WORK_LIMIT`` is refused before it starts.
     """
     if (sheaf is None) == (pair is None):
         raise ValidationError("provide exactly one of sheaf or pair")
     if twist_range < 0:
         raise ValidationError(f"twist range must be non-negative, got {twist_range}")
-    notes = []
-    if pair is not None:
-        validate_pair(curve, pair)
-        twist_line = line if line is not None else LineBundleTwist.trivial(curve.n)
-        subject = twist(kernel_numerics(curve, pair), twist_line)
-        target = Fraction(subject.chi, pair.kernel_rank)
-        bounds = subsheaf_slope_constraints(curve, pair, twist_line, target)
-        region = simplex_intersect(bigas_intervals(subject), bounds)
-    else:
-        subject = sheaf
-        bounds = ()
-        region = find_polarization(subject)
     if grid.n != curve.n:
         raise ValidationError(f"grid has {grid.n} components, curve has {curve.n}")
-
-    grid_points = brute_force_region(subject, grid, bounds)
+    work = work_estimate(grid, pair, twist_range)
+    if work > ORACLE_WORK_LIMIT:
+        shown = f"more than {_WORK_CAP}" if work > _WORK_CAP else str(work)
+        raise ValidationError(
+            f"oracle work estimate {shown} units (grid points plus destabilizer checks) "
+            f"exceeds the limit {ORACLE_WORK_LIMIT}; lower the grid denominator or "
+            "the twist range")
+    system = weight_system(curve, sheaf if sheaf is not None else kernel_numerics(curve, pair),
+                           line, pair)
+    region = simplex_intersect(system.intervals, system.declared)
+    grid_points = brute_force_region(system.subject, grid, system.declared)
+    notes = []
     discrepancies = []
     if grid_points and region.status != FEASIBLE:
         discrepancies.append(
@@ -236,8 +256,7 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
 
     witness_checks = 0
     failures = []
-    if (pair is not None and all(pair.ker_rho_nonzero)
-            and Fraction(pair.total_degree, pair.kernel_rank) > curve.n - 1):
+    if _sweeps_twists(pair):
         polarizations = list(enumerate_polarizations(grid))
         for tw in _twist_sample(curve.n, twist_range):
             for w in polarizations:

@@ -13,13 +13,13 @@ contradictory inputs are rejected before any rule fires:
   weight bound that clashes with the necessary slope inequalities for every
   polarization at once.
 
-A subject has one weight system: the slope-inequality intervals of the
-(possibly twisted) kernel, the weight bound of every declared destabilizing
-subsheaf, and the bounds that firing rules contribute.  The rules are
-predicates over the subject that report whether they fire and which bounds
-they add; ``analyze`` builds the system once and decides it with one
-sweep, so the certificate or witness of a verdict always comes from the
-region printed beside it.
+A subject has one weight system, built by ``feasibility.weight_system``:
+the slope-inequality intervals of the (possibly twisted) kernel and the
+weight bound of every declared destabilizing subsheaf.  The rules are
+predicates over that system that report whether they fire and which bounds
+they add; ``analyze`` builds the system once, adds the firing rules'
+bounds and decides it with one sweep, so the certificate or witness of a
+verdict always comes from the region printed beside it.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          arithmetic_genus, kernel_numerics, twist, validate_pair)
+                          arithmetic_genus, kernel_numerics, validate_pair)
 from .errors import (ContradictoryHypotheses, InternalInvariantError, RuleNotApplicable,
                      ValidationError)
 from .feasibility import (FEASIBLE, FeasibleRegion, InfeasibilityCertificate, Polarization,
-                          RationalInterval, WeightBound, bigas_intervals, find_polarization,
-                          simplex_intersect, subsheaf_slope_constraints, subsheaf_weight_bound)
+                          WeightBound, WeightSystem, simplex_intersect, subsheaf_weight_bound,
+                          weight_system)
+from .oracle import destabilizer_witness
 
 W_SEMISTABLE = "w_semistable"
 W_STABLE = "w_stable"
@@ -123,26 +124,6 @@ class Report:
     notes: tuple[str, ...] = ()
 
 
-class _System(NamedTuple):
-    """A subject's weight system before any rule contributes to it."""
-
-    curve: ChainCurve
-    pair: GeneratedPairData
-    line: LineBundleTwist
-    subject: SheafNumerics
-    target: Fraction
-    intervals: list[RationalInterval]
-    declared: list[WeightBound]
-
-
-def _system(curve: ChainCurve, pair: GeneratedPairData, kernel: SheafNumerics,
-            line: LineBundleTwist) -> _System:
-    subject = twist(kernel, line)
-    target = Fraction(subject.chi, pair.kernel_rank)
-    return _System(curve, pair, line, subject, target, bigas_intervals(subject),
-                   subsheaf_slope_constraints(curve, pair, line, target))
-
-
 class _Rule(NamedTuple):
     """One rule's evaluation: whether it fired, why, and the bounds it adds."""
 
@@ -200,7 +181,7 @@ def certify_w_semistable(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
         return Verdict(INCONCLUSIVE, CRITERION_KERNEL_RESTRICTIONS,
                        notes=(f"kernel restriction semistability not asserted for "
                               f"components {missing}",))
-    system = _system(curve, pair, kernel, LineBundleTwist.trivial(curve.n))
+    system = weight_system(curve, kernel, pair=pair)
     region = simplex_intersect(system.intervals, system.declared)
     if region.status != FEASIBLE:
         raise ContradictoryHypotheses(_SCREEN_CONFLICT)
@@ -269,12 +250,12 @@ def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
                         h0=h0)
 
 
-def _component_bound(system: _System, j: int) -> tuple[WeightBound, ...]:
+def _component_bound(system: WeightSystem, j: int) -> tuple[WeightBound, ...]:
     bound = subsheaf_weight_bound(system.curve, system.line, system.target, j)
     return () if bound is None else (bound,)
 
 
-def _endpoint(system: _System) -> _Rule:
+def _endpoint(system: WeightSystem) -> _Rule:
     pair, m = system.pair, system.pair.kernel_rank
     for j in (1, system.curve.n):
         if (pair.twisted_sections_nonzero[j - 1] and pair.restriction_semistable[j - 1]
@@ -285,7 +266,7 @@ def _endpoint(system: _System) -> _Rule:
     return _Rule(CRITERION_ENDPOINT, False, ("end-component conditions not met",))
 
 
-def _middle(system: _System) -> _Rule:
+def _middle(system: WeightSystem) -> _Rule:
     pair, m = system.pair, system.pair.kernel_rank
     for j in range(2, system.curve.n):
         if (pair.twisted_sections_nonzero[j - 1] and pair.restriction_semistable[j - 1]
@@ -299,19 +280,18 @@ def _middle(system: _System) -> _Rule:
     return _Rule(CRITERION_MIDDLE, False, ("middle-component conditions not met",))
 
 
-def _all_twists(system: _System) -> _Rule:
+def _all_twists(system: WeightSystem) -> _Rule:
     curve, pair, m = system.curve, system.pair, system.pair.kernel_rank
     if not all(pair.ker_rho_nonzero):
         return _Rule(CRITERION_ALL_TWISTS, False,
                      ("restriction kernels are not declared non-zero everywhere",))
-    if Fraction(pair.total_degree, m) <= curve.n - 1:
+    if not pair.degree_ratio_exceeds():
         return _Rule(CRITERION_ALL_TWISTS, False,
                      (f"degree ratio {pair.total_degree}/{m} does not exceed {curve.n - 1}",))
     notes = [_EVERY_TWIST]
     if not system.line.is_trivial():
-        from . import oracle
         w = Polarization(tuple(Fraction(1, curve.n) for _ in range(curve.n)))
-        witness = oracle.destabilizer_witness(curve, pair, w, system.line)
+        witness = destabilizer_witness(curve, pair, w, system.line)
         if witness is not None:
             notes.append(
                 f"supplied twist, barycentric weights: component {witness.component} "
@@ -319,7 +299,7 @@ def _all_twists(system: _System) -> _Rule:
     return _Rule(CRITERION_ALL_TWISTS, True, tuple(notes))
 
 
-def _two_component(system: _System) -> _Rule:
+def _two_component(system: WeightSystem) -> _Rule:
     curve, pair = system.curve, system.pair
     if curve.n != 2:
         return _Rule(CRITERION_TWO_COMPONENT, False,
@@ -332,7 +312,7 @@ def _two_component(system: _System) -> _Rule:
         kb = k_bound_check(curve, pair)
     except RuleNotApplicable as exc:
         return _Rule(CRITERION_TWO_COMPONENT, False, (str(exc),))
-    if Fraction(pair.total_degree, pair.kernel_rank) <= curve.n - 1:
+    if not pair.degree_ratio_exceeds():
         return _Rule(CRITERION_TWO_COMPONENT, False,
                      ("declared section count is inconsistent with the derived "
                       f"bound {kb.bound}; degree condition not confirmed",))
@@ -341,7 +321,7 @@ def _two_component(system: _System) -> _Rule:
                   f"{pair.total_degree + pair.rank} forces the degree ratio", _EVERY_TWIST))
 
 
-def _genus_bound(system: _System) -> _Rule:
+def _genus_bound(system: WeightSystem) -> _Rule:
     curve, pair, m = system.curve, system.pair, system.pair.kernel_rank
     if not (all(pair.h1_vanishes) and all(pair.ker_rho_nonzero)):
         return _Rule(CRITERION_GENUS_BOUND, False,
@@ -353,7 +333,7 @@ def _genus_bound(system: _System) -> _Rule:
                      (f"arithmetic genus {p_a} does not exceed {threshold}",))
     notes = [f"arithmetic genus {p_a} > {threshold}; instability holds for every "
              "line-bundle twist"]
-    if Fraction(pair.total_degree, m) <= curve.n - 1:
+    if not pair.degree_ratio_exceeds():
         notes.append("declared section count is inconsistent with the h1-vanishing "
                      "section count")
     return _Rule(CRITERION_GENUS_BOUND, True, tuple(notes))
@@ -375,8 +355,7 @@ def _unstable(named: _Rule, fired: Sequence[str], region: FeasibleRegion) -> Ver
 def _evaluate(rule, curve: ChainCurve, pair: GeneratedPairData,
               line: Optional[LineBundleTwist] = None) -> Verdict:
     """One rule alone on the subject's system, decided by one sweep."""
-    system = _system(curve, pair, kernel_numerics(curve, pair),
-                     line if line is not None else LineBundleTwist.trivial(curve.n))
+    system = weight_system(curve, kernel_numerics(curve, pair), line, pair)
     result = rule(system)
     if not result.fired:
         return Verdict(INCONCLUSIVE, result.criterion, notes=result.notes)
@@ -440,14 +419,16 @@ def strongly_unstable_genus_bound(curve: ChainCurve, pair: GeneratedPairData) ->
     return _evaluate(_genus_bound, curve, pair)
 
 
-def analyze_sheaf(sheaf: SheafNumerics) -> Report:
+def analyze_sheaf(sheaf: SheafNumerics, line: Optional[LineBundleTwist] = None) -> Report:
     """Feasibility-only analysis for raw sheaf numerics (no hypothesis flags).
 
-    Emptiness of the necessary slope-inequality system certifies strong
-    instability; feasibility alone is inconclusive because no sufficiency
-    hypothesis is available.
+    The subject is ``sheaf`` twisted by ``line``.  Emptiness of the
+    necessary slope-inequality system certifies strong instability;
+    feasibility alone is inconclusive because no sufficiency hypothesis is
+    available.
     """
-    region = find_polarization(sheaf)
+    system = weight_system(sheaf.curve, sheaf, line)
+    region = simplex_intersect(system.intervals)
     if region.status == FEASIBLE:
         verdict = Verdict(INCONCLUSIVE, CRITERION_NONE,
                           notes=("weight system feasible; component semistability unknown, "
@@ -456,7 +437,7 @@ def analyze_sheaf(sheaf: SheafNumerics) -> Report:
         verdict = Verdict(STRONGLY_UNSTABLE, CRITERION_GENERIC, certificate=region.certificate,
                           notes=("no polarization satisfies the necessary slope "
                                  "inequalities",))
-    return Report(verdict=verdict, region=region, sheaf=sheaf, obstructions=(),
+    return Report(verdict=verdict, region=region, sheaf=system.subject, obstructions=(),
                   fired=(), k_bound=None)
 
 
@@ -475,8 +456,7 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
     of the printed region.
     """
     kernel = kernel_numerics(curve, pair)
-    trivial = LineBundleTwist.trivial(curve.n)
-    system = _system(curve, pair, kernel, line if line is not None else trivial)
+    system = weight_system(curve, kernel, line, pair)
     problems = []
     obstructed, conflicts = _obstructions(pair)
     if conflicts:
@@ -498,7 +478,7 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
             # declared bounds only, and without a twist it is the subject's own.
             untwisted = system
             if not system.line.is_trivial():
-                untwisted = _system(curve, pair, kernel, trivial)
+                untwisted = weight_system(curve, kernel, pair=pair)
             screen = simplex_intersect(untwisted.intervals, untwisted.declared)
             if screen.status != FEASIBLE:
                 problems.append(_SCREEN_CONFLICT)

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chainstab import cli
+from chainstab import GeneratedPairData, GridSpec, cli, oracle
 from chainstab.errors import InternalInvariantError
 
 
@@ -24,6 +30,9 @@ ENDPOINT_PAIR = {"curve": {"genera": [2, 2]},
 SEMISTABLE_PAIR = {"curve": {"genera": [2, 2]},
                    "subject": {"pair": {"rank": 1, "sections": 3, "multidegree": [6, 6],
                                         "kernel_restriction_semistable": [True, True]}}}
+ACCEPTANCE_6 = {"curve": {"genera": [2, 2, 2]},
+                "subject": {"pair": {"rank": 2, "sections": 4, "multidegree": [3, 3, 3],
+                                     "ker_rho_nonzero": [True, True, True]}}}
 
 
 def run_json(tmp_path, capsys, command, data, *extra):
@@ -114,6 +123,40 @@ class TestOracle:
         assert payload["grid_count"] == 0
         assert payload["region_status"] == "infeasible"
 
+    def test_twisted_sheaf_subject_is_twisted(self, tmp_path, capsys):
+        # check certifies the twisted line bundle (0, 4) unstable; the oracle
+        # must decide the same twisted subject, not the untwisted (0, 0)
+        data = dict(TRIVIAL_SHEAF, twist={"multidegree": [0, 4]})
+        rc, payload, _ = run_json(tmp_path, capsys, "oracle", data, "--denominator", "12")
+        assert rc == 0
+        assert payload["region_status"] == "infeasible"
+        assert payload["grid_count"] == 0
+        assert payload["agreement"] is True
+
+    def test_work_limit_refuses_six_component_defaults(self, tmp_path, capsys):
+        # C(59, 5) = 5,006,386 grid points times 7^6 twists, refused before any work
+        genera = [2] * 6
+        data = {"curve": {"genera": genera},
+                "subject": {"pair": {"rank": 1, "sections": 2, "multidegree": [3] * 6,
+                                     "ker_rho_nonzero": [True] * 6}}}
+        path = write_scenario(tmp_path, data)
+        assert cli.main(["oracle", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(5006386 + 5006386 * 7 ** 6) in captured.err
+        assert str(oracle.ORACLE_WORK_LIMIT) in captured.err
+
+    def test_work_estimate_admits_acceptance_6(self, tmp_path, capsys):
+        pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
+                                 ker_rho_nonzero=(True, True, True))
+        assert oracle.work_estimate(GridSpec(24, 3), pair, 3) == 253 + 86779
+        assert 253 + 86779 <= oracle.ORACLE_WORK_LIMIT
+        rc, payload, _ = run_json(tmp_path, capsys, "oracle", ACCEPTANCE_6,
+                                  "--denominator", "24", "--twist-range", "3")
+        assert rc == 0
+        assert payload["witness_checks"] == 86779
+        assert payload["agreement"] is True
+
     def test_negative_twist_range_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path, ENDPOINT_PAIR)
         assert cli.main(["oracle", path, "--twist-range", "-1"]) == 2
@@ -139,6 +182,16 @@ class TestValidation:
         path.write_text('{"curve": ')
         assert cli.main(["check", str(path)]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on integer string conversion")
+    def test_overlong_integer_literal_rejected(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path.write_text('{"curve": {"genera": [2, 2]}, "subject": {"sheaf": '
+                        f'{{"multirank": [1, 1], "multidegree": [{digits}, 0]}}}}}}')
+        assert cli.main(["polarize", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_missing_scenario_argument(self, capsys):
         assert cli.main(["check"]) == 2
@@ -224,3 +277,81 @@ class TestCanonicalOutput:
         assert f"criterion: {payload['verdict']['criterion']}" in text
         cert = payload["verdict"]["certificate"]
         assert cert["lower"] in text and cert["upper"] in text
+
+
+# Fuzzing: arbitrary JSON shapes never end in a traceback or an exit code other than 0 or 2.
+
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.text(max_size=3),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+PAIR_FLAGS = ("restriction_semistable", "restriction_stable", "kernel_restriction_semistable",
+              "kernel_restriction_stable", "ker_rho_nonzero", "twisted_sections_nonzero",
+              "h1_vanishes")
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    """Mostly well-formed scenarios, each part now and then of a wrong type,
+    length or value, with a key missing or an unknown key added."""
+    n = draw(st.integers(2, 3))
+
+    def rarely():
+        # one in sixteen; a middle value, since draws lean towards the bounds
+        return draw(st.integers(0, 15)) == 7
+
+    def pick(good, bad):
+        return bad if rarely() else good
+
+    def sized(elements):
+        length = draw(st.sampled_from((n - 1, n + 1))) if rarely() else n
+        return draw(st.lists(elements, min_size=length, max_size=length))
+
+    def field(good):
+        return draw(JUNK) if rarely() else good
+
+    def mangle(obj):
+        if obj and rarely():
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        if rarely():
+            obj["unexpected"] = draw(JUNK)
+        return obj
+
+    genera = sized(pick(st.integers(2, 4), st.integers(-1, 1)))
+    uniform = st.just(draw(st.integers(1, 2)))
+    sheaf = mangle({"multirank": field(sized(pick(uniform, st.integers(0, 3)))),
+                    "multidegree": field(sized(st.integers(-6, 6)))})
+    rank = draw(pick(st.integers(1, 3), st.integers(-1, 0)))
+    pair = {"rank": field(rank),
+            "sections": field(draw(pick(st.integers(rank + 1, rank + 3), st.integers(-1, 6)))),
+            "multidegree": field(sized(pick(st.integers(0, 6), st.integers(-3, -1))))}
+    for name in PAIR_FLAGS:
+        if draw(st.booleans()):
+            pair[name] = field(sized(st.booleans()))
+    subject = draw(st.sampled_from(("sheaf",) * 3 + ("pair",) * 5 + ("both", "none", "junk")))
+    scenario = mangle({
+        "curve": field(mangle({"genera": field(genera)})),
+        "subject": {"sheaf": {"sheaf": sheaf}, "pair": {"pair": mangle(pair)},
+                    "both": {"sheaf": sheaf, "pair": pair}, "none": {},
+                    "junk": draw(JUNK)}[subject]})
+    if draw(st.booleans()):
+        scenario["twist"] = field(None if rarely() else
+                                  mangle({"multidegree": field(sized(st.integers(-4, 4)))}))
+    return scenario
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_scenarios(), st.integers(-1, 30), st.integers(-1, 2))
+def test_main_never_raises(scenario, denominator, twist_range):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        for command in ("check", "polarize", "oracle"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main([command, str(path), "--format", "json",
+                               "--denominator", str(denominator),
+                               "--twist-range", str(twist_range)])
+            assert rc in (0, 2), (command, scenario)

@@ -10,6 +10,7 @@ from chainstab import (FEASIBLE, INFEASIBLE, ChainCurve, DestabilizerWitness,
                        ValidationError, WeightBound, brute_force_region, check_bigas,
                        cross_validate, destabilizer_witness, enumerate_polarizations,
                        find_polarization, kernel_numerics, sheaf_from_multidegree)
+from chainstab import cli, oracle
 
 F = Fraction
 
@@ -163,6 +164,16 @@ class TestCrossValidate:
         assert report.witness_failures == ()
         assert report.agreement
 
+    def test_oversized_runs_refused_before_any_work(self):
+        curve = ChainCurve((2, 2, 2))
+        pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
+                                 ker_rho_nonzero=(True, True, True))
+        # a grid past the limit; a grid within it times (2*10**100 + 1)**3 twists
+        for grid, twist_range in ((GridSpec(10**10, 3), 3), (GridSpec(24, 3), 10**100)):
+            assert oracle.work_estimate(grid, pair, twist_range) == 10**18 + 1
+            with pytest.raises(ValidationError, match=f"more than {10**18} units"):
+                cross_validate(curve, grid, pair=pair, twist_range=twist_range)
+
     def test_requires_exactly_one_subject(self):
         curve = ChainCurve((2, 2))
         s = sheaf_from_multidegree(curve, (1, 1), (0, 0))
@@ -202,3 +213,35 @@ def test_soundness_every_grid_point_passes():
     s = sheaf_from_multidegree(curve, (2, 2), (3, -1))
     for w in brute_force_region(s, GridSpec(20, 2)):
         assert check_bigas(s, w)
+
+
+@st.composite
+def untwisted_or_twisted_subjects(draw):
+    """Scenario data: a uniform-rank sheaf, or a pair with no restriction kernel
+    declared (so no subsheaf bounds), twisted half the time."""
+    n = draw(st.integers(2, 3))
+    genera = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 2))
+        subject = {"sheaf": {"multirank": [m] * n, "multidegree":
+                             draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))}}
+    else:
+        rank = draw(st.integers(1, 2))
+        subject = {"pair": {"rank": rank, "sections": rank + draw(st.integers(1, 2)),
+                            "multidegree": draw(st.lists(st.integers(0, 6), min_size=n,
+                                                         max_size=n))}}
+    data = {"curve": {"genera": genera}, "subject": subject}
+    if draw(st.booleans()):
+        data["twist"] = {"multidegree": draw(st.lists(st.integers(-4, 4), min_size=n,
+                                                      max_size=n))}
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(untwisted_or_twisted_subjects(), st.integers(3, 12))
+def test_oracle_decides_the_subject_polarize_prints(data, denominator):
+    # With no declared subsheaf bounds both commands decide the plain slope
+    # system of the same (twisted) subject, so their statuses agree.
+    scn = cli.parse_scenario(data)
+    oracle_status = cli.cmd_oracle(scn, denominator, 0)["region_status"]
+    assert oracle_status == cli.cmd_polarize(scn)["region"]["status"]
