@@ -102,6 +102,9 @@ def parse_scenario(data: dict) -> Scenario:
     if unknown:
         raise ValidationError(f"scenario: unknown fields {sorted(unknown)}")
     curve_obj = _as_dict(_expect(data, "curve", "scenario"), "curve")
+    unknown = set(curve_obj) - {"genera"}
+    if unknown:
+        raise ValidationError(f"curve: unknown fields {sorted(unknown)}")
     genera = [_as_int(g, "curve.genera") for g in _as_list(_expect(curve_obj, "genera", "curve"),
                                                            "curve.genera")]
     curve = ChainCurve(tuple(genera))
@@ -407,16 +410,19 @@ def main(argv=None) -> int:
             payload = cmd_check(scn)
         else:
             payload = cmd_oracle(scn, args.denominator, args.twist_range)
+        report = canonical_json(payload) if args.format == "json" else render_text(payload)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(canonical_json(payload))
-    else:
-        print(render_text(payload))
+    except ValueError as exc:
+        # an integer longer than sys.get_int_max_str_digits(): literals that
+        # long are refused at load, but products of valid inputs can be
+        print(f"error: the report cannot be rendered: {exc}", file=sys.stderr)
+        return 2
+    print(report)
     return 0
 
 

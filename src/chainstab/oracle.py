@@ -1,14 +1,17 @@
 """Brute-force cross-validation of the feasibility engine.
 
-Enumerates every polarization with a fixed common denominator D (integer
-compositions of D into n positive parts) and checks the subject's weight
-system pointwise, independently of the interval sweep.  The subject (a
-sheaf or a pair's kernel, twisted when a twist is given) and its system
-come from ``feasibility.weight_system``, as for ``check`` and ``polarize``.
-Also sweeps the known family of component-supported destabilizing
-subsheaves over grids of polarizations and twists to corroborate
-twist-independent instability verdicts.  The work a run will do is
-estimated up front and refused above ``ORACLE_WORK_LIMIT``.
+Checks the subject's weight system on every polarization with a fixed
+common denominator D (integer compositions of D into n positive parts),
+independently of the interval sweep.  The grid is walked level by level:
+the cut c_i = D*S_i is placed within the integer range that the i-th
+partial-sum inequality allows, so the walk visits only points that meet
+every inequality, in lexicographic order.  The subject (a sheaf or a pair's kernel,
+twisted when a twist is given) and its system come from
+``feasibility.weight_system``, as for ``check`` and ``polarize``.  Also
+sweeps the known family of component-supported destabilizing subsheaves over
+grids of polarizations and twists, by integer cross-multiplication, to
+corroborate twist-independent instability verdicts.  The work a run may do
+is estimated up front and refused above ``ORACLE_WORK_LIMIT``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .feasibility import (FEASIBLE, Polarization, WeightBound, check_bigas, simp
                           weight_system)
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
-# may do; at a few microseconds per unit this is well under a minute.
+# may do.  Units count every point of the grid, C(D-1, n-1), although the
+# level-by-level walk visits only the points that meet the inequalities: the
+# estimate bounds the grid work from above rather than measuring its cost.
 ORACLE_WORK_LIMIT = 10**7
 # Work estimates are exact up to this many units and print as "more than" it beyond.
 _WORK_CAP = 10**18
@@ -54,9 +59,15 @@ class GridSpec:
         return math.comb(self.denominator - 1, self.n - 1)
 
 
-def _parts(cuts: tuple[int, ...], d: int) -> list[int]:
-    """Composition parts a_1..a_n of ``d`` from the cut positions 0 < c_1 < ... < d."""
-    return [hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,))]
+def _grid_parts(spec: GridSpec) -> Iterator[tuple[int, ...]]:
+    """Numerators a_1..a_n of every grid polarization, lexicographic by cut positions."""
+    d = spec.denominator
+    for cuts in itertools.combinations(range(1, d), spec.n - 1):
+        yield tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,)))
+
+
+def _polarization(parts: Sequence[int], d: int) -> Polarization:
+    return Polarization(tuple(Fraction(a, d) for a in parts))
 
 
 def enumerate_polarizations(spec: GridSpec) -> Iterator[Polarization]:
@@ -65,9 +76,8 @@ def enumerate_polarizations(spec: GridSpec) -> Iterator[Polarization]:
     Deterministic lexicographic order by cut positions; fractions reduce
     automatically, so the count is exactly C(D-1, n-1).
     """
-    d = spec.denominator
-    for cuts in itertools.combinations(range(1, d), spec.n - 1):
-        yield Polarization(tuple(Fraction(a, d) for a in _parts(cuts, d)))
+    for parts in _grid_parts(spec):
+        yield _polarization(parts, spec.denominator)
 
 
 def _admits(bound: WeightBound, a: int, d: int) -> bool:
@@ -82,44 +92,79 @@ def _admits(bound: WeightBound, a: int, d: int) -> bool:
     return lhs < rhs if bound.open else lhs <= rhs
 
 
+def _cut_ranges(sheaf: SheafNumerics, m: int, d: int) -> tuple[list[int], list[int]]:
+    """Least and greatest cut c_i = D*S_i allowed at each level i = 1..n-1
+    (index 0 unused); a level that admits no cut has greatest < least.
+
+    Level i keeps the integers c with lo_i <= c*chi <= hi_i, where
+    lo_i = (chi_1 + .. + chi_i - m*i)*D and hi_i = lo_i + m*D, within
+    i <= c <= D-(n-i).  Each greatest cut is then lowered below the next
+    level's, so every cut in range extends to a full grid point.
+    """
+    chi, n = sheaf.require_chi(), sheaf.n
+    first, last = [0] * n, [0] * n
+    part = 0
+    for i in range(1, n):
+        part += sheaf.chi_components[i - 1]
+        lo, hi = (part - m * i) * d, (part - m * (i - 1)) * d
+        a, b = i, d - (n - i)
+        if chi > 0:
+            a, b = max(a, -(-lo // chi)), min(b, hi // chi)
+        elif chi < 0:
+            a, b = max(a, -(-hi // chi)), min(b, lo // chi)
+        elif not lo <= 0 <= hi:
+            b = 0
+        first[i], last[i] = a, b
+    for i in range(n - 2, 0, -1):
+        last[i] = min(last[i], last[i + 1] - 1)
+    return first, last
+
+
 def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
                        bounds: Sequence[WeightBound] = ()) -> list[Polarization]:
     """Grid points satisfying the slope inequalities (and any weight bounds).
 
-    The inner loop multiplies everything by the common denominator and works
-    in integers; survivors are re-asserted with the exact rational check.
+    Places the cuts c_i = D*S_i level by level, each within the integer range
+    its own inequality lo_i <= c_i*chi <= hi_i allows (``_cut_ranges``), so
+    every cut placed extends to a point meeting all the inequalities.  A
+    bound on w_j is tested as soon as c_j is placed, one on w_n at the last
+    level.  Points come in the lexicographic order of
+    ``enumerate_polarizations``, and survivors are re-asserted with the
+    exact rational check.
     """
     m = sheaf.uniform_rank()
     if m is None or m < 1:
         raise UnsupportedData("grid filtering requires uniform positive multirank")
     if spec.n != sheaf.n:
         raise ValidationError(f"grid has {spec.n} components, sheaf has {sheaf.n}")
-    chi = sheaf.require_chi()
-    d = spec.denominator
-    lo_consts = []
-    hi_consts = []
-    part = 0
-    for i in range(1, sheaf.n):
-        part += sheaf.chi_components[i - 1]
-        lo_consts.append((part - m * i) * d)
-        hi_consts.append((part - m * (i - 1)) * d)
+    n, d = spec.n, spec.denominator
+    at = [[] for _ in range(n + 1)]   # at[j]: the bounds on w_j
+    for b in bounds:
+        if b.index > n:
+            raise ValidationError(f"bound index {b.index} out of range 1..{n}")
+        at[b.index].append(b)
+    first, last = _cut_ranges(sheaf, m, d)
 
     survivors = []
-    for cuts in itertools.combinations(range(1, d), spec.n - 1):
-        ok = True
-        for a, lo, hi in zip(cuts, lo_consts, hi_consts):
-            t = a * chi
-            if not lo <= t <= hi:
-                ok = False
-                break
-        if not ok:
+    cuts = [0] * n + [d]   # c_0 = 0 and c_n = D frame the cuts c_1..c_{n-1}
+    level = 1
+    cuts[1] = first[1] - 1
+    while level:
+        c = cuts[level] + 1
+        if c > last[level]:
+            level -= 1
             continue
-        parts = _parts(cuts, d)
-        if all(_admits(b, parts[b.index - 1], d) for b in bounds):
-            survivors.append(Polarization(tuple(Fraction(a, d) for a in parts)))
+        cuts[level] = c
+        if at[level] and not all(_admits(b, c - cuts[level - 1], d) for b in at[level]):
+            continue
+        if level < n - 1:
+            level += 1
+            cuts[level] = max(first[level], c + 1) - 1
+        elif all(_admits(b, d - c, d) for b in at[n]):
+            survivors.append(_polarization([hi - lo for lo, hi in zip(cuts, cuts[1:])], d))
     for w in survivors:
         if not check_bigas(sheaf, w):
-            raise InternalInvariantError("integer grid filter disagreed with the exact check")
+            raise InternalInvariantError("integer grid walk disagreed with the exact check")
     return survivors
 
 
@@ -136,27 +181,39 @@ class DestabilizerWitness:
             raise ValidationError("a destabilizer must strictly exceed the target slope")
 
 
+def _destabilizer_terms(curve: ChainCurve, pair: GeneratedPairData,
+                        line: LineBundleTwist) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The twisted kernel's chi, and (j, deg L_j - delta_j + 1 - g_j) for each
+    component j with a non-zero restriction kernel, in increasing j.
+
+    Under weights w the component-j subsheaf has slope numer_j / w_j and the
+    twisted kernel has slope chi / m, with m the kernel rank.
+    """
+    degs = line.multidegree
+    return kernel_twisted_chi(curve, pair, line), tuple(
+        (j, degs[j - 1] - curve.node_count(j) + 1 - curve.genera[j - 1])
+        for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1])
+
+
 def destabilizer_witness(curve: ChainCurve, pair: GeneratedPairData, w: Polarization,
                          line: LineBundleTwist) -> Optional[DestabilizerWitness]:
     """First component whose twisted kernel subsheaf destabilizes under ``w``.
 
     For each component j with a non-zero restriction kernel, the subsheaf
     slope is (deg L_j - delta_j + 1 - g_j) / w_j; the target is the twisted
-    kernel's own slope.  Components are scanned in increasing order so the
+    kernel's own slope chi / m.  With w_j = p/q the comparison is the integer
+    one numer*q*m > chi*p.  Components are scanned in increasing order so the
     output is deterministic.
     """
     validate_pair(curve, pair)
     if w.n != curve.n or line.n != curve.n:
         raise ValidationError("polarization and twist must match the curve's components")
     m = pair.kernel_rank
-    target = Fraction(kernel_twisted_chi(curve, pair, line), m)
-    for j in range(1, curve.n + 1):
-        if not pair.ker_rho_nonzero[j - 1]:
-            continue
-        numer = line.multidegree[j - 1] - curve.node_count(j) + 1 - curve.genera[j - 1]
-        s = Fraction(numer) / w.weights[j - 1]
-        if s > target:
-            return DestabilizerWitness(j, s, target)
+    chi, terms = _destabilizer_terms(curve, pair, line)
+    for j, numer in terms:
+        p, q = w.weights[j - 1].numerator, w.weights[j - 1].denominator
+        if numer * q * m > chi * p:
+            return DestabilizerWitness(j, Fraction(numer * q, p), Fraction(chi, m))
     return None
 
 
@@ -181,6 +238,30 @@ def _twist_sample(n: int, twist_range: int) -> list[LineBundleTwist]:
 def _sweeps_twists(pair: Optional[GeneratedPairData]) -> bool:
     """Whether ``cross_validate`` runs the destabilizer sweep over all sampled twists."""
     return pair is not None and all(pair.ker_rho_nonzero) and pair.degree_ratio_exceeds()
+
+
+def _destabilizer_failures(
+        curve: ChainCurve, pair: GeneratedPairData, grid: GridSpec, twist_range: int,
+) -> tuple[int, list[tuple[Polarization, LineBundleTwist]]]:
+    """Checks done and (polarization, twist) pairs with no destabilizer, over
+    every grid point and sampled twist, twist-major then lexicographic.
+
+    Weight a_j/D gives a destabilizer on component j when numer_j*D*m > chi*a_j.
+    """
+    d, m = grid.denominator, pair.kernel_rank
+    points = list(_grid_parts(grid))
+    checks, failures = 0, []
+    for tw in _twist_sample(curve.n, twist_range):
+        chi, terms = _destabilizer_terms(curve, pair, tw)
+        scaled = [(j - 1, numer * d * m) for j, numer in terms]
+        for parts in points:
+            for k, s in scaled:
+                if s > chi * parts[k]:
+                    break
+            else:
+                failures.append((_polarization(parts, d), tw))
+        checks += len(points)
+    return checks, failures
 
 
 def work_estimate(grid: GridSpec, pair: Optional[GeneratedPairData] = None,
@@ -257,12 +338,7 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
     witness_checks = 0
     failures = []
     if _sweeps_twists(pair):
-        polarizations = list(enumerate_polarizations(grid))
-        for tw in _twist_sample(curve.n, twist_range):
-            for w in polarizations:
-                witness_checks += 1
-                if destabilizer_witness(curve, pair, w, tw) is None:
-                    failures.append((w, tw))
+        witness_checks, failures = _destabilizer_failures(curve, pair, grid, twist_range)
         if failures:
             discrepancies.append(
                 f"{len(failures)} grid/twist pairs admit no destabilizer")

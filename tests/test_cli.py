@@ -203,6 +203,28 @@ class TestValidation:
         assert cli.main(["check", path]) == 2
         assert "unknown fields" in capsys.readouterr().err
 
+    def test_unknown_curve_field_rejected(self, tmp_path, capsys):
+        data = dict(TRIVIAL_SHEAF, curve={"genera": [2, 2], "extra": 1})
+        path = write_scenario(tmp_path, data)
+        assert cli.main(["polarize", path]) == 2
+        assert "curve: unknown fields ['extra']" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unrenderable_report_exits_2(self, tmp_path, capsys, fmt):
+        # every literal is within the digit limit, but the kernel's chi,
+        # a product of two of them, is not
+        big = 10 ** (sys.get_int_max_str_digits() - 100)
+        data = {"curve": {"genera": [big, 2]},
+                "subject": {"pair": {"rank": 1, "sections": big, "multidegree": [0, 0]}}}
+        path = write_scenario(tmp_path, data)
+        assert cli.main(["polarize", path, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the report cannot be rendered")
+        assert captured.err.count("\n") == 1
+
     def test_both_subjects_rejected(self, tmp_path, capsys):
         data = {"curve": {"genera": [2, 2]},
                 "subject": {"sheaf": {"multirank": [1, 1], "multidegree": [0, 0]},

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from chainstab import (FEASIBLE, INFEASIBLE, ChainCurve, DestabilizerWitness,
                        GeneratedPairData, GridSpec, LineBundleTwist, Polarization,
                        ValidationError, WeightBound, brute_force_region, check_bigas,
                        cross_validate, destabilizer_witness, enumerate_polarizations,
-                       find_polarization, kernel_numerics, sheaf_from_multidegree)
+                       find_polarization, kernel_numerics, sheaf_from_multidegree, twist)
 from chainstab import cli, oracle
 
 F = Fraction
@@ -88,6 +89,97 @@ class TestBruteForceRegion:
         assert all(w.weights[0] >= F(1, 2) for w in got_comp)
         assert got_comp != []
 
+    def test_vacuous_chi_zero_keeps_every_point_in_order(self):
+        # chi_j = (1, 1, 1, 0): chi = 0 and 0 lies in every [lo_i, hi_i]
+        s = sheaf_from_multidegree(ChainCurve((2, 2, 2, 2)), (1,) * 4, (2, 2, 2, 1))
+        assert s.chi == 0
+        spec = GridSpec(12, 4)
+        got = brute_force_region(s, spec)
+        assert len(got) == spec.count == math.comb(11, 3)
+        assert got == list(enumerate_polarizations(spec))
+
+    def test_chi_zero_unmet_inequality_is_empty(self):
+        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (3, 0))
+        assert s.chi == 0
+        assert brute_force_region(s, GridSpec(12, 2)) == []
+
+    @pytest.mark.parametrize("degrees, chi", [((0, 0), -3), ((3, 3), 3)])
+    def test_closed_endpoints_on_grid_points_kept(self, degrees, chi):
+        # S_1 in [1/3, 2/3] whether chi is negative or positive
+        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), degrees)
+        assert s.chi == chi
+        for d, sums in ((6, [F(1, 3), F(1, 2), F(2, 3)]), (3, [F(1, 3), F(2, 3)])):
+            assert [w.partial_sums()[0] for w in brute_force_region(s, GridSpec(d, 2))] == sums
+
+    def test_bounds_on_last_weight(self):
+        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        spec = GridSpec(12, 2)
+        closed = brute_force_region(s, spec, [WeightBound(2, F(1, 2))])
+        # w_1 rises along the grid, so w_2 falls
+        assert [w.weights[1] for w in closed] == [F(6, 12), F(5, 12), F(4, 12)]
+        opened = brute_force_region(s, spec, [WeightBound(2, F(1, 2), open=True)])
+        assert [w.weights[1] for w in opened] == [F(5, 12), F(4, 12)]
+        lower = brute_force_region(s, spec, [WeightBound(2, F(1, 2), complement=True)])
+        assert [w.weights[1] for w in lower] == [F(8, 12), F(7, 12), F(6, 12)]
+
+    def test_bound_index_beyond_chain_rejected(self):
+        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        with pytest.raises(ValidationError):
+            brute_force_region(s, GridSpec(6, 2), [WeightBound(3, F(1, 2))])
+
+
+def _meets(bound, w):
+    """Reference test of one weight bound in rationals."""
+    x = w.weights[bound.index - 1]
+    if bound.complement:
+        return x > 1 - bound.upper if bound.open else x >= 1 - bound.upper
+    return x < bound.upper if bound.open else x <= bound.upper
+
+
+@st.composite
+def sheaves_with_bounds(draw):
+    """A uniform-rank sheaf of chi < 0, = 0 or > 0, a grid and 0-3 weight bounds.
+
+    Sums and bounds are drawn around a grid point a/D: each partial sum
+    chi_1 + .. + chi_i is one that puts D*S_i = c_i inside its inequality,
+    or just outside it, and each bound sits at a_j/D or one step off, so
+    the grids are neither always empty nor always full.
+    """
+    n = draw(st.integers(2, 4))
+    genera = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    m = draw(st.integers(1, 2))
+    chi = draw(st.one_of(st.integers(-8, -1), st.just(0), st.integers(1, 8)))
+    d = draw(st.integers(n, 15))
+    cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=n - 1, max_size=n - 1,
+                                unique=True)))
+    center = [hi - lo for lo, hi in zip([0] + cuts, cuts + [d])]
+    # c*chi/D <= ceil(c*chi/D) + k <= c*chi/D + m for 0 <= k < m
+    sums = [-(-c * chi // d) + m * (i - 1) + draw(st.integers(-1, m))
+            for i, c in enumerate(cuts, start=1)] + [chi + m * (n - 1)]
+    chis = [b - a for a, b in zip([0] + sums, sums)]
+    degrees = [c - m * (1 - g) for c, g in zip(chis, genera)]
+    sheaf = sheaf_from_multidegree(ChainCurve(tuple(genera)), (m,) * n, degrees)
+    assert sheaf.chi == chi
+    bounds = []
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(1, n))
+        scale = draw(st.integers(1, 2))
+        at = min(max(F(scale * center[j - 1] + draw(st.integers(-1, 1)), scale * d), F(0)),
+                 F(1))
+        complement = draw(st.booleans())
+        bounds.append(WeightBound(j, 1 - at if complement else at, open=draw(st.booleans()),
+                                  complement=complement))
+    return sheaf, GridSpec(d, n), bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(sheaves_with_bounds())
+def test_grid_walk_matches_reference_filter(case):
+    sheaf, spec, bounds = case
+    expected = [w for w in enumerate_polarizations(spec)
+                if check_bigas(sheaf, w) and all(_meets(b, w) for b in bounds)]
+    assert brute_force_region(sheaf, spec, bounds) == expected
+
 
 class TestDestabilizerWitness:
     def test_barycentric_polarization(self):
@@ -125,6 +217,81 @@ class TestDestabilizerWitness:
     def test_witness_invariant(self):
         with pytest.raises(ValidationError):
             DestabilizerWitness(1, F(-3), F(-2))
+
+    def test_equal_slope_is_not_a_witness(self):
+        # chi = -4, m = 1: at weights (1/2, 1/2) both subsheaves have slope
+        # -2 / (1/2) = -4, equal to the target
+        curve = ChainCurve((2, 2))
+        pair = GeneratedPairData(rank=1, sections=2, multidegree=(1, 0),
+                                 ker_rho_nonzero=(True, True))
+        half = Polarization((F(1, 2), F(1, 2)))
+        trivial = LineBundleTwist.trivial(2)
+        assert destabilizer_witness(curve, pair, half, trivial) is None
+        assert oracle._destabilizer_failures(curve, pair, GridSpec(2, 2), 0) == \
+            (1, [(half, trivial)])
+        skewed = Polarization((F(1, 3), F(2, 3)))
+        assert destabilizer_witness(curve, pair, skewed, trivial) == \
+            DestabilizerWitness(2, F(-3), F(-4))
+
+
+def _reference_destabilizers(curve, pair, grid, twist_range):
+    """Checks, failures and first witnesses of the destabilizer sweep, in rationals."""
+    n, m = curve.n, pair.kernel_rank
+    checks, failures, witnesses = 0, [], []
+    for degs in itertools.product(range(-twist_range, twist_range + 1), repeat=n):
+        line = LineBundleTwist(degs)
+        target = F(twist(kernel_numerics(curve, pair), line).chi, m)
+        for w in enumerate_polarizations(grid):
+            checks += 1
+            witness = None
+            for j in range(1, n + 1):
+                nodes = 1 if j in (1, n) else 2
+                slope = F(degs[j - 1] - nodes + 1 - curve.genera[j - 1]) / w.weights[j - 1]
+                if pair.ker_rho_nonzero[j - 1] and slope > target:
+                    witness = DestabilizerWitness(j, slope, target)
+                    break
+            witnesses.append(witness)
+            if witness is None:
+                failures.append((w, line))
+    return checks, failures, witnesses
+
+
+@st.composite
+def pairs_and_grids(draw):
+    """Pairs with any restriction-kernel flags, most not meeting the all-twists
+    condition, so the sweep also finds grid/twist pairs without a destabilizer."""
+    n = draw(st.integers(2, 3))
+    rank = draw(st.integers(1, 2))
+    pair = GeneratedPairData(
+        rank=rank, sections=rank + draw(st.integers(1, 3)),
+        multidegree=tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))),
+        ker_rho_nonzero=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    curve = ChainCurve(tuple(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))))
+    return curve, pair, GridSpec(draw(st.integers(n, 9)), n), draw(st.integers(0, 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pairs_and_grids())
+def test_destabilizer_sweep_matches_rational_reference(case):
+    curve, pair, grid, twist_range = case
+    checks, failures, witnesses = _reference_destabilizers(curve, pair, grid, twist_range)
+    assert oracle._destabilizer_failures(curve, pair, grid, twist_range) == (checks, failures)
+    points = [(w, LineBundleTwist(degs))
+              for degs in itertools.product(range(-twist_range, twist_range + 1),
+                                            repeat=curve.n)
+              for w in enumerate_polarizations(grid)]
+    assert [destabilizer_witness(curve, pair, w, line) for w, line in points] == witnesses
+
+
+def test_destabilizer_sweep_reports_failures():
+    # degree ratio 2/3 does not exceed n - 1 = 1: some weights admit no destabilizer
+    curve = ChainCurve((2, 2))
+    pair = GeneratedPairData(rank=1, sections=4, multidegree=(1, 1),
+                             ker_rho_nonzero=(True, True))
+    grid = GridSpec(6, 2)
+    checks, failures, _ = _reference_destabilizers(curve, pair, grid, 1)
+    assert failures
+    assert oracle._destabilizer_failures(curve, pair, grid, 1) == (checks, failures)
 
 
 class TestCrossValidate:
