@@ -15,8 +15,18 @@ polarization definition itself contributes the strict constraints w_j > 0
 and 0 < S_i < 1.  A system solvable only when some weight degenerates to 0
 is reported ``boundary-only``, never feasible.
 
-Every rational is a ``fractions.Fraction``, so values are automatically in
-lowest terms with positive denominator and equality is structural.
+Every rational a caller passes in or gets back is a ``fractions.Fraction``.
+The sweep itself runs in integers: ``simplex_intersect`` scales every
+finite interval endpoint and weight-bound value once to L, the lcm of their
+denominators (for slope inequalities a divisor of |chi|), and propagates
+per-index ``(numerator, open)`` reach bounds over L.  Each reach bound keeps
+only a source tag: shifted from S_{i-1} by the step w_i, the simplex's
+S_i < 1, the slope-inequality interval, S_0 = 0, or S_n = 1 shifted back by
+w_n; each step bound keeps the position of the ``WeightBound`` it came from.
+Fractions are built at the boundary only: the witness, whose backward pass
+carries numerators over L * 2**e because midpoints halve, and the
+certificate of a failed strict sweep, whose reasons are rendered from the
+tags by one walk back from the failing index.
 
 ``weight_system`` is the one place that decides what a subject's system is:
 it twists the subject (a sheaf, or a pair's kernel) and builds its
@@ -25,6 +35,7 @@ intervals and, for a pair, the declared subsheaf bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -38,12 +49,15 @@ INFEASIBLE = "infeasible"
 BOUNDARY_ONLY = "boundary-only"
 
 
-def _clash(lower: Fraction, lower_open: bool, upper: Fraction, upper_open: bool) -> bool:
+def _clash(lower: Fraction | int, lower_open: bool,
+           upper: Fraction | int, upper_open: bool) -> bool:
     """A lower bound excludes an upper one: it exceeds it, or they meet with an open side."""
     return lower > upper or (lower == upper and (lower_open or upper_open))
 
 
 def _as_fraction(name: str, value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise ValidationError(f"{name} must be an exact rational, got {value!r}")
     try:
@@ -63,10 +77,12 @@ class Polarization:
         object.__setattr__(self, "weights", ws)
         if len(ws) < 2:
             raise ValidationError("a polarization needs at least two weights")
-        if any(not 0 < w < 1 for w in ws):
+        if any(not 0 < w.numerator < w.denominator for w in ws):
             raise ValidationError(f"every weight must lie strictly between 0 and 1, got {ws}")
-        if sum(ws) != 1:
-            raise ValidationError(f"weights must sum to exactly 1, got {sum(ws)}")
+        den = math.lcm(*(w.denominator for w in ws))
+        total = sum(w.numerator * (den // w.denominator) for w in ws)
+        if total != den:
+            raise ValidationError(f"weights must sum to exactly 1, got {Fraction(total, den)}")
 
     @property
     def n(self) -> int:
@@ -97,14 +113,14 @@ class RationalInterval:
     upper_open: bool = False
 
     def __post_init__(self):
-        lo = None if self.lower is None else _as_fraction("lower", self.lower)
-        hi = None if self.upper is None else _as_fraction("upper", self.upper)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if lo is None:
+        if self.lower is None:
             object.__setattr__(self, "lower_open", True)
-        if hi is None:
+        elif type(self.lower) is not Fraction:
+            object.__setattr__(self, "lower", _as_fraction("lower", self.lower))
+        if self.upper is None:
             object.__setattr__(self, "upper_open", True)
+        elif type(self.upper) is not Fraction:
+            object.__setattr__(self, "upper", _as_fraction("upper", self.upper))
 
     @classmethod
     def closed(cls, lower, upper) -> "RationalInterval":
@@ -135,9 +151,17 @@ class RationalInterval:
         return True
 
     def midpoint(self) -> Fraction:
+        """The midpoint, or one step inside a single finite end (0 if unbounded)."""
         if self.is_empty():
             raise ValidationError("empty interval has no midpoint")
-        return _midpoint(self.lower, self.upper)
+        lo, hi = self.lower, self.upper
+        if lo is None and hi is None:
+            return Fraction(0)
+        if lo is None:
+            return hi - 1
+        if hi is None:
+            return lo + 1
+        return (lo + hi) / 2
 
     def closure(self) -> "RationalInterval":
         return RationalInterval(self.lower, self.upper,
@@ -278,187 +302,234 @@ def check_bigas(sheaf: SheafNumerics, w: Polarization) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Sweep internals: one-sided bounds with provenance, combined exactly.
+# The sweep: integer numerators over the system's common denominator.
 # --------------------------------------------------------------------------
 
-class _Bound(NamedTuple):
-    value: Optional[Fraction]   # None = unbounded on this side
-    open: bool
-    why: tuple[str, ...]
+# Source tag of a reach bound on S_i: the bound on S_{i-1} shifted by the
+# step w_i, the simplex's S_i < 1, the slope-inequality interval of S_i,
+# S_0 = 0 itself, or S_n = 1 shifted back by the step w_n.
+_SHIFT, _SIMPLEX, _SLOPE, _ORIGIN, _FINAL = range(5)
 
 
-_NO_BOUND = _Bound(None, True, ())
+class _Scaled(NamedTuple):
+    """Interval endpoints (``None`` where unbounded) and weight-bound values
+    as integer numerators over the common denominator ``den``."""
+
+    den: int
+    lower: list
+    lower_open: list
+    upper: list
+    upper_open: list
+    bounds: list
 
 
-def _tightest_lower(*cands: _Bound) -> _Bound:
-    best = None
-    for c in cands:
-        if c.value is None:
-            continue
-        if best is None or c.value > best.value or (
-                c.value == best.value and c.open and not best.open):
-            best = c
-    return best if best is not None else _NO_BOUND
-
-
-def _tightest_upper(*cands: _Bound) -> _Bound:
-    best = None
-    for c in cands:
-        if c.value is None:
-            continue
-        if best is None or c.value < best.value or (
-                c.value == best.value and c.open and not best.open):
-            best = c
-    return best if best is not None else _NO_BOUND
-
-
-def _shift(a: _Bound, b: _Bound) -> _Bound:
-    if a.value is None or b.value is None:
-        return _NO_BOUND
-    return _Bound(a.value + b.value, a.open or b.open, a.why + b.why)
-
-
-def _excludes(lo: _Bound, hi: _Bound) -> bool:
-    return (lo.value is not None and hi.value is not None
-            and _clash(lo.value, lo.open, hi.value, hi.open))
-
-
-def _midpoint(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    """The witness rule: the midpoint, or one step inside a single finite end."""
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
-
-
-class _Edge(NamedTuple):
-    """Constraint on one step w_j = S_j - S_{j-1}."""
-    lower: _Bound
-    upper: _Bound
-
-
-def _build_edges(n: int, bounds: Sequence[WeightBound], strict: bool) -> list[_Edge]:
-    lows = []
-    ups = []
-    for j in range(1, n + 1):
-        rel = ">" if strict else ">="
-        lows.append(_Bound(Fraction(0), strict, (f"w_{j} {rel} 0",)))
-        ups.append(_NO_BOUND)
+def _scale(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound]) -> _Scaled:
+    n = len(ivs) + 1
     for b in bounds:
         if not 1 <= b.index <= n:
             raise ValidationError(f"bound index {b.index} out of range 1..{n}")
+    values = [iv.lower for iv in ivs] + [iv.upper for iv in ivs] + [b.upper for b in bounds]
+    den = math.lcm(*(v.denominator for v in values if v is not None))
+    nums = [None if v is None else v.numerator * (den // v.denominator) for v in values]
+    k = len(ivs)
+    return _Scaled(den, nums[:k], [iv.lower_open for iv in ivs],
+                   nums[k:2 * k], [iv.upper_open for iv in ivs], nums[2 * k:])
+
+
+class _Edges(NamedTuple):
+    """The tightest bounds on each step w_j = S_j - S_{j-1}, at list index j - 1.
+
+    ``lower_src``/``upper_src`` hold the position of the ``WeightBound`` a
+    bound came from, or ``None`` for the simplex's w_j > 0 and for a missing
+    upper bound (whose value is then ``None`` too).
+    """
+
+    lower: list
+    lower_open: list
+    lower_src: list
+    upper: list
+    upper_open: list
+    upper_src: list
+
+
+def _edges(n: int, system: _Scaled, bounds: Sequence[WeightBound], strict: bool) -> _Edges:
+    lo, lo_open, lo_src = [0] * n, [strict] * n, [None] * n
+    up, up_open, up_src = [None] * n, [False] * n, [None] * n
+    for k, (b, v) in enumerate(zip(bounds, system.bounds)):
         i = b.index - 1
         if b.complement:
-            val = 1 - b.upper
-            rel = ">" if b.open else ">="
-            cand = _Bound(val, b.open, (f"w_{b.index} {rel} {val} ({b.label})",))
-            lows[i] = _tightest_lower(lows[i], cand)
-        else:
-            rel = "<" if b.open else "<="
-            cand = _Bound(b.upper, b.open, (f"w_{b.index} {rel} {b.upper} ({b.label})",))
-            ups[i] = _tightest_upper(ups[i], cand)
-    return [_Edge(lo, up) for lo, up in zip(lows, ups)]
+            v = system.den - v
+            if v > lo[i] or (v == lo[i] and b.open and not lo_open[i]):
+                lo[i], lo_open[i], lo_src[i] = v, b.open, k
+        elif up[i] is None or v < up[i] or (v == up[i] and b.open and not up_open[i]):
+            up[i], up_open[i], up_src[i] = v, b.open, k
+    return _Edges(lo, lo_open, lo_src, up, up_open, up_src)
 
 
-@dataclass
-class _SweepResult:
-    partial_sums: Optional[list[Fraction]]
-    fail_quantity: str = ""
-    fail_lower: Optional[_Bound] = None
-    fail_upper: Optional[_Bound] = None
+class _Dry(NamedTuple):
+    """Where a sweep ran dry: on the step w_index, or on S_index.
+
+    ``reach[i]`` is ``(lower, lower_open, lower_tag, upper, upper_open,
+    upper_tag)`` for S_i, from S_0 up to the failing index.
+    """
+
+    on_step: bool
+    index: int
+    reach: list
 
 
-def _sweep(intervals: Sequence[RationalInterval], edges: Sequence[_Edge],
-           strict: bool) -> _SweepResult:
-    n = len(intervals) + 1
+def _halve(num: int, e: int) -> tuple[int, int]:
+    """num / 2**e with the power of two cancelled as far as it goes."""
+    if num == 0:
+        return 0, 0
+    k = min(e, (num & -num).bit_length() - 1)
+    return num >> k, e - k
 
-    def fail(quantity, lo, hi):
-        return _SweepResult(None, quantity, lo, hi)
 
-    lo = _Bound(Fraction(0), False, ("S_0 = 0",))
-    hi = lo
-    reach: list[tuple[_Bound, _Bound]] = []
-    gt, lt = (">", "<") if strict else (">=", "<=")
+def _sweep(system: _Scaled, edges: _Edges, strict: bool):
+    """Forward sweep, then the backward witness pass when the system is solvable.
+
+    Each S_i's reach bound is the tightest of its candidates, taken in the
+    order: shift from S_{i-1}, simplex constraint, interval endpoint.  A
+    later candidate replaces the current one only when it is strictly
+    tighter, or equal and open where the current one is closed.  The
+    simplex's S_i > 0 (S_i >= 0 when relaxed) never replaces the shifted
+    lower bound: that bound is at least 0, and when it is 0 in the strict
+    sweep it is open, since the step bound w_i > 0 yields only to a greater
+    one.  Returns a ``_Dry`` record, or the witness weights w_1..w_n.
+    """
+    one = system.den
+    ilo, ilo_open = system.lower, system.lower_open
+    ihi, ihi_open = system.upper, system.upper_open
+    elo, elo_open = edges.lower, edges.lower_open
+    eup, eup_open = edges.upper, edges.upper_open
+    n = len(ilo) + 1
+    lo = hi = 0
+    lo_open = hi_open = False
+    reach = [(0, False, _ORIGIN, 0, False, _ORIGIN)]
     for i in range(1, n):
-        edge = edges[i - 1]
-        if _excludes(edge.lower, edge.upper):
-            return fail(f"w_{i}", edge.lower, edge.upper)
-        cands_lo = [_shift(lo, edge.lower), _Bound(Fraction(0), strict, (f"S_{i} {gt} 0",))]
-        cands_hi = [_shift(hi, edge.upper), _Bound(Fraction(1), strict, (f"S_{i} {lt} 1",))]
-        iv = intervals[i - 1]
-        if iv.lower is not None:
-            rel = ">" if iv.lower_open else ">="
-            cands_lo.append(_Bound(iv.lower, iv.lower_open,
-                                   (f"S_{i} {rel} {iv.lower} (slope inequalities)",)))
-        if iv.upper is not None:
-            rel = "<" if iv.upper_open else "<="
-            cands_hi.append(_Bound(iv.upper, iv.upper_open,
-                                   (f"S_{i} {rel} {iv.upper} (slope inequalities)",)))
-        lo = _tightest_lower(*cands_lo)
-        hi = _tightest_upper(*cands_hi)
-        if _excludes(lo, hi):
-            return fail(f"S_{i}", lo, hi)
-        reach.append((lo, hi))
-
-    edge = edges[n - 1]
-    if _excludes(edge.lower, edge.upper):
-        return fail(f"w_{n}", edge.lower, edge.upper)
-    anchor = (f"S_{n} = 1",)
-    if edge.upper.value is not None:
-        flo = _Bound(1 - edge.upper.value, edge.upper.open, anchor + edge.upper.why)
-    else:
-        flo = _NO_BOUND
-    fhi = _Bound(1 - edge.lower.value, edge.lower.open, anchor + edge.lower.why)
-    lo = _tightest_lower(lo, flo)
-    hi = _tightest_upper(hi, fhi)
-    if _excludes(lo, hi):
-        return fail(f"S_{n - 1}", lo, hi)
-
-    # Backward pass: fix S_{n-1} at the midpoint of its final interval, then
-    # walk down, restricting each earlier reach interval by the step out of it.
-    sums: list[Optional[Fraction]] = [None] * (n - 1)
-    sums[n - 2] = _midpoint(lo.value, hi.value)
-    for i in range(n - 2, 0, -1):
-        rlo, rhi = reach[i - 1]
-        step = edges[i]
-        s_next = sums[i]
-        if step.upper.value is not None:
-            blo = _Bound(s_next - step.upper.value, step.upper.open, ())
+        j = i - 1
+        el, eu = elo[j], eup[j]
+        if eu is not None and _clash(el, elo_open[j], eu, eup_open[j]):
+            return _Dry(True, i, reach)
+        lo += el
+        lo_open = lo_open or elo_open[j]
+        lo_tag = _SHIFT
+        v = ilo[j]
+        if v is not None and (v > lo or (v == lo and ilo_open[j] and not lo_open)):
+            lo, lo_open, lo_tag = v, ilo_open[j], _SLOPE
+        if eu is None:
+            hi, hi_open, hi_tag = one, strict, _SIMPLEX
         else:
-            blo = _NO_BOUND
-        bhi = _Bound(s_next - step.lower.value, step.lower.open, ())
-        clo = _tightest_lower(rlo, blo)
-        chi_ = _tightest_upper(rhi, bhi)
-        if _excludes(clo, chi_):
+            hi += eu
+            hi_open = hi_open or eup_open[j]
+            hi_tag = _SHIFT
+            if hi > one or (hi == one and strict and not hi_open):
+                hi, hi_open, hi_tag = one, strict, _SIMPLEX
+        v = ihi[j]
+        if v is not None and (v < hi or (v == hi and ihi_open[j] and not hi_open)):
+            hi, hi_open, hi_tag = v, ihi_open[j], _SLOPE
+        reach.append((lo, lo_open, lo_tag, hi, hi_open, hi_tag))
+        if _clash(lo, lo_open, hi, hi_open):
+            return _Dry(False, i, reach)
+
+    # S_{n-1} = 1 - w_n: the step bounds on w_n, read from S_n = 1.
+    j = n - 1
+    el, eu = elo[j], eup[j]
+    if eu is not None and _clash(el, elo_open[j], eu, eup_open[j]):
+        return _Dry(True, n, reach)
+    if eu is not None:
+        v = one - eu
+        if v > lo or (v == lo and eup_open[j] and not lo_open):
+            lo, lo_open, lo_tag = v, eup_open[j], _FINAL
+    v = one - el
+    if v < hi or (v == hi and elo_open[j] and not hi_open):
+        hi, hi_open, hi_tag = v, elo_open[j], _FINAL
+    reach[n - 1] = (lo, lo_open, lo_tag, hi, hi_open, hi_tag)
+    if _clash(lo, lo_open, hi, hi_open):
+        return _Dry(False, n - 1, reach)
+
+    # Backward pass: from S_n = 1 down, restrict each reach interval by the
+    # step out of it, fix S_i at the midpoint and read off w_{i+1} as the
+    # difference of two partial sums.  S_{i+1} is num / (den * 2**e) here;
+    # restricting S_{n-1} again by the step w_n changes nothing.
+    weights = [None] * n
+    num, e = one, 0
+    for i in range(n - 1, 0, -1):
+        lo, lo_open, _, hi, hi_open, _ = reach[i]
+        lo <<= e
+        hi <<= e
+        el, eu = elo[i], eup[i]
+        if eu is not None:
+            v = num - (eu << e)
+            if v > lo or (v == lo and eup_open[i] and not lo_open):
+                lo, lo_open = v, eup_open[i]
+        v = num - (el << e)
+        if v < hi or (v == hi and elo_open[i] and not hi_open):
+            hi, hi_open = v, elo_open[i]
+        if _clash(lo, lo_open, hi, hi_open):
             raise InternalInvariantError("backward witness extraction hit an empty interval")
-        sums[i - 1] = _midpoint(clo.value, chi_.value)
-    return _SweepResult(sums)
+        mid = lo + hi
+        weights[i] = Fraction((num << 1) - mid, one << (e + 1))
+        num, e = _halve(mid, e + 1)
+    weights[0] = Fraction(num, one << e)
+    return weights
 
 
-def _weights_from_sums(sums: Sequence[Fraction]) -> Polarization:
-    weights = []
-    prev = Fraction(0)
-    for s in sums:
-        weights.append(s - prev)
-        prev = s
-    weights.append(1 - prev)
-    return Polarization(tuple(weights))
+def _step_term(bounds: Sequence[WeightBound], edges: _Edges, j: int, upper: bool) -> str:
+    """The reason of the strict sweep's lower (or upper) bound on w_j."""
+    src = (edges.upper_src if upper else edges.lower_src)[j - 1]
+    if src is None:
+        return f"w_{j} > 0"
+    b = bounds[src]
+    if b.complement:
+        return f"w_{j} {'>' if b.open else '>='} {1 - b.upper} ({b.label})"
+    return f"w_{j} {'<' if b.open else '<='} {b.upper} ({b.label})"
 
 
-def _certificate(res: _SweepResult) -> InfeasibilityCertificate:
+def _reach_reason(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound],
+                  edges: _Edges, dry: _Dry, upper: bool) -> str:
+    """The terms of S_index's lower (or upper) bound, found by one walk back."""
+    n = len(ivs) + 1
+    slot = 5 if upper else 2
+    k = dry.index
+    terms = []
+    while dry.reach[k][slot] == _SHIFT:
+        terms.append(_step_term(bounds, edges, k, upper))
+        k -= 1
+    tag = dry.reach[k][slot]
+    if tag == _ORIGIN:
+        terms.append("S_0 = 0")
+    elif tag == _SIMPLEX:
+        terms.append(f"S_{k} < 1")
+    elif tag == _FINAL:
+        terms += [_step_term(bounds, edges, n, not upper), f"S_{n} = 1"]
+    elif upper:
+        iv = ivs[k - 1]
+        terms.append(f"S_{k} {'<' if iv.upper_open else '<='} {iv.upper} (slope inequalities)")
+    else:
+        iv = ivs[k - 1]
+        terms.append(f"S_{k} {'>' if iv.lower_open else '>='} {iv.lower} (slope inequalities)")
+    return "; ".join(reversed(terms))
+
+
+def _certificate(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound],
+                 system: _Scaled, edges: _Edges, dry: _Dry) -> InfeasibilityCertificate:
     """The clashing pair of accumulated bounds where a strict sweep ran dry."""
-    cert = InfeasibilityCertificate(
-        quantity=res.fail_quantity,
-        lower=res.fail_lower.value,
-        lower_open=res.fail_lower.open,
-        lower_reason="; ".join(res.fail_lower.why),
-        upper=res.fail_upper.value,
-        upper_open=res.fail_upper.open,
-        upper_reason="; ".join(res.fail_upper.why),
-    )
+    i = dry.index
+    if dry.on_step:
+        lo, lo_open = edges.lower[i - 1], edges.lower_open[i - 1]
+        hi, hi_open = edges.upper[i - 1], edges.upper_open[i - 1]
+        quantity = f"w_{i}"
+        lower_reason = _step_term(bounds, edges, i, False)
+        upper_reason = _step_term(bounds, edges, i, True)
+    else:
+        lo, lo_open, _, hi, hi_open, _ = dry.reach[i]
+        quantity = f"S_{i}"
+        lower_reason = _reach_reason(ivs, bounds, edges, dry, False)
+        upper_reason = _reach_reason(ivs, bounds, edges, dry, True)
+    cert = InfeasibilityCertificate(quantity, Fraction(lo, system.den), lo_open, lower_reason,
+                                    Fraction(hi, system.den), hi_open, upper_reason)
     if not cert.verify():
         raise InternalInvariantError("infeasibility certificate failed self-verification")
     return cert
@@ -480,13 +551,16 @@ def simplex_intersect(intervals: Sequence[RationalInterval],
     ivs = tuple(intervals)
     if not ivs:
         raise ValidationError("at least one partial-sum interval is required")
+    bounds = tuple(bounds)
     n = len(ivs) + 1
-    res = _sweep(ivs, _build_edges(n, bounds, True), True)
-    if res.partial_sums is not None:
-        return FeasibleRegion(ivs, FEASIBLE, _weights_from_sums(res.partial_sums))
-    relaxed = _sweep(ivs, _build_edges(n, bounds, False), False)
-    status = BOUNDARY_ONLY if relaxed.partial_sums is not None else INFEASIBLE
-    return FeasibleRegion(ivs, status, None, _certificate(res))
+    system = _scale(ivs, bounds)
+    edges = _edges(n, system, bounds, True)
+    res = _sweep(system, edges, True)
+    if not isinstance(res, _Dry):
+        return FeasibleRegion(ivs, FEASIBLE, Polarization(tuple(res)))
+    relaxed = _sweep(system, _edges(n, system, bounds, False), False)
+    status = INFEASIBLE if isinstance(relaxed, _Dry) else BOUNDARY_ONLY
+    return FeasibleRegion(ivs, status, None, _certificate(ivs, bounds, system, edges, res))
 
 
 def find_polarization(sheaf: SheafNumerics) -> FeasibleRegion:

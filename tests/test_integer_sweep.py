@@ -1,0 +1,282 @@
+"""The integer sweep against the Fraction reference, and its certificates.
+
+``simplex_intersect`` decides a system in integers over the common
+denominator of its endpoints and bounds.  These tests hold it to the
+Fraction sweep it replaced (``fraction_sweep``), field by field, and
+re-derive every certificate's bounds from the system (``certificate_check``).
+"""
+
+import itertools
+import json
+import random
+import re
+import time
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fraction_sweep
+from certificate_check import check_certificate
+from chainstab import (FEASIBLE, INFEASIBLE, ChainCurve, GeneratedPairData,
+                       InfeasibilityCertificate, LineBundleTwist, Polarization, RationalInterval,
+                       ValidationError, WeightBound, analyze, bigas_intervals, cli,
+                       kernel_numerics, simplex_intersect, twist, weight_system)
+
+F = Fraction
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def assert_same_as_reference(intervals, bounds=()):
+    """Equal status, witness and all seven certificate fields; returns the region."""
+    region = simplex_intersect(intervals, bounds)
+    ref = fraction_sweep.simplex_intersect(intervals, bounds)
+    assert region.status == ref.status
+    assert region.witness == ref.witness
+    assert region.s_intervals == ref.s_intervals
+    if ref.certificate is None:
+        assert region.certificate is None
+    else:
+        for name in ("quantity", "lower", "lower_open", "lower_reason",
+                     "upper", "upper_open", "upper_reason"):
+            assert getattr(region.certificate, name) == getattr(ref.certificate, name), name
+        check_certificate(region.certificate, intervals, bounds)
+    return region
+
+
+# Values on denominators 1..12, so that the common denominator is non-trivial
+# and midpoint sums are often odd.
+VALUES = st.builds(Fraction, st.integers(-3, 15), st.integers(1, 12))
+WIDTHS = st.builds(Fraction, st.integers(-1, 4), st.integers(1, 12))
+LABELS = st.sampled_from(["weight bound", "subsheaf slope bound",
+                          "subsheaf slope bound (unsatisfiable)", "rule"])
+
+
+@st.composite
+def intervals(draw, centre):
+    kind = draw(st.sampled_from(["closed", "open", "half-open", "unbounded", "one-sided"]))
+    lo = centre - draw(WIDTHS)
+    hi = centre + draw(WIDTHS)
+    if kind == "unbounded":
+        return RationalInterval.unbounded()
+    if kind == "one-sided":
+        side_open = draw(st.booleans())
+        if draw(st.booleans()):
+            return RationalInterval(lo, None, lower_open=side_open)
+        return RationalInterval(None, hi, upper_open=side_open)
+    if kind == "half-open":
+        lower_open = draw(st.booleans())
+        return RationalInterval(lo, hi, lower_open, not lower_open)
+    return RationalInterval(lo, hi, kind == "open", kind == "open")
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        # intervals around a strict polarization, so that many systems are feasible
+        parts = [draw(st.integers(1, 6)) for _ in range(n)]
+        centres = [Fraction(sum(parts[:i]), sum(parts)) for i in range(1, n)]
+    else:
+        centres = [draw(VALUES) for _ in range(n - 1)]
+    ivs = [draw(intervals(c)) for c in centres]
+    bounds = [WeightBound(draw(st.integers(1, n)), draw(VALUES), open=draw(st.booleans()),
+                          complement=draw(st.booleans()), label=draw(LABELS))
+              for _ in range(draw(st.integers(0, 4)))]
+    return ivs, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_integer_sweep_equals_fraction_reference(system):
+    assert_same_as_reference(*system)
+
+
+def test_seeded_systems_of_every_status_equal_fraction_reference():
+    # a fixed sample that reaches all three statuses, so witnesses and
+    # boundary-only regions are compared whatever Hypothesis draws
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        lo = [F(rng.randint(-2, 14), rng.randint(1, 12)) for _ in range(n - 1)]
+        ivs = [RationalInterval(a, a + F(rng.randint(0, 6), rng.randint(1, 12)),
+                                rng.random() < 0.3, rng.random() < 0.3) for a in lo]
+        bounds = [WeightBound(rng.randint(1, n), F(rng.randint(-1, 12), rng.randint(1, 12)),
+                              open=rng.random() < 0.5, complement=rng.random() < 0.5)
+                  for _ in range(rng.randint(0, 3))]
+        seen.add(assert_same_as_reference(ivs, bounds).status)
+    assert seen == {"feasible", "boundary-only", "infeasible"}
+
+
+def test_midpoints_halve_past_the_common_denominator():
+    # The common denominator is 315 and S_2's midpoint is 153/630.
+    ivs = [RationalInterval.closed(F(0), F(1, 3)), RationalInterval.closed(F(1, 5), F(2, 7))]
+    region = assert_same_as_reference(ivs, [WeightBound(2, F(1, 9), open=True)])
+    assert region.witness.weights == (F(59, 315), F(1, 18), F(53, 70))
+    # Only the simplex bounds each S_i: S_{n-1} = 1/2 and every earlier
+    # S_i halves the next, so w_1 = 2**-(n-1) over a common denominator of 1.
+    n = 40
+    region = assert_same_as_reference([RationalInterval.unbounded()] * (n - 1))
+    assert region.witness.weights == (F(1, 2 ** (n - 1)),) + tuple(
+        F(1, 2 ** (n - j + 1)) for j in range(2, n + 1))
+
+
+def test_out_of_range_bound_index_is_refused():
+    with pytest.raises(ValidationError, match="bound index 3 out of range 1..2"):
+        simplex_intersect([RationalInterval.unbounded()], [WeightBound(3, F(1, 2))])
+
+
+def _long_kernel(n, dry):
+    """A kernel's slope-inequality intervals on an n-component chain.
+
+    With ``dry`` the kernel is twisted at one index in the last tenth so
+    that its chi there exceeds 3m: the strict sweep runs dry late.
+    """
+    rng = random.Random(f"long:{n}")
+    genera = [rng.randint(2, 6) for _ in range(n)]
+    m = 2
+    degs = [rng.randint(0, 12) for _ in range(n)]
+    curve = ChainCurve(genera)
+    pair = GeneratedPairData(rank=1, sections=1 + m, multidegree=tuple(degs))
+    kernel = kernel_numerics(curve, pair)
+    if not dry:
+        return bigas_intervals(kernel)
+    k = rng.randint(n - n // 10, n - 2)
+    tw = [0] * n
+    tw[k] = (3 * m - kernel.chi_components[k]) // m + 1
+    return bigas_intervals(twist(kernel, LineBundleTwist(tuple(tw))))
+
+
+@pytest.mark.parametrize("dry", [False, True])
+def test_long_kernel_equals_fraction_reference(dry):
+    n = 3000
+    region = assert_same_as_reference(_long_kernel(n, dry))
+    if dry:
+        assert region.status != FEASIBLE
+        assert int(region.certificate.quantity.split("_")[1]) >= n - n // 10
+    else:
+        assert region.status == FEASIBLE
+
+
+def test_accumulated_bounds_are_rendered_once():
+    # The lower reach of every S_i is carried by the step bounds w_j >= 1/n,
+    # so the failing bound at S_{n-1} names all n - 1 of them.  Rendering it
+    # per index, as the Fraction sweep did, is quadratic in n.
+    n = 20000
+    ivs = [RationalInterval.unbounded()] * (n - 1)
+    bounds = [WeightBound(j, 1 - F(1, n), complement=True) for j in range(1, n + 1)]
+    bounds.append(WeightBound(n, 1 - F(2, n), complement=True))
+    start = time.perf_counter()
+    region = simplex_intersect(ivs, bounds)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    cert = region.certificate
+    assert region.status == INFEASIBLE
+    assert (cert.quantity, cert.lower, cert.upper) == (f"S_{n - 1}", F(n - 1, n), F(n - 2, n))
+    assert cert.lower_reason.split("; ") == (
+        ["S_0 = 0"] + [f"w_{j} >= 1/{n} (weight bound)" for j in range(1, n)])
+    assert cert.upper_reason == f"S_{n} = 1; w_{n} >= 1/{n // 2} (weight bound)"
+    check_certificate(cert, ivs, bounds)
+
+
+def test_acceptance_5_certificate_rebuilds_from_the_system():
+    curve = ChainCurve((2, 2))
+    pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
+                             twisted_sections_nonzero=(True, False),
+                             restriction_semistable=(True, False),
+                             ker_rho_nonzero=(True, False))
+    system = weight_system(curve, kernel_numerics(curve, pair), pair=pair)
+    check_certificate(analyze(curve, pair).verdict.certificate,
+                      system.intervals, system.declared)
+
+
+def test_readme_certificate_rebuilds_from_the_system():
+    text = README.read_text()
+    scenario = cli.parse_scenario(json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1)))
+    line = re.search(r"^certificate: .*$", text, re.M).group(0)
+    match = re.fullmatch(r"certificate: (\S+) (>=|>) (\S+) \[(.*)\] clashes with "
+                         r"\1 (<=|<) (\S+) \[(.*)\]", line)
+    quantity, lo_rel, lo, lo_reason, hi_rel, hi, hi_reason = match.groups()
+    cert = InfeasibilityCertificate(quantity, F(lo), lo_rel == ">", lo_reason,
+                                    F(hi), hi_rel == "<", hi_reason)
+    pair = scenario.pair
+    system = weight_system(scenario.curve, kernel_numerics(scenario.curve, pair), pair=pair)
+    check_certificate(cert, system.intervals, system.declared)
+    assert line in cli.render_text(cli.cmd_check(scenario)).splitlines()
+
+
+def test_checker_rejects_a_wrong_reason():
+    ivs = [RationalInterval.closed(F(4, 9), F(5, 9))]
+    bounds = [WeightBound(1, F(2, 9), label="subsheaf slope bound")]
+    cert = simplex_intersect(ivs, bounds).certificate
+    check_certificate(cert, ivs, bounds)
+    forgeries = [
+        # the printed number agrees with the bound, but the system says 2/9
+        replace(cert, upper=F(1, 9),
+                upper_reason="S_0 = 0; w_1 <= 1/9 (subsheaf slope bound)"),
+        # a bound the system does not have
+        replace(cert, upper_reason="S_0 = 0; w_1 <= 2/9 (other)"),
+        # the anchor of the shifted bound left out
+        replace(cert, upper_reason="w_1 <= 2/9 (subsheaf slope bound)"),
+    ]
+    for forged in forgeries:
+        assert forged.verify()
+        with pytest.raises(AssertionError):
+            check_certificate(forged, ivs, bounds)
+
+
+class TestBoundaryFractions:
+    def test_exact_fraction_is_not_copied(self):
+        third = F(1, 3)
+        assert RationalInterval(third, None).lower is third
+        assert WeightBound(1, third).upper is third
+        w = Polarization((third, F(2, 3)))
+        assert w.weights[0] is third
+
+    def test_subclass_is_copied(self):
+        class Sub(Fraction):
+            pass
+
+        iv = RationalInterval(Sub(1, 3), Sub(2, 3))
+        assert type(iv.lower) is Fraction and type(iv.upper) is Fraction
+        assert iv.lower == F(1, 3)
+
+    def test_bool_and_float_refused(self):
+        for bad in (True, 0.5):
+            with pytest.raises(ValidationError, match="exact rational"):
+                RationalInterval(bad, None)
+            with pytest.raises(ValidationError, match="exact rational"):
+                WeightBound(1, bad)
+
+    def test_witness_weights_are_exact_fractions(self):
+        region = simplex_intersect([RationalInterval.closed(F(1, 3), F(2, 3))])
+        assert all(type(w) is Fraction for w in region.witness.weights)
+
+    def test_polarization_sum_message(self):
+        with pytest.raises(ValidationError, match=r"sum to exactly 1, got 5/6"):
+            Polarization((F(1, 2), F(1, 3)))
+
+
+def test_ties_on_a_small_grid_equal_fraction_reference():
+    # Two-component systems with ends on {0, 1/2, 1}, each end open, closed
+    # or absent, against no bound, one bound, two bounds of one kind and
+    # value on one step that differ only in strictness (either order), or
+    # two bounds at 1/2 on different steps.  Equal and open-versus-closed
+    # candidates meet at S_0, at the simplex ends and at S_n = 1.
+    values = (F(0), F(1, 2), F(1))
+    ends = [(None, True)] + [(v, o) for v in values for o in (False, True)]
+    kinds = [(j, c) for j in (1, 2) for c in (False, True)]
+    bound_sets = [()]
+    bound_sets += [((j, v, o, c),) for j, c in kinds for v in values for o in (False, True)]
+    bound_sets += [((j, v, o, c), (j, v, not o, c))
+                   for j, c in kinds for v in values for o in (False, True)]
+    bound_sets += [((1, F(1, 2), o1, c1), (2, F(1, 2), o2, c2))
+                   for o1, c1, o2, c2 in itertools.product((False, True), repeat=4)]
+    for (lo, lo_open), (hi, hi_open) in itertools.product(ends, ends):
+        ivs = [RationalInterval(lo, hi, lo_open, hi_open)]
+        for chosen in bound_sets:
+            bounds = [WeightBound(j, v, open=o, complement=c) for j, v, o, c in chosen]
+            assert_same_as_reference(ivs, bounds)
