@@ -15,9 +15,6 @@ from .oracle import (ORACLE_WORK_LIMIT, DestabilizerWitness, GridSpec, Validatio
                      enumerate_polarizations, work_estimate)
 from .stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE, H0Bound,
                         KBoundResult, Report, Verdict, analyze, analyze_sheaf,
-                        certify_w_semistable, clifford_h0_bound, h0_global_bound,
-                        k_bound_check, restriction_obstruction, strongly_unstable_all_twists,
-                        strongly_unstable_endpoint, strongly_unstable_genus_bound,
-                        strongly_unstable_middle, strongly_unstable_two_component)
+                        clifford_h0_bound, h0_global_bound, k_bound_check)
 
 __version__ = "0.1.0"

@@ -1,17 +1,28 @@
-"""Stability criteria for kernel bundles of generated pairs, as verdict rules.
+"""Stability criteria for kernel bundles of generated pairs, as one rule chain.
 
 Each rule certifies exactly what its hypotheses support and nothing more:
 absence of a firing rule is always ``inconclusive``, never "stable".  The
 rules split into two families whose hypotheses exclude each other, and
-contradictory inputs are rejected before any rule fires:
+contradictory inputs are rejected before any verdict is named:
 
 * semistability: if every component restriction of the kernel bundle is
   semistable, some polarization makes the kernel w-semistable (w-stable if
   one restriction is stable); the witness is constructive.
-* strong instability: a component with enough degree relative to the kernel
-  rank, together with a declared section vanishing at its nodes, forces a
-  weight bound that clashes with the necessary slope inequalities for every
-  polarization at once.
+* strong instability: three rules, evaluated in this order.  A component
+  with enough degree relative to the kernel rank, together with a declared
+  section vanishing at its nodes, forces a weight bound that clashes with
+  the necessary slope inequalities for every polarization at once (the end
+  components, then the middle ones).  Non-zero restriction kernels
+  everywhere and the degree ratio d/(k - r) > n - 1 empty the slope
+  inequalities alone, whatever the line-bundle twist.
+
+The two-component and genus criteria are routes to that degree ratio, not
+rules of their own.  When the ratio rule fires, ``analyze`` records them as
+further reasons in ``fired``: ``two-component-kernel-sections`` on two
+components with every restriction semistable, and ``genus-bound`` with h1
+vanishing everywhere and p_a * r > (n - 2)(k - r).  Genus data without the
+degree ratio declares more sections than h1 vanishing leaves (see
+``_genus_condition``) and is refused as contradictory.
 
 A subject has one weight system, built by ``feasibility.weight_system``:
 the slope-inequality intervals of the (possibly twisted) kernel and the
@@ -26,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
                           arithmetic_genus, kernel_numerics, validate_pair)
@@ -57,8 +68,6 @@ _EVERY_TWIST = ("instability holds for every line-bundle twist: the firing condi
                 "does not involve the twist")
 _SCREEN_CONFLICT = ("the declared subsheaf bounds exclude every polarization while every "
                     "kernel restriction is declared semistable")
-# Rules whose firing condition alone empties the weight system.
-_CLASHING = (CRITERION_ENDPOINT, CRITERION_MIDDLE, CRITERION_ALL_TWISTS)
 
 METHOD_CLIFFORD = "clifford"
 METHOD_RIEMANN_ROCH = "riemann_roch_h1_zero"
@@ -131,61 +140,6 @@ class _Rule(NamedTuple):
     fired: bool
     notes: tuple[str, ...]
     bounds: tuple[WeightBound, ...] = ()
-
-
-def _obstructions(pair: GeneratedPairData) -> tuple[tuple[bool, ...], list[int]]:
-    """Obstructed components, and the 1-based ones also declared kernel-semistable."""
-    obstructed = tuple(ts and ss for ts, ss in
-                       zip(pair.twisted_sections_nonzero, pair.restriction_semistable))
-    conflicts = [j + 1 for j, (o, ks) in
-                 enumerate(zip(obstructed, pair.kernel_restriction_semistable)) if o and ks]
-    return obstructed, conflicts
-
-
-def restriction_obstruction(curve: ChainCurve, pair: GeneratedPairData) -> list[bool]:
-    """Components where the kernel restriction is certified non-semistable.
-
-    A semistable component restriction together with a section vanishing at
-    the component's nodes forces degree >= rank > 0 there, so the trivial
-    subbundle of constant kernel sections destabilizes the restricted kernel.
-    Claiming kernel_restriction_semistable on such a component is a
-    contradiction and is rejected.
-    """
-    validate_pair(curve, pair)
-    obstructed, conflicts = _obstructions(pair)
-    if conflicts:
-        raise ContradictoryHypotheses(
-            f"components {conflicts}: the kernel restriction cannot be semistable when a "
-            "twisted section exists and the bundle restriction is semistable")
-    return list(obstructed)
-
-
-def _semistable(pair: GeneratedPairData, region: FeasibleRegion,
-                notes: tuple[str, ...] = ()) -> Verdict:
-    kind = W_STABLE if any(pair.kernel_restriction_stable) else W_SEMISTABLE
-    return Verdict(kind, CRITERION_KERNEL_RESTRICTIONS, witness=region.witness, notes=notes)
-
-
-def certify_w_semistable(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
-    """Constructive semistability certificate for the kernel bundle.
-
-    Requires every kernel restriction to be declared semistable; the witness
-    satisfies the slope inequalities and every declared subsheaf bound, and
-    declared bounds that exclude every polarization contradict the
-    semistability claim.  A stable restriction on any component upgrades
-    the verdict to w-stable.
-    """
-    kernel = kernel_numerics(curve, pair)
-    if not all(pair.kernel_restriction_semistable):
-        missing = [j + 1 for j, f in enumerate(pair.kernel_restriction_semistable) if not f]
-        return Verdict(INCONCLUSIVE, CRITERION_KERNEL_RESTRICTIONS,
-                       notes=(f"kernel restriction semistability not asserted for "
-                              f"components {missing}",))
-    system = weight_system(curve, kernel, pair=pair)
-    region = simplex_intersect(system.intervals, system.declared)
-    if region.status != FEASIBLE:
-        raise ContradictoryHypotheses(_SCREEN_CONFLICT)
-    return _semistable(pair, region)
 
 
 def clifford_h0_bound(genus: int, rank: int, degree: int, semistable: bool = True,
@@ -299,124 +253,28 @@ def _all_twists(system: WeightSystem) -> _Rule:
     return _Rule(CRITERION_ALL_TWISTS, True, tuple(notes))
 
 
-def _two_component(system: WeightSystem) -> _Rule:
-    curve, pair = system.curve, system.pair
-    if curve.n != 2:
-        return _Rule(CRITERION_TWO_COMPONENT, False,
-                     ("rule applies to two-component chains only",))
-    if not (all(pair.ker_rho_nonzero) and all(pair.restriction_semistable)):
-        return _Rule(CRITERION_TWO_COMPONENT, False,
-                     ("needs non-zero restriction kernels and semistable restrictions on "
-                      "both components",))
-    try:
-        kb = k_bound_check(curve, pair)
-    except RuleNotApplicable as exc:
-        return _Rule(CRITERION_TWO_COMPONENT, False, (str(exc),))
-    if not pair.degree_ratio_exceeds():
-        return _Rule(CRITERION_TWO_COMPONENT, False,
-                     ("declared section count is inconsistent with the derived "
-                      f"bound {kb.bound}; degree condition not confirmed",))
-    return _Rule(CRITERION_TWO_COMPONENT, True,
-                 (f"section bound {kb.bound} < degree + rank = "
-                  f"{pair.total_degree + pair.rank} forces the degree ratio", _EVERY_TWIST))
-
-
-def _genus_bound(system: WeightSystem) -> _Rule:
-    curve, pair, m = system.curve, system.pair, system.pair.kernel_rank
-    if not (all(pair.h1_vanishes) and all(pair.ker_rho_nonzero)):
-        return _Rule(CRITERION_GENUS_BOUND, False,
-                     ("needs h1 vanishing and non-zero restriction kernels everywhere",))
-    p_a = arithmetic_genus(curve)
-    threshold = Fraction((curve.n - 2) * m, pair.rank)
-    if p_a <= threshold:
-        return _Rule(CRITERION_GENUS_BOUND, False,
-                     (f"arithmetic genus {p_a} does not exceed {threshold}",))
-    notes = [f"arithmetic genus {p_a} > {threshold}; instability holds for every "
-             "line-bundle twist"]
-    if not pair.degree_ratio_exceeds():
-        notes.append("declared section count is inconsistent with the h1-vanishing "
-                     "section count")
-    return _Rule(CRITERION_GENUS_BOUND, True, tuple(notes))
-
-
 # The fixed order in which rules are evaluated; the first that fires names the verdict.
-_RULES = (_endpoint, _middle, _all_twists, _two_component, _genus_bound)
+_RULES = (_endpoint, _middle, _all_twists)
 
 
-def _unstable(named: _Rule, fired: Sequence[str], region: FeasibleRegion) -> Verdict:
-    if region.status == FEASIBLE and any(c in fired for c in _CLASHING):
-        raise InternalInvariantError(
-            f"the firing conditions of {', '.join(fired)} guarantee a clash with the "
-            "slope inequalities; the sweep disagreed")
-    return Verdict(STRONGLY_UNSTABLE, named.criterion, certificate=region.certificate,
-                   notes=named.notes)
+def _genus_condition(curve: ChainCurve, pair: GeneratedPairData) -> bool:
+    """The genus criterion: h1 vanishing and non-zero restriction kernels
+    everywhere, and arithmetic genus p_a > (n - 2)(k - r)/r.
 
-
-def _evaluate(rule, curve: ChainCurve, pair: GeneratedPairData,
-              line: Optional[LineBundleTwist] = None) -> Verdict:
-    """One rule alone on the subject's system, decided by one sweep."""
-    system = weight_system(curve, kernel_numerics(curve, pair), line, pair)
-    result = rule(system)
-    if not result.fired:
-        return Verdict(INCONCLUSIVE, result.criterion, notes=result.notes)
-    region = simplex_intersect(system.intervals, system.declared + list(result.bounds))
-    return _unstable(result, (result.criterion,), region)
-
-
-def strongly_unstable_endpoint(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
-    """End-component criterion: kernel rank strictly below the end degree.
-
-    Fires at component 1 or n when a twisted section exists there, the
-    restriction is semistable, and (sections - rank) < degree.  The firing
-    component's subsheaf bound joins the system, which then has no solution.
+    On consistent data it implies the degree ratio d/(k - r) > n - 1.  The
+    sections span V inside H0(E), so k <= h0(E).  Per-component h1 vanishing
+    and global generation on a chain give h1(E) = 0: in the normalization
+    sequence 0 -> E -> sum E_j -> sum of the node fibres -> 0 the component
+    sections must reach every tuple of differences at the nodes, and
+    setting s_1 = 0, then picking on each later component a section with
+    the required value at its left node, reaches it.  So
+    h0(E) = chi(E) = d + r(1 - p_a).  With m = k - r, the genus
+    condition r * p_a > (n - 2)m and a failed ratio d <= (n - 1)m give
+    d - r * p_a < m, that is k > chi(E): the declared section count then
+    contradicts the declared h1 vanishing.
     """
-    return _evaluate(_endpoint, curve, pair)
-
-
-def strongly_unstable_middle(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
-    """Middle-component criterion: kernel rank strictly below half the degree.
-
-    Fires at some j in 2..n-1 when a twisted section exists there, the
-    restriction is semistable, and (sections - rank) < degree/2 (exact
-    rational comparison, never floored).  The firing component's subsheaf
-    bound joins the system, which then has no solution.
-    """
-    return _evaluate(_middle, curve, pair)
-
-
-def strongly_unstable_all_twists(curve: ChainCurve, pair: GeneratedPairData,
-                                 line: Optional[LineBundleTwist] = None) -> Verdict:
-    """Twist-independent criterion: total degree over kernel rank above n-1.
-
-    Fires when the restriction kernel is non-zero on every component and
-    d/(sections - rank) > n - 1 (exact).  The firing condition does not
-    mention the twist, so the conclusion holds for every line bundle twist;
-    the certificate is computed for the kernel twisted by ``line``, and a
-    non-trivial twist also attaches a sample destabilizer for the
-    barycentric polarization as corroboration.
-    """
-    return _evaluate(_all_twists, curve, pair, line)
-
-
-def strongly_unstable_two_component(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
-    """Two-component criterion: non-zero restriction kernels plus semistability.
-
-    On a two-component chain, non-zero restriction kernels on both sides and
-    semistable restrictions force total degree > kernel rank through the
-    section-count bound, which is exactly the degree-ratio condition of the
-    twist-independent rule.
-    """
-    return _evaluate(_two_component, curve, pair)
-
-
-def strongly_unstable_genus_bound(curve: ChainCurve, pair: GeneratedPairData) -> Verdict:
-    """Genus criterion: arithmetic genus above (n-2)(sections-rank)/rank.
-
-    Needs h1 vanishing and a non-zero restriction kernel on every component;
-    the conclusion holds for every line-bundle twist.  A certificate is
-    attached when the weight system has no solution.
-    """
-    return _evaluate(_genus_bound, curve, pair)
+    return (all(pair.h1_vanishes) and all(pair.ker_rho_nonzero)
+            and arithmetic_genus(curve) * pair.rank > (curve.n - 2) * pair.kernel_rank)
 
 
 def analyze_sheaf(sheaf: SheafNumerics, line: Optional[LineBundleTwist] = None) -> Report:
@@ -448,23 +306,46 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
     Builds the subject's weight system once: the slope-inequality intervals
     of the kernel twisted by ``line``, every declared subsheaf bound, and
     the bounds of every strong-instability rule that fires.  Contradictory
-    hypothesis sets are rejected first.  One sweep then decides the system:
-    the first firing rule, in a fixed order, names a strong-instability
-    verdict; otherwise an empty system is itself the verdict, and a
-    non-empty one yields the semistability witness when every kernel
-    restriction is declared semistable.  The certificate or witness is that
-    of the printed region.
+    hypothesis sets are rejected first, all of them in one error:
+
+    * a component obstructed by a twisted section and a semistable
+      restriction (which makes its kernel restriction non-semistable) that
+      is also declared kernel-semistable;
+    * the genus condition without the degree ratio (``_genus_condition``);
+    * a fired rule, or declared subsheaf bounds that exclude every
+      polarization, while every kernel restriction is declared semistable.
+
+    One sweep then decides the system: the first firing rule, in a fixed
+    order, names a strong-instability verdict; otherwise an empty system is
+    itself the verdict, and a non-empty one yields the semistability
+    witness when every kernel restriction is declared semistable.  The
+    certificate or witness is that of the printed region.
     """
     kernel = kernel_numerics(curve, pair)
     system = weight_system(curve, kernel, line, pair)
     problems = []
-    obstructed, conflicts = _obstructions(pair)
+    obstructed = tuple(ts and ss for ts, ss in
+                       zip(pair.twisted_sections_nonzero, pair.restriction_semistable))
+    conflicts = [j + 1 for j, (o, ks) in
+                 enumerate(zip(obstructed, pair.kernel_restriction_semistable)) if o and ks]
     if conflicts:
         problems.append(
             f"components {conflicts}: kernel restriction declared semistable but "
             "certified non-semistable by the twisted-section obstruction")
     rules = [rule(system) for rule in _RULES]
-    fired = tuple(r.criterion for r in rules if r.fired)
+    fired = [r.criterion for r in rules if r.fired]
+    genus = _genus_condition(curve, pair)
+    if CRITERION_ALL_TWISTS in fired:
+        if curve.n == 2 and all(pair.restriction_semistable):
+            fired.append(CRITERION_TWO_COMPONENT)
+        if genus:
+            fired.append(CRITERION_GENUS_BOUND)
+    elif genus:
+        chi = pair.total_degree + pair.rank * (1 - arithmetic_genus(curve))
+        problems.append(
+            f"declared section count {pair.sections} exceeds chi = d + r(1 - p_a) = {chi}, "
+            "the section count under h1 vanishing on every component; the genus condition "
+            "holds without the degree ratio")
 
     region = None
     if all(pair.kernel_restriction_semistable):
@@ -492,7 +373,13 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
 
     notes = []
     if fired:
-        verdict = _unstable(next(r for r in rules if r.fired), fired, region)
+        if region.status == FEASIBLE:
+            raise InternalInvariantError(
+                f"the firing conditions of {', '.join(fired)} guarantee a clash with the "
+                "slope inequalities; the sweep disagreed")
+        named = next(r for r in rules if r.fired)
+        verdict = Verdict(STRONGLY_UNSTABLE, named.criterion, certificate=region.certificate,
+                          notes=named.notes)
     elif region.status != FEASIBLE:
         extra = () if system.line.is_trivial() else \
             (f"instability certified for the kernel twisted by {system.line.multidegree}",)
@@ -500,9 +387,11 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
                           notes=("no polarization satisfies the slope inequalities "
                                  "together with the declared subsheaf bounds",) + extra)
     elif all(pair.kernel_restriction_semistable):
-        verdict = _semistable(pair, region, () if system.line.is_trivial() else
-                              ("component semistability is preserved under line-bundle "
-                               "twists, so the twisted kernel inherits the verdict",))
+        kind = W_STABLE if any(pair.kernel_restriction_stable) else W_SEMISTABLE
+        verdict = Verdict(kind, CRITERION_KERNEL_RESTRICTIONS, witness=region.witness,
+                          notes=() if system.line.is_trivial() else
+                          ("component semistability is preserved under line-bundle "
+                           "twists, so the twisted kernel inherits the verdict",))
     else:
         verdict = Verdict(INCONCLUSIVE, CRITERION_NONE,
                           notes=("no instability criterion fired and kernel restriction "
@@ -518,5 +407,5 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
         notes.append(f"section bound not applicable: {exc}")
 
     return Report(verdict=verdict, region=region, sheaf=system.subject,
-                  obstructions=obstructed, fired=fired, k_bound=k_bound,
+                  obstructions=obstructed, fired=tuple(fired), k_bound=k_bound,
                   notes=tuple(notes))

@@ -107,6 +107,17 @@ class TestCheck:
         assert "error" in capsys.readouterr().err
 
 
+    def test_genus_without_degree_ratio_exits_2(self, tmp_path, capsys):
+        # h1 vanishing leaves chi = 3 - 12 + 1 = -8 sections, not the declared 4
+        golden = json.loads((Path(__file__).with_name("data") / "golden.json").read_text())
+        case = next(c for c in golden if c["name"] == "pair-untwisted-genus-bound-1")
+        path = write_scenario(tmp_path, case["scenario"])
+        assert cli.main(["check", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: declared section count 4 exceeds chi = d + r(1 - p_a) = -8,")
+        assert err.count("\n") == 1
+
 class TestOracle:
     def test_trivial_bundle_grid(self, tmp_path, capsys):
         rc, payload, _ = run_json(tmp_path, capsys, "oracle", TRIVIAL_SHEAF,

@@ -46,9 +46,10 @@ def test_set_covers_every_criterion_and_refusal():
     fired = {f for c in checks for f in c.get("fired", [])}
     refusals = {c["refused"] for c in checks if "refused" in c}
     assert criteria >= {"kernel-restrictions-semistable", "endpoint-degree-excess",
-                        "middle-degree-excess", "all-twists-degree-ratio", "genus-bound",
+                        "middle-degree-excess", "all-twists-degree-ratio",
                         "weight-system-infeasible", "none"}
     assert "two-component-kernel-sections" in fired
+    assert "genus-bound" in fired
     assert refusals == {"ContradictoryHypotheses", "UnsupportedData"}
     assert any(case["scenario"].get("twist") for case in CASES)
 

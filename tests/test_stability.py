@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,12 +8,9 @@ from hypothesis import given, settings, strategies as st
 from chainstab import (FEASIBLE, INCONCLUSIVE, INFEASIBLE, STRONGLY_UNSTABLE, W_SEMISTABLE,
                        W_STABLE, ChainCurve, ContradictoryHypotheses, GeneratedPairData,
                        LineBundleTwist, RuleNotApplicable, ValidationError, analyze,
-                       analyze_sheaf, certify_w_semistable, check_bigas, clifford_h0_bound,
-                       h0_global_bound, k_bound_check, kernel_numerics,
-                       restriction_obstruction, sheaf_from_multidegree,
-                       strongly_unstable_all_twists, strongly_unstable_endpoint,
-                       strongly_unstable_genus_bound, strongly_unstable_middle,
-                       strongly_unstable_two_component)
+                       analyze_sheaf, arithmetic_genus, check_bigas, clifford_h0_bound,
+                       h0_global_bound, k_bound_check, kernel_numerics, sheaf_from_multidegree,
+                       stability, weight_system)
 
 F = Fraction
 
@@ -34,13 +32,13 @@ class TestRestrictionObstruction:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  twisted_sections_nonzero=(True, False),
                                  restriction_semistable=(True, False))
-        assert restriction_obstruction(curve, pair) == [True, False]
+        assert analyze(curve, pair).obstructions == (True, False)
 
     def test_no_twisted_section_no_obstruction(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  restriction_semistable=(True, True))
-        assert restriction_obstruction(curve, pair) == [False, False]
+        assert analyze(curve, pair).obstructions == (False, False)
 
     def test_contradiction_with_kernel_flag(self):
         curve = ChainCurve((2, 2))
@@ -49,7 +47,7 @@ class TestRestrictionObstruction:
                                  restriction_semistable=(True, False),
                                  kernel_restriction_semistable=(True, False))
         with pytest.raises(ContradictoryHypotheses):
-            restriction_obstruction(curve, pair)
+            analyze(curve, pair)
 
 
 class TestCertifyWSemistable:
@@ -57,7 +55,7 @@ class TestCertifyWSemistable:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  kernel_restriction_semistable=(True, True))
-        v = certify_w_semistable(curve, pair)
+        v = analyze(curve, pair).verdict
         assert v.kind == W_SEMISTABLE
         assert v.witness.weights == (F(1, 2), F(1, 2))
         assert check_bigas(kernel_numerics(curve, pair), v.witness)
@@ -67,7 +65,7 @@ class TestCertifyWSemistable:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  kernel_restriction_semistable=(True, True),
                                  kernel_restriction_stable=(True, False))
-        v = certify_w_semistable(curve, pair)
+        v = analyze(curve, pair).verdict
         assert v.kind == W_STABLE
         assert v.witness.weights == (F(1, 2), F(1, 2))
 
@@ -75,7 +73,7 @@ class TestCertifyWSemistable:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  kernel_restriction_semistable=(True, False))
-        assert certify_w_semistable(curve, pair).kind == INCONCLUSIVE
+        assert analyze(curve, pair).verdict.kind == INCONCLUSIVE
 
 
 class TestCliffordH0Bound:
@@ -185,8 +183,8 @@ class TestEndpointRule:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  twisted_sections_nonzero=(True, False),
                                  restriction_semistable=(True, False))
-        v = strongly_unstable_endpoint(curve, pair)
-        assert v.kind == STRONGLY_UNSTABLE
+        v = analyze(curve, pair).verdict
+        assert (v.kind, v.criterion) == (STRONGLY_UNSTABLE, "endpoint-degree-excess")
         assert v.certificate.lower == F(8, 18)
         assert v.certificate.upper == F(4, 18)
         assert v.certificate.verify()
@@ -196,15 +194,15 @@ class TestEndpointRule:
         pair = GeneratedPairData(rank=1, sections=8, multidegree=(6, 6),
                                  twisted_sections_nonzero=(True, False),
                                  restriction_semistable=(True, False))
-        assert strongly_unstable_endpoint(curve, pair).kind == INCONCLUSIVE
+        assert "endpoint-degree-excess" not in analyze(curve, pair).fired
 
     def test_fires_at_last_component(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(1, 6),
                                  twisted_sections_nonzero=(False, True),
                                  restriction_semistable=(False, True))
-        v = strongly_unstable_endpoint(curve, pair)
-        assert v.kind == STRONGLY_UNSTABLE
+        v = analyze(curve, pair).verdict
+        assert (v.kind, v.criterion) == (STRONGLY_UNSTABLE, "endpoint-degree-excess")
         assert v.certificate.verify()
 
     def test_middle_component_does_not_fire_endpoint(self):
@@ -212,7 +210,7 @@ class TestEndpointRule:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(1, 6, 1),
                                  twisted_sections_nonzero=(False, True, False),
                                  restriction_semistable=(False, True, False))
-        assert strongly_unstable_endpoint(curve, pair).kind == INCONCLUSIVE
+        assert "endpoint-degree-excess" not in analyze(curve, pair).fired
 
 
 class TestMiddleRule:
@@ -221,8 +219,8 @@ class TestMiddleRule:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(1, 6, 1),
                                  twisted_sections_nonzero=(False, True, False),
                                  restriction_semistable=(False, True, False))
-        v = strongly_unstable_middle(curve, pair)
-        assert v.kind == STRONGLY_UNSTABLE
+        v = analyze(curve, pair).verdict
+        assert (v.kind, v.criterion) == (STRONGLY_UNSTABLE, "middle-degree-excess")
         assert v.certificate.verify()
 
     def test_boundary_fails_strictly(self):
@@ -230,14 +228,16 @@ class TestMiddleRule:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(1, 4, 1),
                                  twisted_sections_nonzero=(False, True, False),
                                  restriction_semistable=(False, True, False))
-        assert strongly_unstable_middle(curve, pair).kind == INCONCLUSIVE
+        assert "middle-degree-excess" not in analyze(curve, pair).fired
 
     def test_no_middle_on_two_components(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
-        v = strongly_unstable_middle(curve, pair)
-        assert v.kind == INCONCLUSIVE
-        assert "two-component" in v.notes[0]
+        assert analyze(curve, pair).verdict.kind == INCONCLUSIVE
+        # a rule that did not fire leaves its reason only in its own record
+        record = stability._middle(weight_system(curve, kernel_numerics(curve, pair), pair=pair))
+        assert not record.fired
+        assert "two-component" in record.notes[0]
 
     def test_certificate_matches_derived_bounds(self):
         # kernel rank 2, degrees (1,6,1): clash at S_2 between the slope
@@ -246,7 +246,7 @@ class TestMiddleRule:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(1, 6, 1),
                                  twisted_sections_nonzero=(False, True, False),
                                  restriction_semistable=(False, True, False))
-        cert = strongly_unstable_middle(curve, pair).certificate
+        cert = analyze(curve, pair).verdict.certificate
         assert cert.quantity == "S_2"
         assert cert.lower == F(13, 18)
         assert cert.upper == F(11, 18)
@@ -257,8 +257,8 @@ class TestAllTwistsRule:
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True))
-        v = strongly_unstable_all_twists(curve, pair)
-        assert v.kind == STRONGLY_UNSTABLE
+        v = analyze(curve, pair).verdict
+        assert (v.kind, v.criterion) == (STRONGLY_UNSTABLE, "all-twists-degree-ratio")
         assert v.certificate.verify()
         assert any("every line-bundle twist" in note for note in v.notes)
 
@@ -266,25 +266,26 @@ class TestAllTwistsRule:
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(1, 1, 1),
                                  ker_rho_nonzero=(True, True, True))
-        assert strongly_unstable_all_twists(curve, pair).kind == INCONCLUSIVE
+        assert "all-twists-degree-ratio" not in analyze(curve, pair).fired
 
     def test_two_components(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, True))
-        assert strongly_unstable_all_twists(curve, pair).kind == STRONGLY_UNSTABLE
+        v = analyze(curve, pair).verdict
+        assert (v.kind, v.criterion) == (STRONGLY_UNSTABLE, "all-twists-degree-ratio")
 
     def test_missing_kernel_flag(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, False))
-        assert strongly_unstable_all_twists(curve, pair).kind == INCONCLUSIVE
+        assert "all-twists-degree-ratio" not in analyze(curve, pair).fired
 
     def test_supplied_twist_attaches_destabilizer_note(self):
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True))
-        v = strongly_unstable_all_twists(curve, pair, LineBundleTwist((1, -2, 0)))
+        v = analyze(curve, pair, LineBundleTwist((1, -2, 0))).verdict
         assert v.kind == STRONGLY_UNSTABLE
         assert any("subsheaf slope" in note for note in v.notes)
 
@@ -295,41 +296,43 @@ def test_all_twists_verdict_independent_of_twist(twist_degrees):
     curve = ChainCurve((2, 2, 2))
     pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                              ker_rho_nonzero=(True, True, True))
-    v = strongly_unstable_all_twists(curve, pair, LineBundleTwist(tuple(twist_degrees)))
+    v = analyze(curve, pair, LineBundleTwist(tuple(twist_degrees))).verdict
     assert v.kind == STRONGLY_UNSTABLE
     assert v.criterion == "all-twists-degree-ratio"
 
 
 class TestTwoComponentRule:
+    # A reason recorded beside the degree ratio, never a verdict of its own.
     def test_fires(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, True),
                                  restriction_semistable=(True, True))
-        v = strongly_unstable_two_component(curve, pair)
-        assert v.kind == STRONGLY_UNSTABLE
-        assert v.certificate.verify()
+        report = analyze(curve, pair)
+        assert report.verdict.kind == STRONGLY_UNSTABLE
+        assert report.verdict.certificate.verify()
+        assert report.fired == ("all-twists-degree-ratio", "two-component-kernel-sections")
 
     def test_missing_kernel_flag(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, False),
                                  restriction_semistable=(True, True))
-        assert strongly_unstable_two_component(curve, pair).kind == INCONCLUSIVE
+        assert "two-component-kernel-sections" not in analyze(curve, pair).fired
 
     def test_missing_semistability(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, True),
                                  restriction_semistable=(False, True))
-        assert strongly_unstable_two_component(curve, pair).kind == INCONCLUSIVE
+        assert "two-component-kernel-sections" not in analyze(curve, pair).fired
 
     def test_not_two_components(self):
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6, 6),
                                  ker_rho_nonzero=(True, True, True),
                                  restriction_semistable=(True, True, True))
-        assert strongly_unstable_two_component(curve, pair).kind == INCONCLUSIVE
+        assert "two-component-kernel-sections" not in analyze(curve, pair).fired
 
     def test_inconsistent_sections_not_confirmed(self):
         # the declared section count is far above the derived bound, so the
@@ -338,34 +341,39 @@ class TestTwoComponentRule:
         pair = GeneratedPairData(rank=1, sections=40, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, True),
                                  restriction_semistable=(True, True))
-        v = strongly_unstable_two_component(curve, pair)
-        assert v.kind == INCONCLUSIVE
+        assert "two-component-kernel-sections" not in analyze(curve, pair).fired
 
 
 class TestGenusBoundRule:
+    # A reason recorded beside the degree ratio; without the ratio the data
+    # contradicts itself and is refused.
     def test_fires(self):
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True),
                                  h1_vanishes=(True, True, True))
-        v = strongly_unstable_genus_bound(curve, pair)
-        assert v.kind == STRONGLY_UNSTABLE
-        assert v.certificate is not None and v.certificate.verify()
+        report = analyze(curve, pair)
+        assert report.verdict.kind == STRONGLY_UNSTABLE
+        assert report.verdict.certificate is not None and report.verdict.certificate.verify()
+        assert report.fired == ("all-twists-degree-ratio", "genus-bound")
 
-    def test_two_components_fires_whenever_flags_hold(self):
+    def test_two_components_without_ratio_is_refused(self):
+        # p_a = 4 > 0 = (n-2)(k-r)/r, but d = 1 is not above (n-1)(k-r) = 1:
+        # h1 vanishing leaves chi = 1 + 1 - 4 = -2 sections, not the declared 2
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=2, multidegree=(1, 0),
                                  ker_rho_nonzero=(True, True),
                                  h1_vanishes=(True, True))
-        v = strongly_unstable_genus_bound(curve, pair)
-        assert v.kind == STRONGLY_UNSTABLE
+        with pytest.raises(ContradictoryHypotheses,
+                           match=r"declared section count 2 exceeds chi = .* = -2,"):
+            analyze(curve, pair)
 
     def test_missing_h1_flag(self):
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True),
                                  h1_vanishes=(False, True, True))
-        assert strongly_unstable_genus_bound(curve, pair).kind == INCONCLUSIVE
+        assert "genus-bound" not in analyze(curve, pair).fired
 
     def test_genus_threshold(self):
         curve = ChainCurve((2, 2, 2))
@@ -373,8 +381,82 @@ class TestGenusBoundRule:
                                  ker_rho_nonzero=(True, True, True),
                                  h1_vanishes=(True, True, True))
         # p_a = 6 <= (n-2)(k-r)/r = 13
-        assert strongly_unstable_genus_bound(curve, pair).kind == INCONCLUSIVE
+        assert "genus-bound" not in analyze(curve, pair).fired
 
+
+
+FLAGS = ("restriction_semistable", "restriction_stable", "kernel_restriction_semistable",
+         "kernel_restriction_stable", "ker_rho_nonzero", "twisted_sections_nonzero",
+         "h1_vanishes")
+FOLDED = {"two-component-kernel-sections", "genus-bound"}
+
+
+@st.composite
+def random_pairs(draw):
+    """A curve, a pair with every flag drawn (often set or unset everywhere), a twist or None."""
+    n = draw(st.integers(2, 6))
+    curve = ChainCurve(tuple(draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))))
+    r = draw(st.integers(1, 3))
+    k = r + draw(st.integers(1, 6))
+    degs = tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    flag_lists = (st.just((True,) * n) | st.just((False,) * n)
+                  | st.lists(st.booleans(), min_size=n, max_size=n).map(tuple))
+    flags = {name: draw(flag_lists) for name in FLAGS}
+    for stable, semistable in (("restriction_stable", "restriction_semistable"),
+                               ("kernel_restriction_stable", "kernel_restriction_semistable")):
+        flags[stable] = tuple(a and b for a, b in zip(flags[stable], flags[semistable]))
+    flags["twisted_sections_nonzero"] = tuple(
+        ts and (d >= r or not ss) for ts, d, ss in
+        zip(flags["twisted_sections_nonzero"], degs, flags["restriction_semistable"]))
+    twist = draw(st.none() | st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    line = None if twist is None else LineBundleTwist(tuple(twist))
+    return curve, GeneratedPairData(rank=r, sections=k, multidegree=degs, **flags), line
+
+
+def refusal(curve, pair, line):
+    try:
+        analyze(curve, pair, line)
+    except ContradictoryHypotheses as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_pairs())
+def test_folded_reasons_never_name_a_verdict(case):
+    curve, pair, line = case
+    m = pair.kernel_rank
+    genus_without_ratio = (all(pair.h1_vanishes) and all(pair.ker_rho_nonzero)
+                           and sum(curve.genera) * pair.rank > (curve.n - 2) * m
+                           and not pair.total_degree > (curve.n - 1) * m)
+    # h1 vanishing enters only the genus route, so the same pair without it
+    # meets every other contradiction and nothing else
+    other = refusal(curve, dataclasses.replace(pair, h1_vanishes=None), line)
+    error = refusal(curve, pair, line)
+    assert (error is not None) == (genus_without_ratio or other is not None)
+    assert genus_without_ratio == (error is not None and "genus condition" in error)
+    if error is None:
+        report = analyze(curve, pair, line)
+        if FOLDED & set(report.fired):
+            assert "all-twists-degree-ratio" in report.fired
+        assert report.verdict.criterion not in FOLDED
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(1, 12), st.data())
+def test_genus_without_ratio_declares_more_sections_than_chi(n, r, m, data):
+    d = data.draw(st.integers(0, (n - 1) * m))
+    p_a = data.draw(st.integers(max(2 * n, (n - 2) * m // r + 1), 6 * n + 3 * m))
+    curve = ChainCurve((2,) * (n - 1) + (p_a - 2 * (n - 1),))
+    pair = GeneratedPairData(rank=r, sections=r + m, multidegree=(d,) + (0,) * (n - 1),
+                             ker_rho_nonzero=(True,) * n, h1_vanishes=(True,) * n)
+    assert arithmetic_genus(curve) * r > (n - 2) * m     # the genus condition
+    assert not pair.degree_ratio_exceeds()
+    chi = d + r * (1 - arithmetic_genus(curve))
+    assert pair.sections > chi
+    with pytest.raises(ContradictoryHypotheses,
+                       match=rf"declared section count {r + m} exceeds chi = .* = {chi},"):
+        analyze(curve, pair)
 
 class TestAnalyze:
     def test_endpoint_scenario(self):
@@ -502,7 +584,7 @@ class TestAnalyze:
         rng = random.Random(17)
         kinds = set()
         clashing = {"endpoint-degree-excess", "middle-degree-excess",
-                    "all-twists-degree-ratio", "two-component-kernel-sections"}
+                    "all-twists-degree-ratio", "two-component-kernel-sections", "genus-bound"}
         for _ in range(300):
             n = rng.randint(2, 4)
             curve = ChainCurve(tuple(rng.randint(2, 4) for _ in range(n)))
@@ -512,7 +594,10 @@ class TestAnalyze:
             flags = {}
             for name in ("restriction_semistable", "kernel_restriction_semistable",
                          "ker_rho_nonzero", "twisted_sections_nonzero", "h1_vanishes"):
-                flags[name] = tuple(rng.random() < 0.5 for _ in range(n))
+                # a quarter of the lists hold everywhere, as the criteria that
+                # need every component (all-twists, genus) require
+                everywhere = rng.random() < 0.25
+                flags[name] = tuple(everywhere or rng.random() < 0.5 for _ in range(n))
             flags["twisted_sections_nonzero"] = tuple(
                 ts and d >= r for ts, d in zip(flags["twisted_sections_nonzero"], degs))
             line = None
