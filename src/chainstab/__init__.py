@@ -1,20 +1,30 @@
-"""Exact-arithmetic polarization stability analysis on chain-like nodal curves."""
+"""Exact-arithmetic polarization stability analysis on chain-like nodal curves.
+
+The package exports what the ``chainstab`` command uses: the entry points
+``analyze``, ``analyze_sheaf``, ``weight_system``, ``simplex_intersect`` and
+``cross_validate``, the types they take and return, the scenario builders
+``sheaf_from_multidegree`` and ``kernel_numerics``, and the error classes.
+Everything else is reached through its module.
+"""
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          arithmetic_genus, chi_structure_sheaf, kernel_numerics,
-                          kernel_twisted_chi, sheaf_from_multidegree, twist, validate_pair)
+                          kernel_numerics, sheaf_from_multidegree)
 from .errors import (ChainstabError, ContradictoryHypotheses, InternalInvariantError,
                      RuleNotApplicable, UnsupportedData, ValidationError)
-from .feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, FeasibleRegion,
-                          InfeasibilityCertificate, Polarization, RationalInterval,
-                          WeightBound, WeightSystem, bigas_intervals, check_bigas,
-                          find_polarization, prove_infeasible_with_certificate,
-                          simplex_intersect, slope, subsheaf_slope_constraints, weight_system)
-from .oracle import (ORACLE_WORK_LIMIT, DestabilizerWitness, GridSpec, ValidationReport,
-                     brute_force_region, cross_validate, destabilizer_witness,
-                     enumerate_polarizations, work_estimate)
-from .stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE, H0Bound,
-                        KBoundResult, Report, Verdict, analyze, analyze_sheaf,
-                        clifford_h0_bound, h0_global_bound, k_bound_check)
+from .feasibility import (FeasibleRegion, InfeasibilityCertificate, Polarization,
+                          RationalInterval, WeightBound, WeightSystem, simplex_intersect,
+                          weight_system)
+from .oracle import ORACLE_WORK_LIMIT, GridSpec, ValidationReport, cross_validate
+from .stability import Report, Verdict, analyze, analyze_sheaf
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "ChainCurve", "GeneratedPairData", "LineBundleTwist", "SheafNumerics", "kernel_numerics",
+    "sheaf_from_multidegree", "ChainstabError", "ContradictoryHypotheses",
+    "InternalInvariantError", "RuleNotApplicable", "UnsupportedData", "ValidationError",
+    "FeasibleRegion", "InfeasibilityCertificate", "Polarization", "RationalInterval",
+    "WeightBound", "WeightSystem", "simplex_intersect", "weight_system", "ORACLE_WORK_LIMIT",
+    "GridSpec", "ValidationReport", "cross_validate", "Report", "Verdict", "analyze",
+    "analyze_sheaf", "__version__",
+]

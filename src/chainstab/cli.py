@@ -178,6 +178,8 @@ def load_scenario(path: str) -> Scenario:
             f"{exc.msg}") from exc
     except ValueError as exc:  # bytes that are not UTF-8, over-long integer literals
         raise ValidationError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply to parse") from exc
     return parse_scenario(data)
 
 

@@ -65,11 +65,6 @@ class ChainCurve:
     def n(self) -> int:
         return len(self.genera)
 
-    def genus(self, index: int) -> int:
-        """Genus of component ``index`` (1-based)."""
-        self._check_component(index)
-        return self.genera[index - 1]
-
     def node_count(self, index: int) -> int:
         """Nodes on component ``index``: one at either end of the chain, two in the middle."""
         self._check_component(index)
@@ -83,11 +78,6 @@ class ChainCurve:
 def arithmetic_genus(curve: ChainCurve) -> int:
     """Arithmetic genus of the chain, the sum of the component genera."""
     return sum(curve.genera)
-
-
-def chi_structure_sheaf(curve: ChainCurve) -> int:
-    """Euler characteristic of the structure sheaf, 1 minus the arithmetic genus."""
-    return 1 - arithmetic_genus(curve)
 
 
 @dataclass(frozen=True)
@@ -193,9 +183,6 @@ class LineBundleTwist:
 
     def is_trivial(self) -> bool:
         return all(d == 0 for d in self.multidegree)
-
-    def __neg__(self) -> "LineBundleTwist":
-        return LineBundleTwist(tuple(-d for d in self.multidegree))
 
     @classmethod
     def trivial(cls, n: int) -> "LineBundleTwist":
@@ -313,12 +300,3 @@ def twist(sheaf: SheafNumerics, line: LineBundleTwist) -> SheafNumerics:
     return SheafNumerics(sheaf.curve, sheaf.multirank, degs, chis,
                          sheaf.chi + r * line.total_degree)
 
-
-def kernel_twisted_chi(curve: ChainCurve, pair: GeneratedPairData,
-                       line: LineBundleTwist) -> int:
-    """Global chi of the kernel bundle after twisting: (k-r)(1 + deg L - p_a) - d."""
-    validate_pair(curve, pair)
-    if line.n != curve.n:
-        raise ValidationError(f"twist multidegree must have length {curve.n}, got {line.n}")
-    m = pair.kernel_rank
-    return m * (1 + line.total_degree - arithmetic_genus(curve)) - pair.total_degree

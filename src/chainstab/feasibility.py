@@ -88,23 +88,14 @@ class Polarization:
     def n(self) -> int:
         return len(self.weights)
 
-    def partial_sums(self) -> tuple[Fraction, ...]:
-        """S_1 .. S_{n-1} (the interior partial sums)."""
-        sums = []
-        acc = Fraction(0)
-        for w in self.weights[:-1]:
-            acc += w
-            sums.append(acc)
-        return tuple(sums)
-
 
 @dataclass(frozen=True)
 class RationalInterval:
     """Interval with exact rational endpoints; ``None`` means unbounded.
 
     Endpoint openness is tracked explicitly.  An interval whose bounds
-    exclude each other represents the empty set (``is_empty``); the
-    canonical empty interval is (0, 0) with both endpoints open.
+    exclude each other represents the empty set; the canonical empty
+    interval is (0, 0) with both endpoints open.
     """
 
     lower: Optional[Fraction]
@@ -123,49 +114,12 @@ class RationalInterval:
             object.__setattr__(self, "upper", _as_fraction("upper", self.upper))
 
     @classmethod
-    def closed(cls, lower, upper) -> "RationalInterval":
-        return cls(Fraction(lower), Fraction(upper))
-
-    @classmethod
-    def point(cls, value) -> "RationalInterval":
-        return cls(Fraction(value), Fraction(value))
-
-    @classmethod
     def unbounded(cls) -> "RationalInterval":
         return cls(None, None)
 
     @classmethod
     def empty(cls) -> "RationalInterval":
         return cls(Fraction(0), Fraction(0), True, True)
-
-    def is_empty(self) -> bool:
-        return (self.lower is not None and self.upper is not None
-                and _clash(self.lower, self.lower_open, self.upper, self.upper_open))
-
-    def contains(self, value) -> bool:
-        v = Fraction(value)
-        if self.lower is not None and (v < self.lower or (v == self.lower and self.lower_open)):
-            return False
-        if self.upper is not None and (v > self.upper or (v == self.upper and self.upper_open)):
-            return False
-        return True
-
-    def midpoint(self) -> Fraction:
-        """The midpoint, or one step inside a single finite end (0 if unbounded)."""
-        if self.is_empty():
-            raise ValidationError("empty interval has no midpoint")
-        lo, hi = self.lower, self.upper
-        if lo is None and hi is None:
-            return Fraction(0)
-        if lo is None:
-            return hi - 1
-        if hi is None:
-            return lo + 1
-        return (lo + hi) / 2
-
-    def closure(self) -> "RationalInterval":
-        return RationalInterval(self.lower, self.upper,
-                                self.lower is None, self.upper is None)
 
 
 @dataclass(frozen=True)
@@ -233,16 +187,6 @@ class FeasibleRegion:
             raise ValidationError(f"unknown status {self.status!r}")
         if (self.status == FEASIBLE) != (self.witness is not None):
             raise ValidationError("witness must be present exactly for feasible regions")
-
-
-def slope(sheaf: SheafNumerics, w: Polarization) -> Fraction:
-    """Polarized slope: global chi over the weighted total rank."""
-    if w.n != sheaf.n:
-        raise ValidationError(f"polarization has {w.n} weights, sheaf has {sheaf.n} components")
-    denom = sum((wj * rj for wj, rj in zip(w.weights, sheaf.multirank)), Fraction(0))
-    if denom == 0:
-        raise ValidationError("slope undefined for a sheaf of zero rank")
-    return Fraction(sheaf.require_chi()) / denom
 
 
 def bigas_intervals(sheaf: SheafNumerics) -> list[RationalInterval]:
@@ -563,57 +507,27 @@ def simplex_intersect(intervals: Sequence[RationalInterval],
     return FeasibleRegion(ivs, status, None, _certificate(ivs, bounds, system, edges, res))
 
 
-def find_polarization(sheaf: SheafNumerics) -> FeasibleRegion:
-    """Feasibility region of the plain slope-inequality system for a sheaf.
+def _subsheaf_chi(curve: ChainCurve, j: int, deg: int) -> int:
+    """chi of component j's kernel subsheaf twisted by a line bundle of degree
+    ``deg`` on that component: deg - delta_j + 1 - g_j (delta_j nodes on it).
 
-    When chi < 0 and every chi_j < 0 (uniform rank) the system is always
-    feasible and the returned witness is the midpoint-rule polarization.
+    Under weights w the subsheaf has slope chi / w_j.
     """
-    return simplex_intersect(bigas_intervals(sheaf))
-
-
-def prove_infeasible_with_certificate(
-        sheaf: SheafNumerics,
-        bounds: Sequence[WeightBound] = ()) -> Optional[InfeasibilityCertificate]:
-    """Certificate for the strict system's emptiness, or ``None`` if solvable.
-
-    The certificate is the clashing pair of accumulated one-sided bounds at
-    the first index where the forward sweep ran dry; a reader re-verifies it
-    by one rational comparison.
-    """
-    return simplex_intersect(bigas_intervals(sheaf), bounds).certificate
-
-
-def subsheaf_slope_constraints(curve, pair, line, target_slope) -> list[WeightBound]:
-    """Weight bounds forced by the component-supported kernel subsheaves.
-
-    For every component j whose restriction kernel is declared non-zero, the
-    twisted component subsheaf has slope (deg L_j - delta_j + 1 - g_j) / w_j
-    (delta_j nodes on the component).  Requiring that slope to stay at or
-    below ``target_slope`` (the subject's own slope) converts, for negative
-    target, into a closed upper bound on w_j; for zero target the constraint
-    is weight-free (an unsatisfiable marker bound is emitted when violated);
-    for positive target it becomes a lower bound, encoded as a bound on the
-    complementary sum.
-    """
-    validate_pair(curve, pair)
-    if line.n != curve.n:
-        raise ValidationError(f"twist multidegree must have length {curve.n}, got {line.n}")
-    target = _as_fraction("target_slope", target_slope)
-    bounds = (subsheaf_weight_bound(curve, line, target, j)
-              for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1])
-    return [b for b in bounds if b is not None]
+    return deg - curve.node_count(j) + 1 - curve.genera[j - 1]
 
 
 def subsheaf_weight_bound(curve, line, target: Fraction, j: int) -> Optional[WeightBound]:
     """The weight bound forced by component j's kernel subsheaf, if any.
 
-    The subsheaf's slope (deg L_j - delta_j + 1 - g_j) / w_j must stay at or
-    below ``target``; ``None`` when that holds for every weight.  See
-    ``subsheaf_slope_constraints`` for the three signs of the target.
+    The twisted subsheaf's slope (deg L_j - delta_j + 1 - g_j) / w_j must
+    stay at or below ``target`` (the subject's own slope); ``None`` when that
+    holds for every weight.  A negative target gives a closed upper bound on
+    w_j; for a zero target the constraint is weight-free (an unsatisfiable
+    marker bound when violated); a positive target gives a lower bound,
+    encoded as a bound on the complementary sum.
     """
     label = "subsheaf slope bound"
-    numer = line.multidegree[j - 1] - curve.node_count(j) + 1 - curve.genera[j - 1]
+    numer = _subsheaf_chi(curve, j, line.multidegree[j - 1])
     if target < 0:
         return WeightBound(j, Fraction(numer) / target, label=label)
     if numer <= 0:
@@ -648,13 +562,17 @@ def weight_system(curve: ChainCurve, sheaf: SheafNumerics,
     ``sheaf`` is the untwisted subject: raw sheaf numerics, or the kernel
     ``kernel_numerics(curve, pair)`` of a generated pair.  Without ``line``
     the subject is not twisted.  With ``pair`` the system also holds the
-    kernel's target slope and every declared subsheaf bound for that slope.
+    kernel's target slope and the ``subsheaf_weight_bound`` of every
+    component whose restriction kernel is declared non-zero.
     """
     subject = sheaf if line is None else twist(sheaf, line)
     line = line if line is not None else LineBundleTwist.trivial(curve.n)
     intervals = bigas_intervals(subject)
     if pair is None:
         return WeightSystem(curve, None, line, subject, None, intervals, [])
+    validate_pair(curve, pair)
     target = Fraction(subject.chi, pair.kernel_rank)
+    bounds = (subsheaf_weight_bound(curve, line, target, j)
+              for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1])
     return WeightSystem(curve, pair, line, subject, target, intervals,
-                        subsheaf_slope_constraints(curve, pair, line, target))
+                        [b for b in bounds if b is not None])

@@ -11,7 +11,8 @@ twisted when a twist is given) and its system come from
 sweeps the known family of component-supported destabilizing subsheaves over
 grids of polarizations and twists, by integer cross-multiplication, to
 corroborate twist-independent instability verdicts.  The work a run may do
-is estimated up front and refused above ``ORACLE_WORK_LIMIT``.
+is estimated up front, exactly up to a cap, and refused above
+``ORACLE_WORK_LIMIT``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics, kernel_twisted_chi, validate_pair)
+                          kernel_numerics)
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
-from .feasibility import (FEASIBLE, Polarization, WeightBound, check_bigas, simplex_intersect,
-                          weight_system)
+from .feasibility import (FEASIBLE, Polarization, WeightBound, _subsheaf_chi, check_bigas,
+                          simplex_intersect, weight_system)
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
 # may do.  Units count every point of the grid, C(D-1, n-1), although the
@@ -54,10 +55,6 @@ class GridSpec:
                 f"denominator {self.denominator} < {self.n}: no strictly positive "
                 "composition exists")
 
-    @property
-    def count(self) -> int:
-        return math.comb(self.denominator - 1, self.n - 1)
-
 
 def _grid_parts(spec: GridSpec) -> Iterator[tuple[int, ...]]:
     """Numerators a_1..a_n of every grid polarization, lexicographic by cut positions."""
@@ -68,16 +65,6 @@ def _grid_parts(spec: GridSpec) -> Iterator[tuple[int, ...]]:
 
 def _polarization(parts: Sequence[int], d: int) -> Polarization:
     return Polarization(tuple(Fraction(a, d) for a in parts))
-
-
-def enumerate_polarizations(spec: GridSpec) -> Iterator[Polarization]:
-    """Yield every composition of the denominator into n positive parts.
-
-    Deterministic lexicographic order by cut positions; fractions reduce
-    automatically, so the count is exactly C(D-1, n-1).
-    """
-    for parts in _grid_parts(spec):
-        yield _polarization(parts, spec.denominator)
 
 
 def _admits(bound: WeightBound, a: int, d: int) -> bool:
@@ -128,9 +115,8 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
     its own inequality lo_i <= c_i*chi <= hi_i allows (``_cut_ranges``), so
     every cut placed extends to a point meeting all the inequalities.  A
     bound on w_j is tested as soon as c_j is placed, one on w_n at the last
-    level.  Points come in the lexicographic order of
-    ``enumerate_polarizations``, and survivors are re-asserted with the
-    exact rational check.
+    level.  Points come in the lexicographic order of their cuts, and
+    survivors are re-asserted with the exact rational check.
     """
     m = sheaf.uniform_rank()
     if m is None or m < 1:
@@ -182,17 +168,16 @@ class DestabilizerWitness:
 
 
 def _destabilizer_terms(curve: ChainCurve, pair: GeneratedPairData,
-                        line: LineBundleTwist) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The twisted kernel's chi, and (j, deg L_j - delta_j + 1 - g_j) for each
-    component j with a non-zero restriction kernel, in increasing j.
+                        degs: Sequence[int]) -> list[tuple[int, int]]:
+    """(j, numer_j) for each component j with a non-zero restriction kernel,
+    in increasing j, under the twist of multidegree ``degs``.
 
-    Under weights w the component-j subsheaf has slope numer_j / w_j and the
-    twisted kernel has slope chi / m, with m the kernel rank.
+    Under weights w the component-j subsheaf has slope numer_j / w_j, and the
+    kernel twisted by L has slope chi / m: its untwisted chi shifted by
+    m * deg L, with m the kernel rank.
     """
-    degs = line.multidegree
-    return kernel_twisted_chi(curve, pair, line), tuple(
-        (j, degs[j - 1] - curve.node_count(j) + 1 - curve.genera[j - 1])
-        for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1])
+    return [(j, _subsheaf_chi(curve, j, degs[j - 1]))
+            for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1]]
 
 
 def destabilizer_witness(curve: ChainCurve, pair: GeneratedPairData, w: Polarization,
@@ -205,12 +190,11 @@ def destabilizer_witness(curve: ChainCurve, pair: GeneratedPairData, w: Polariza
     one numer*q*m > chi*p.  Components are scanned in increasing order so the
     output is deterministic.
     """
-    validate_pair(curve, pair)
     if w.n != curve.n or line.n != curve.n:
         raise ValidationError("polarization and twist must match the curve's components")
     m = pair.kernel_rank
-    chi, terms = _destabilizer_terms(curve, pair, line)
-    for j, numer in terms:
+    chi = kernel_numerics(curve, pair).chi + m * line.total_degree
+    for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
         p, q = w.weights[j - 1].numerator, w.weights[j - 1].denominator
         if numer * q * m > chi * p:
             return DestabilizerWitness(j, Fraction(numer * q, p), Fraction(chi, m))
@@ -230,38 +214,50 @@ class ValidationReport:
     notes: tuple[str, ...] = ()
 
 
-def _twist_sample(n: int, twist_range: int) -> list[LineBundleTwist]:
-    span = range(-twist_range, twist_range + 1)
-    return [LineBundleTwist(degs) for degs in itertools.product(span, repeat=n)]
-
-
 def _sweeps_twists(pair: Optional[GeneratedPairData]) -> bool:
     """Whether ``cross_validate`` runs the destabilizer sweep over all sampled twists."""
     return pair is not None and all(pair.ker_rho_nonzero) and pair.degree_ratio_exceeds()
 
 
 def _destabilizer_failures(
-        curve: ChainCurve, pair: GeneratedPairData, grid: GridSpec, twist_range: int,
+        curve: ChainCurve, pair: GeneratedPairData, chi: int, grid: GridSpec, twist_range: int,
 ) -> tuple[int, list[tuple[Polarization, LineBundleTwist]]]:
     """Checks done and (polarization, twist) pairs with no destabilizer, over
     every grid point and sampled twist, twist-major then lexicographic.
 
-    Weight a_j/D gives a destabilizer on component j when numer_j*D*m > chi*a_j.
+    ``chi`` is the untwisted kernel's.  Weight a_j/D gives a destabilizer on
+    component j when numer_j*D*m > chi_L*a_j, chi_L = chi + m * deg L.
     """
     d, m = grid.denominator, pair.kernel_rank
     points = list(_grid_parts(grid))
     checks, failures = 0, []
-    for tw in _twist_sample(curve.n, twist_range):
-        chi, terms = _destabilizer_terms(curve, pair, tw)
-        scaled = [(j - 1, numer * d * m) for j, numer in terms]
+    for degs in itertools.product(range(-twist_range, twist_range + 1), repeat=curve.n):
+        shifted = chi + m * sum(degs)
+        scaled = [(j - 1, numer * d * m) for j, numer in _destabilizer_terms(curve, pair, degs)]
         for parts in points:
             for k, s in scaled:
-                if s > chi * parts[k]:
+                if s > shifted * parts[k]:
                     break
             else:
-                failures.append((_polarization(parts, d), tw))
+                failures.append((_polarization(parts, d), LineBundleTwist(degs)))
         checks += len(points)
     return checks, failures
+
+
+def _grid_count(grid: GridSpec) -> int:
+    """C(D-1, n-1), the points of the grid, or ``_WORK_CAP + 1`` if more.
+
+    Multiplied out term by term, C(D-1-k+i, i) for i = 1..k with
+    k = min(n-1, D-n), so it costs at most k steps whatever the size of D;
+    the terms never decrease, so the first one past the cap settles it.
+    """
+    top, k = grid.denominator - 1, min(grid.n - 1, grid.denominator - grid.n)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (top - k + i) // i
+        if count > _WORK_CAP:
+            return _WORK_CAP + 1
+    return count
 
 
 def work_estimate(grid: GridSpec, pair: Optional[GeneratedPairData] = None,
@@ -273,7 +269,7 @@ def work_estimate(grid: GridSpec, pair: Optional[GeneratedPairData] = None,
     within ``ORACLE_WORK_LIMIT``, and only as far as ``_WORK_CAP``: the
     estimate is exact up to that cap and ``_WORK_CAP + 1`` beyond it.
     """
-    work = grid.count
+    work = _grid_count(grid)
     if work <= ORACLE_WORK_LIMIT and _sweeps_twists(pair):
         checks = work
         for _ in range(grid.n):
@@ -313,8 +309,8 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
             f"oracle work estimate {shown} units (grid points plus destabilizer checks) "
             f"exceeds the limit {ORACLE_WORK_LIMIT}; lower the grid denominator or "
             "the twist range")
-    system = weight_system(curve, sheaf if sheaf is not None else kernel_numerics(curve, pair),
-                           line, pair)
+    untwisted = sheaf if sheaf is not None else kernel_numerics(curve, pair)
+    system = weight_system(curve, untwisted, line, pair)
     region = simplex_intersect(system.intervals, system.declared)
     grid_points = brute_force_region(system.subject, grid, system.declared)
     notes = []
@@ -338,7 +334,8 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
     witness_checks = 0
     failures = []
     if _sweeps_twists(pair):
-        witness_checks, failures = _destabilizer_failures(curve, pair, grid, twist_range)
+        witness_checks, failures = _destabilizer_failures(curve, pair, untwisted.chi, grid,
+                                                          twist_range)
         if failures:
             discrepancies.append(
                 f"{len(failures)} grid/twist pairs admit no destabilizer")

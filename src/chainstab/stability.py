@@ -71,7 +71,6 @@ _SCREEN_CONFLICT = ("the declared subsheaf bounds exclude every polarization whi
 
 METHOD_CLIFFORD = "clifford"
 METHOD_RIEMANN_ROCH = "riemann_roch_h1_zero"
-METHOD_UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -96,13 +95,12 @@ class Verdict:
 class H0Bound:
     """Per-component and global upper bounds for the section count.
 
-    ``total`` is sum(per_component) - (n-1)*rank when every component has a
-    bound, else ``None``.
+    ``total`` is sum(per_component) - (n-1)*rank.
     """
 
-    per_component: tuple[Optional[int], ...]
+    per_component: tuple[int, ...]
     methods: tuple[str, ...]
-    total: Optional[int]
+    total: int
 
 
 @dataclass(frozen=True)
@@ -142,66 +140,39 @@ class _Rule(NamedTuple):
     bounds: tuple[WeightBound, ...] = ()
 
 
-def clifford_h0_bound(genus: int, rank: int, degree: int, semistable: bool = True,
-                      h1_vanishes: bool = False) -> tuple[Optional[int], str]:
+def clifford_h0_bound(genus: int, rank: int, degree: int) -> tuple[int, str]:
     """Section-count bound for one semistable component bundle.
 
     In the slope range [0, 2g-2] the bound is floor(d/2) + r; above the
-    range (where h1 vanishes for semistable bundles, or when h1 vanishing is
-    declared) it is the Euler characteristic d + r(1-g).  Returns
-    ``(None, "unbounded")`` when neither applies.
+    range h1 vanishes and it is the Euler characteristic d + r(1-g).
     """
     if genus < 2 or rank < 1 or degree < 0:
         raise ValidationError("the section bound needs genus >= 2, rank >= 1, degree >= 0")
-    mu = Fraction(degree, rank)
-    if mu <= 2 * genus - 2:
-        if semistable:
-            return degree // 2 + rank, METHOD_CLIFFORD
-        if h1_vanishes:
-            return degree + rank * (1 - genus), METHOD_RIEMANN_ROCH
-        return None, METHOD_UNBOUNDED
-    if semistable or h1_vanishes:
-        return degree + rank * (1 - genus), METHOD_RIEMANN_ROCH
-    return None, METHOD_UNBOUNDED
-
-
-def h0_global_bound(curve: ChainCurve, pair: GeneratedPairData) -> H0Bound:
-    """Global section bound from per-component bounds and the node correction."""
-    validate_pair(curve, pair)
-    per = []
-    methods = []
-    for j in range(curve.n):
-        b, meth = clifford_h0_bound(curve.genera[j], pair.rank, pair.multidegree[j],
-                                    semistable=pair.restriction_semistable[j],
-                                    h1_vanishes=pair.h1_vanishes[j])
-        per.append(b)
-        methods.append(meth)
-    total = None
-    if all(b is not None for b in per):
-        total = sum(per) - (curve.n - 1) * pair.rank
-    return H0Bound(tuple(per), tuple(methods), total)
+    if degree <= (2 * genus - 2) * rank:
+        return degree // 2 + rank, METHOD_CLIFFORD
+    return degree + rank * (1 - genus), METHOD_RIEMANN_ROCH
 
 
 def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
     """Check the strict bound (section count) < degree + rank.
 
     Applicable when every restriction is semistable and some component has
-    positive degree; the computed global bound is then always strictly below
-    d + r, and the declared section count is validated against it.
+    positive degree.  The global bound is the sum of the per-component
+    bounds less the node correction (n-1)*rank; it is then always strictly
+    below d + r, and the declared section count is validated against it.
     """
     validate_pair(curve, pair)
     if not all(pair.restriction_semistable):
         raise RuleNotApplicable("the section bound needs every restriction semistable")
     if all(d == 0 for d in pair.multidegree):
         raise RuleNotApplicable("the section bound needs a component of positive degree")
-    h0 = h0_global_bound(curve, pair)
-    if h0.total is None:
-        raise InternalInvariantError("semistable components always yield a finite bound")
-    bound = h0.total
+    per, methods = zip(*(clifford_h0_bound(g, pair.rank, d)
+                         for g, d in zip(curve.genera, pair.multidegree)))
+    bound = sum(per) - (curve.n - 1) * pair.rank
     return KBoundResult(bound=bound,
                         holds=bound < pair.total_degree + pair.rank,
                         k_within_bound=pair.sections <= bound,
-                        h0=h0)
+                        h0=H0Bound(per, methods, bound))
 
 
 def _component_bound(system: WeightSystem, j: int) -> tuple[WeightBound, ...]:

@@ -10,10 +10,13 @@ import random
 import time
 from fractions import Fraction
 
-from chainstab import (FEASIBLE, ChainCurve, GeneratedPairData, GridSpec, LineBundleTwist,
-                       WeightBound, analyze, brute_force_region, check_bigas, cli,
-                       cross_validate, find_polarization, k_bound_check, kernel_numerics,
-                       sheaf_from_multidegree, subsheaf_slope_constraints, twist)
+from chainstab import cli
+from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
+                                   kernel_numerics, sheaf_from_multidegree, twist)
+from chainstab.feasibility import (FEASIBLE, WeightBound, bigas_intervals, check_bigas,
+                                   simplex_intersect, weight_system)
+from chainstab.oracle import GridSpec, brute_force_region, cross_validate
+from chainstab.stability import analyze, k_bound_check
 
 F = Fraction
 
@@ -63,7 +66,7 @@ def test_criterion_2_trivial_bundle_polarization(tmp_path, capsys):
 
     sheaf = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
     grid = brute_force_region(sheaf, GridSpec(12, 2))
-    assert [w.partial_sums()[0] for w in grid] == \
+    assert [w.weights[0] for w in grid] == \
         [F(4, 12), F(5, 12), F(6, 12), F(7, 12), F(8, 12)]
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -83,7 +86,7 @@ def test_criterion_3_constructive_polarization_property(capsys):
         degs = tuple(rng.randint(-30, m * (g - 1) - 1) for g in curve.genera)
         sheaf = sheaf_from_multidegree(curve, (m,) * n, degs)
         assert sheaf.chi < 0 and all(c < 0 for c in sheaf.chi_components)
-        region = find_polarization(sheaf)
+        region = simplex_intersect(bigas_intervals(sheaf))
         if region.status != FEASIBLE:
             failures += 1
             continue
@@ -118,7 +121,8 @@ def test_criterion_4_gluing_identities(capsys):
                for c, g, d in zip(kernel.chi_components, curve.genera, degs)):
             failures += 1
         line = LineBundleTwist(tuple(rng.randint(-5, 5) for _ in range(n)))
-        if twist(twist(kernel, line), -line) != kernel:
+        inverse = LineBundleTwist(tuple(-t for t in line.multidegree))
+        if twist(twist(kernel, line), inverse) != kernel:
             failures += 1
     elapsed = time.perf_counter() - start
     assert failures == 0
@@ -142,11 +146,10 @@ def test_criterion_5_endpoint_infeasibility(capsys):
     assert cert.verify()
 
     kernel = kernel_numerics(curve, pair)
-    bounds = subsheaf_slope_constraints(curve, pair, LineBundleTwist.trivial(2),
-                                        F(kernel.chi, pair.kernel_rank))
+    system = weight_system(curve, kernel, pair=pair)
+    bounds = system.declared
     assert bounds == [WeightBound(1, F(2, 9), label="subsheaf slope bound")]
-    from chainstab import prove_infeasible_with_certificate
-    engine_cert = prove_infeasible_with_certificate(kernel, bounds)
+    engine_cert = simplex_intersect(system.intervals, bounds).certificate
     assert engine_cert.lower == F(8, 18) and engine_cert.upper == F(4, 18)
     for d in range(2, 61):
         assert brute_force_region(kernel, GridSpec(d, 2), bounds) == []
@@ -229,7 +232,7 @@ def test_criterion_8_oracle_emptiness_agreement(capsys):
         m = rng.randint(1, 3)
         degs = tuple(rng.randint(-8, 8) for _ in range(n))
         sheaf = sheaf_from_multidegree(curve, (m,) * n, degs)
-        region = find_polarization(sheaf)
+        region = simplex_intersect(bigas_intervals(sheaf))
         grid = brute_force_region(sheaf, GridSpec(40, n))
         if grid and region.status != FEASIBLE:
             discrepancies += 1

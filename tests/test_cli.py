@@ -168,6 +168,17 @@ class TestOracle:
         assert payload["witness_checks"] == 86779
         assert payload["agreement"] is True
 
+    def test_huge_denominator_refused_on_a_long_chain(self, tmp_path, capsys):
+        n = 10**4
+        data = {"curve": {"genera": [2] * n},
+                "subject": {"sheaf": {"multirank": [1] * n, "multidegree": [0] * n}}}
+        path = write_scenario(tmp_path, data)
+        assert cli.main(["oracle", path, "--denominator", str(10**1000)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: oracle work estimate more than {10**18} units")
+        assert captured.err.count("\n") == 1
+
     def test_negative_twist_range_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path, ENDPOINT_PAIR)
         assert cli.main(["oracle", path, "--twist-range", "-1"]) == 2
@@ -203,6 +214,15 @@ class TestValidation:
                         f'{{"multirank": [1, 1], "multidegree": [{digits}, 0]}}}}}}')
         assert cli.main(["polarize", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        # the JSON decoder gives up on this depth with a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5 + "]" * 10**5)
+        assert cli.main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: JSON nested too deeply to parse\n"
 
     def test_missing_scenario_argument(self, capsys):
         assert cli.main(["check"]) == 2

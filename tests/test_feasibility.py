@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainstab import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, ChainCurve, GeneratedPairData,
-                       LineBundleTwist, Polarization, RationalInterval, SheafNumerics,
-                       UnsupportedData, ValidationError, WeightBound, bigas_intervals,
-                       check_bigas, find_polarization, prove_infeasible_with_certificate,
-                       sheaf_from_multidegree, simplex_intersect, slope,
-                       subsheaf_slope_constraints)
+from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
+                                   SheafNumerics, arithmetic_genus, kernel_numerics,
+                                   sheaf_from_multidegree)
+from chainstab.errors import UnsupportedData, ValidationError
+from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, Polarization,
+                                   RationalInterval, WeightBound, bigas_intervals, check_bigas,
+                                   simplex_intersect, weight_system)
+from chainstab.oracle import GridSpec
+from reference import enumerate_polarizations, slope
 
 F = Fraction
 
@@ -19,23 +22,31 @@ def trivial_sheaf(genera=(2, 2)):
     return sheaf_from_multidegree(curve, (1,) * curve.n, (0,) * curve.n)
 
 
-def grid_polarizations(n, denominator):
-    """All strictly positive n-part compositions of the denominator (test oracle)."""
-    if n == 2:
-        return [Polarization((F(a, denominator), F(denominator - a, denominator)))
-                for a in range(1, denominator)]
-    out = []
-    for a in range(1, denominator - n + 2):
-        for rest in grid_polarizations(n - 1, denominator - a):
-            scale = F(denominator - a, denominator)
-            out.append(Polarization((F(a, denominator),) + tuple(w * scale for w in rest.weights)))
-    return out
+def pinned(w):
+    """Weight bounds w_j <= x_j and w_j >= x_j that fix every weight of ``w``.
+
+    With them a system is feasible exactly when every partial sum of ``w``
+    lies in its interval, and its witness is then ``w`` itself.
+    """
+    return [b for j, x in enumerate(w.weights, start=1)
+            for b in (WeightBound(j, x), WeightBound(j, 1 - x, complement=True))]
+
+
+def status_at(iv, x):
+    """Status of the one-interval system with S_1 = w_1 fixed at ``x``.
+
+    The relaxed simplex admits every x in [0, 1] (boundary-only at 0 and 1),
+    so only the interval's own ends and their openness can make it infeasible.
+    """
+    x = F(x)
+    pin = [WeightBound(1, x), WeightBound(1, 1 - x, complement=True)]
+    return simplex_intersect([iv], pin).status
 
 
 class TestPolarization:
     def test_valid(self):
         w = Polarization((F(1, 3), F(2, 3)))
-        assert w.partial_sums() == (F(1, 3),)
+        assert w.n == 2 and w.weights == (F(1, 3), F(2, 3))
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ValidationError):
@@ -53,46 +64,54 @@ class TestPolarization:
 class TestRationalInterval:
     def test_contains_respects_openness(self):
         iv = RationalInterval(F(0), F(1), lower_open=True, upper_open=False)
-        assert not iv.contains(0)
-        assert iv.contains(F(1, 2))
-        assert iv.contains(1)
+        assert status_at(iv, 0) == INFEASIBLE
+        assert status_at(iv, F(1, 2)) == FEASIBLE
+        assert status_at(iv, 1) == BOUNDARY_ONLY
 
     def test_unbounded_sides(self):
-        iv = RationalInterval(None, F(3))
-        assert iv.contains(-10 ** 9)
-        assert not iv.contains(4)
+        iv = RationalInterval(None, F(1, 3))
+        assert status_at(iv, 0) == BOUNDARY_ONLY
+        assert status_at(iv, F(1, 2)) == INFEASIBLE
         assert iv.lower_open
 
     def test_midpoint(self):
-        assert RationalInterval.closed(F(1, 3), F(2, 3)).midpoint() == F(1, 2)
-        assert RationalInterval.point(F(5, 7)).midpoint() == F(5, 7)
-        assert RationalInterval(None, F(2)).midpoint() == 1
-        with pytest.raises(ValidationError):
-            RationalInterval.empty().midpoint()
+        def witness(iv):
+            return simplex_intersect([iv]).witness
+
+        assert witness(RationalInterval(F(1, 3), F(2, 3))).weights == (F(1, 2), F(1, 2))
+        assert witness(RationalInterval(F(5, 7), F(5, 7))).weights == (F(5, 7), F(2, 7))
+        # an unbounded side stops at the simplex, 0 < S_1 < 1
+        assert witness(RationalInterval(None, F(2))).weights == (F(1, 2), F(1, 2))
+        assert witness(RationalInterval.empty()) is None
 
     def test_empty(self):
-        assert RationalInterval.empty().is_empty()
-        assert RationalInterval(F(1), F(0)).is_empty()
-        assert RationalInterval(F(1), F(1), lower_open=True).is_empty()
-        assert not RationalInterval.point(F(1)).is_empty()
+        assert simplex_intersect([RationalInterval.empty()]).status == INFEASIBLE
+        assert simplex_intersect([RationalInterval(F(1), F(0))]).status == INFEASIBLE
+        assert simplex_intersect([RationalInterval(F(1), F(1), lower_open=True)]).status == \
+            INFEASIBLE
+        assert simplex_intersect([RationalInterval(F(1), F(1))]).status == BOUNDARY_ONLY
 
     def test_closure(self):
-        iv = RationalInterval(F(0), F(1), True, True).closure()
-        assert iv.contains(0) and iv.contains(1)
+        opened = RationalInterval(F(0), F(1), True, True)
+        assert status_at(opened, 0) == status_at(opened, 1) == INFEASIBLE
+        closed = RationalInterval(F(0), F(1))
+        assert status_at(closed, 0) == status_at(closed, 1) == BOUNDARY_ONLY
 
 
 class TestSlope:
     def test_kernel_slope(self):
         curve = ChainCurve((2, 2))
         s = SheafNumerics(curve, (2, 2), (-6, -6), (-8, -8), -18)
-        assert slope(s, Polarization((F(1, 2), F(1, 2)))) == -9
+        pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
+        assert slope(s, Polarization((F(1, 2), F(1, 2)))) == -9 == \
+            weight_system(curve, s, pair=pair).target
 
     def test_trivial_bundle_slope_is_chi_structure_sheaf(self):
         curve = ChainCurve((2, 2))
         for t in (1, 2, 3):
             s = sheaf_from_multidegree(curve, (t, t), (0, 0))
             for w in (Polarization((F(1, 4), F(3, 4))), Polarization((F(2, 5), F(3, 5)))):
-                assert slope(s, w) == -3
+                assert slope(s, w) == -3 == 1 - arithmetic_genus(curve)
 
     def test_component_supported_sheaf(self):
         # rank (t, 0), chi = -t*g_1: slope is -g_1 / w_1
@@ -105,8 +124,8 @@ class TestSlope:
     def test_zero_rank_rejected(self):
         curve = ChainCurve((2, 2))
         s = SheafNumerics(curve, (0, 0), (0, 0), (0, 0), chi=0)
-        with pytest.raises(ValidationError, match="slope undefined"):
-            slope(s, Polarization((F(1, 2), F(1, 2))))
+        with pytest.raises(ValidationError, match="require positive rank"):
+            bigas_intervals(s)
 
 
 class TestBigasIntervals:
@@ -136,7 +155,7 @@ class TestBigasIntervals:
     def test_chi_zero_unsatisfiable(self):
         s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (3, 0))
         assert s.chi == 0
-        assert bigas_intervals(s)[0].is_empty()
+        assert bigas_intervals(s) == [RationalInterval.empty()]
 
     def test_non_uniform_rejected(self):
         s = sheaf_from_multidegree(ChainCurve((2, 2)), (2, 1), (0, 0))
@@ -155,8 +174,8 @@ class TestBigasIntervals:
         curve = ChainCurve(genera)
         s = sheaf_from_multidegree(curve, ranks, degs)
         ivs = bigas_intervals(s)
-        for w in grid_polarizations(curve.n, denominator):
-            inside = all(iv.contains(x) for iv, x in zip(ivs, w.partial_sums()))
+        for w in enumerate_polarizations(GridSpec(denominator, curve.n)):
+            inside = simplex_intersect(ivs, pinned(w)).status == FEASIBLE
             assert inside == check_bigas(s, w)
 
 
@@ -173,22 +192,22 @@ class TestCheckBigas:
 
 class TestSimplexIntersect:
     def test_trivial_feasible_with_midpoint_witness(self):
-        region = simplex_intersect([RationalInterval.closed(F(1, 3), F(2, 3))])
+        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))])
         assert region.status == FEASIBLE
         assert region.witness.weights == (F(1, 2), F(1, 2))
 
     def test_negative_interval_infeasible(self):
-        region = simplex_intersect([RationalInterval.closed(F(-2), F(-1))])
+        region = simplex_intersect([RationalInterval(F(-2), F(-1))])
         assert region.status == INFEASIBLE
         assert region.witness is None
 
     def test_weight_bound_makes_infeasible(self):
-        region = simplex_intersect([RationalInterval.closed(F(1, 3), F(2, 3))],
+        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
                                    [WeightBound(1, F(1, 4))])
         assert region.status == INFEASIBLE
 
     def test_weight_bound_at_endpoint_still_feasible(self):
-        region = simplex_intersect([RationalInterval.closed(F(1, 3), F(2, 3))],
+        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
                                    [WeightBound(1, F(1, 3))])
         assert region.status == FEASIBLE
         assert region.witness.weights[0] == F(1, 3)
@@ -204,11 +223,11 @@ class TestSimplexIntersect:
 
     def test_complement_bound_is_lower_bound(self):
         # w_1 >= 3/4 forces S_1 out of [1/3, 2/3]
-        region = simplex_intersect([RationalInterval.closed(F(1, 3), F(2, 3))],
+        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
                                    [WeightBound(1, F(1, 4), complement=True)])
         assert region.status == INFEASIBLE
         # w_1 >= 1/2 is compatible
-        region = simplex_intersect([RationalInterval.closed(F(1, 3), F(2, 3))],
+        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
                                    [WeightBound(1, F(1, 2), complement=True)])
         assert region.status == FEASIBLE
         assert region.witness.weights[0] >= F(1, 2)
@@ -220,12 +239,12 @@ class TestSimplexIntersect:
         assert region.status == INFEASIBLE
 
     def test_unsatisfiable_marker_bound(self):
-        region = simplex_intersect([RationalInterval.closed(F(1, 3), F(2, 3))],
+        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
                                    [WeightBound(1, F(0), open=True)])
         assert region.status == INFEASIBLE
 
     def test_closed_zero_bound_is_boundary_only(self):
-        region = simplex_intersect([RationalInterval.closed(F(0), F(2, 3))],
+        region = simplex_intersect([RationalInterval(F(0), F(2, 3))],
                                    [WeightBound(1, F(0))])
         assert region.status == BOUNDARY_ONLY
 
@@ -237,34 +256,34 @@ class TestSimplexIntersect:
             m = rng.randint(1, 3)
             degs = tuple(rng.randint(-9, 9) for _ in range(n))
             s = sheaf_from_multidegree(curve, (m,) * n, degs)
-            region = find_polarization(s)
+            region = simplex_intersect(bigas_intervals(s))
             if region.status != FEASIBLE:
                 continue
             w = region.witness
             assert sum(w.weights) == 1
             assert all(0 < x < 1 for x in w.weights)
             assert check_bigas(s, w)
-            for iv, x in zip(region.s_intervals, w.partial_sums()):
-                assert iv.contains(x)
+            assert simplex_intersect(region.s_intervals, pinned(w)).witness == w
 
 
 class TestFindPolarization:
     def test_kernel_midpoint(self):
         curve = ChainCurve((2, 2))
         s = SheafNumerics(curve, (2, 2), (-6, -6), (-8, -8), -18)
-        region = find_polarization(s)
+        region = simplex_intersect(bigas_intervals(s))
         assert region.status == FEASIBLE
         assert region.witness.weights == (F(1, 2), F(1, 2))
 
     def test_trivial_on_genus_2_3(self):
-        region = find_polarization(trivial_sheaf((2, 3)))
+        region = simplex_intersect(bigas_intervals(trivial_sheaf((2, 3))))
         assert region.status == FEASIBLE
         assert region.s_intervals[0].lower == F(1, 4)
         assert region.s_intervals[0].upper == F(2, 4)
         assert region.witness.weights == (F(3, 8), F(5, 8))
 
     def test_unbalanced_line_bundle_infeasible(self):
-        region = find_polarization(sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4)))
+        region = simplex_intersect(bigas_intervals(
+            sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4))))
         assert region.status == INFEASIBLE
 
     def test_constructive_guarantee_and_step_lower_bounds(self):
@@ -279,10 +298,16 @@ class TestFindPolarization:
                          for g in curve.genera)
             s = sheaf_from_multidegree(curve, (m,) * n, degs)
             assert all(c < 0 for c in s.chi_components) and s.chi < 0
-            region = find_polarization(s)
+            region = simplex_intersect(bigas_intervals(s))
             assert region.status == FEASIBLE
             for w_j, chi_j in zip(region.witness.weights, s.chi_components):
                 assert w_j >= F(chi_j, s.chi) > 0
+
+
+def declared(curve, pair, line):
+    """Target slope and declared subsheaf bounds of the pair's kernel twisted by ``line``."""
+    system = weight_system(curve, kernel_numerics(curve, pair), line, pair)
+    return system.target, system.declared
 
 
 class TestSubsheafSlopeConstraints:
@@ -290,7 +315,8 @@ class TestSubsheafSlopeConstraints:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, False))
-        bounds = subsheaf_slope_constraints(curve, pair, LineBundleTwist.trivial(2), F(-9))
+        target, bounds = declared(curve, pair, LineBundleTwist.trivial(2))
+        assert target == F(-9)
         assert len(bounds) == 1
         assert bounds[0].index == 1
         assert bounds[0].upper == F(2, 9)
@@ -300,8 +326,8 @@ class TestSubsheafSlopeConstraints:
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(False, True, False))
-        bounds = subsheaf_slope_constraints(curve, pair, LineBundleTwist.trivial(3),
-                                            F(-19, 2))
+        target, bounds = declared(curve, pair, LineBundleTwist.trivial(3))
+        assert target == F(-19, 2)
         assert bounds[0].index == 2
         assert bounds[0].upper == F(6, 19)
 
@@ -310,7 +336,8 @@ class TestSubsheafSlopeConstraints:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, False))
         # deg L_1 = delta_1 - 1 + g_1 = 2 makes the numerator vanish
-        bounds = subsheaf_slope_constraints(curve, pair, LineBundleTwist((2, 0)), F(-7))
+        target, bounds = declared(curve, pair, LineBundleTwist((2, 0)))
+        assert target == F(-7)
         assert bounds[0].upper == 0 and not bounds[0].open
         region = simplex_intersect(
             bigas_intervals(sheaf_from_multidegree(curve, (1, 1), (0, 0))), bounds)
@@ -320,8 +347,10 @@ class TestSubsheafSlopeConstraints:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, True))
-        # numerator positive on component 1 only
-        bounds = subsheaf_slope_constraints(curve, pair, LineBundleTwist((5, 0)), F(0))
+        # twist degree 9 takes the kernel's chi -18 to 0; the numerator is
+        # positive on component 1 only
+        target, bounds = declared(curve, pair, LineBundleTwist((9, 0)))
+        assert target == 0
         assert len(bounds) == 1
         assert bounds[0].index == 1 and bounds[0].open and bounds[0].upper == 0
 
@@ -329,7 +358,9 @@ class TestSubsheafSlopeConstraints:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, False))
-        bounds = subsheaf_slope_constraints(curve, pair, LineBundleTwist((6, 0)), F(2))
+        # twist degree 11 takes the kernel's chi -18 to 4
+        target, bounds = declared(curve, pair, LineBundleTwist((6, 5)))
+        assert target == F(2)
         # numer = 6 - 1 + 1 - 2 = 4, lower bound w_1 >= 2
         assert bounds[0].complement
         assert bounds[0].upper == 1 - F(4, 2)
@@ -339,7 +370,7 @@ class TestInfeasibilityCertificate:
     def test_endpoint_scenario_clash(self):
         curve = ChainCurve((2, 2))
         s = SheafNumerics(curve, (2, 2), (-6, -6), (-8, -8), -18)
-        cert = prove_infeasible_with_certificate(s, [WeightBound(1, F(2, 9))])
+        cert = simplex_intersect(bigas_intervals(s), [WeightBound(1, F(2, 9))]).certificate
         assert cert is not None
         assert cert.quantity == "S_1"
         assert cert.lower == F(8, 18)
@@ -348,22 +379,21 @@ class TestInfeasibilityCertificate:
 
     def test_unit_interval_clash(self):
         s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4))
-        cert = prove_infeasible_with_certificate(s)
+        cert = simplex_intersect(bigas_intervals(s)).certificate
         assert cert.quantity == "S_1"
         assert cert.lower == 0 and cert.lower_open
         assert cert.upper == -1 and not cert.upper_open
         assert cert.verify()
 
     def test_feasible_has_no_certificate(self):
-        assert prove_infeasible_with_certificate(trivial_sheaf()) is None
+        assert simplex_intersect(bigas_intervals(trivial_sheaf())).certificate is None
 
     def test_final_step_clash(self):
         # bound on the last weight clashes through S_n = 1
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(1, 6))
-        from chainstab import kernel_numerics
         k = kernel_numerics(curve, pair)
-        cert = prove_infeasible_with_certificate(k, [WeightBound(2, F(4, 13))])
+        cert = simplex_intersect(bigas_intervals(k), [WeightBound(2, F(4, 13))]).certificate
         assert cert is not None
         assert cert.quantity == "S_1"
         assert cert.lower == F(9, 13)   # S_1 >= 1 - 4/13
@@ -387,7 +417,7 @@ def test_two_component_feasible_set_matches_closed_form():
         for q in [F(a, 24) for a in range(1, 24)]:
             member = lo <= q <= hi
             assert member == check_bigas(s, Polarization((q, 1 - q)))
-        region = find_polarization(s)
+        region = simplex_intersect(bigas_intervals(s))
         strict_nonempty = hi > 0 and lo < 1 and lo <= hi
         assert (region.status == FEASIBLE) == strict_nonempty
 
@@ -421,6 +451,6 @@ def test_adding_bounds_is_monotone(sheaf, index, value, is_open, complement):
 @settings(max_examples=150)
 @given(uniform_sheaves())
 def test_feasible_witness_always_valid(sheaf):
-    region = find_polarization(sheaf)
+    region = simplex_intersect(bigas_intervals(sheaf))
     if region.status == FEASIBLE:
         assert check_bigas(sheaf, region.witness)

@@ -20,10 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_sweep
 from certificate_check import check_certificate
-from chainstab import (FEASIBLE, INFEASIBLE, ChainCurve, GeneratedPairData,
-                       InfeasibilityCertificate, LineBundleTwist, Polarization, RationalInterval,
-                       ValidationError, WeightBound, analyze, bigas_intervals, cli,
-                       kernel_numerics, simplex_intersect, twist, weight_system)
+from chainstab import cli
+from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
+                                   kernel_numerics, twist)
+from chainstab.errors import ValidationError
+from chainstab.feasibility import (FEASIBLE, INFEASIBLE, InfeasibilityCertificate, Polarization,
+                                   RationalInterval, WeightBound, bigas_intervals,
+                                   simplex_intersect, weight_system)
+from chainstab.stability import analyze
 
 F = Fraction
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -113,7 +117,7 @@ def test_seeded_systems_of_every_status_equal_fraction_reference():
 
 def test_midpoints_halve_past_the_common_denominator():
     # The common denominator is 315 and S_2's midpoint is 153/630.
-    ivs = [RationalInterval.closed(F(0), F(1, 3)), RationalInterval.closed(F(1, 5), F(2, 7))]
+    ivs = [RationalInterval(F(0), F(1, 3)), RationalInterval(F(1, 5), F(2, 7))]
     region = assert_same_as_reference(ivs, [WeightBound(2, F(1, 9), open=True)])
     assert region.witness.weights == (F(59, 315), F(1, 18), F(53, 70))
     # Only the simplex bounds each S_i: S_{n-1} = 1/2 and every earlier
@@ -209,7 +213,7 @@ def test_readme_certificate_rebuilds_from_the_system():
 
 
 def test_checker_rejects_a_wrong_reason():
-    ivs = [RationalInterval.closed(F(4, 9), F(5, 9))]
+    ivs = [RationalInterval(F(4, 9), F(5, 9))]
     bounds = [WeightBound(1, F(2, 9), label="subsheaf slope bound")]
     cert = simplex_intersect(ivs, bounds).certificate
     check_certificate(cert, ivs, bounds)
@@ -252,7 +256,7 @@ class TestBoundaryFractions:
                 WeightBound(1, bad)
 
     def test_witness_weights_are_exact_fractions(self):
-        region = simplex_intersect([RationalInterval.closed(F(1, 3), F(2, 3))])
+        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))])
         assert all(type(w) is Fraction for w in region.witness.weights)
 
     def test_polarization_sum_message(self):

@@ -1,19 +1,29 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from chainstab import (FEASIBLE, INFEASIBLE, ChainCurve, DestabilizerWitness,
-                       GeneratedPairData, GridSpec, LineBundleTwist, Polarization,
-                       ValidationError, WeightBound, brute_force_region, check_bigas,
-                       cross_validate, destabilizer_witness, enumerate_polarizations,
-                       find_polarization, kernel_numerics, sheaf_from_multidegree, twist)
 from chainstab import cli, oracle
+from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
+                                   kernel_numerics, sheaf_from_multidegree, twist)
+from chainstab.errors import ValidationError
+from chainstab.feasibility import (FEASIBLE, INFEASIBLE, Polarization, WeightBound,
+                                   bigas_intervals, check_bigas, simplex_intersect)
+from chainstab.oracle import (DestabilizerWitness, GridSpec, brute_force_region,
+                              cross_validate, destabilizer_witness)
+from reference import enumerate_polarizations
 
 F = Fraction
+
+
+def vacuous(n):
+    """A sheaf with chi_j = (1, .., 1, 0): chi = 0 and every inequality is
+    vacuous, so its grid region is the whole grid."""
+    return sheaf_from_multidegree(ChainCurve((2,) * n), (1,) * n, (2,) * (n - 1) + (1,))
 
 
 class TestGridSpec:
@@ -22,20 +32,38 @@ class TestGridSpec:
             GridSpec(2, 3)
 
     def test_count(self):
-        assert GridSpec(24, 3).count == math.comb(23, 2) == 253
+        assert oracle.work_estimate(GridSpec(24, 3)) == math.comb(23, 2) == 253
+
+    # C(D - 1, 1) = D - 1 exactly at the cap, and one past it from either end
+    @example(2, 10**18 - 1)
+    @example(2, 10**18)
+    @example(10**18 + 1, 1)
+    @settings(max_examples=200)
+    @given(st.integers(2, 60), st.integers(0, 10**6))
+    def test_count_is_exact_up_to_the_cap(self, n, extra):
+        spec = GridSpec(n + extra, n)
+        assert oracle.work_estimate(spec) == \
+            min(math.comb(n + extra - 1, n - 1), oracle._WORK_CAP + 1)
+
+    def test_huge_grid_estimate_stops_at_the_cap(self):
+        start = time.perf_counter()
+        assert oracle.work_estimate(GridSpec(10**1000, 10**4)) == oracle._WORK_CAP + 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEnumeratePolarizations:
+    """The grid walk over a vacuous system lists every grid point."""
+
     def test_two_parts_of_three(self):
-        got = list(enumerate_polarizations(GridSpec(3, 2)))
+        got = brute_force_region(vacuous(2), GridSpec(3, 2))
         assert got == [Polarization((F(1, 3), F(2, 3))), Polarization((F(2, 3), F(1, 3)))]
 
     def test_single_composition(self):
-        assert list(enumerate_polarizations(GridSpec(2, 2))) == \
+        assert brute_force_region(vacuous(2), GridSpec(2, 2)) == \
             [Polarization((F(1, 2), F(1, 2)))]
 
     def test_three_parts_of_four(self):
-        got = list(enumerate_polarizations(GridSpec(4, 3)))
+        got = brute_force_region(vacuous(3), GridSpec(4, 3))
         assert len(got) == 3
         assert all(sum(w.weights) == 1 for w in got)
 
@@ -43,8 +71,8 @@ class TestEnumeratePolarizations:
     @given(st.integers(2, 4), st.integers(0, 8))
     def test_count_matches_binomial(self, n, extra):
         spec = GridSpec(n + extra, n)
-        got = list(enumerate_polarizations(spec))
-        assert len(got) == spec.count
+        got = brute_force_region(vacuous(n), spec)
+        assert len(got) == math.comb(n + extra - 1, n - 1) == oracle.work_estimate(spec)
         assert len(set(got)) == len(got)
 
 
@@ -52,7 +80,7 @@ class TestBruteForceRegion:
     def test_trivial_bundle_denominator_six(self):
         s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
         got = brute_force_region(s, GridSpec(6, 2))
-        sums = [w.partial_sums()[0] for w in got]
+        sums = [w.weights[0] for w in got]
         assert sums == [F(1, 3), F(1, 2), F(2, 3)]
 
     def test_infeasible_line_bundle_always_empty(self):
@@ -64,7 +92,7 @@ class TestBruteForceRegion:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
         got = brute_force_region(kernel_numerics(curve, pair), GridSpec(18, 2))
-        assert [w.partial_sums()[0] for w in got] == [F(8, 18), F(9, 18), F(10, 18)]
+        assert [w.weights[0] for w in got] == [F(8, 18), F(9, 18), F(10, 18)]
 
     def test_matches_plain_filter(self):
         rng = random.Random(3)
@@ -95,7 +123,7 @@ class TestBruteForceRegion:
         assert s.chi == 0
         spec = GridSpec(12, 4)
         got = brute_force_region(s, spec)
-        assert len(got) == spec.count == math.comb(11, 3)
+        assert len(got) == oracle.work_estimate(spec) == math.comb(11, 3)
         assert got == list(enumerate_polarizations(spec))
 
     def test_chi_zero_unmet_inequality_is_empty(self):
@@ -109,7 +137,7 @@ class TestBruteForceRegion:
         s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), degrees)
         assert s.chi == chi
         for d, sums in ((6, [F(1, 3), F(1, 2), F(2, 3)]), (3, [F(1, 3), F(2, 3)])):
-            assert [w.partial_sums()[0] for w in brute_force_region(s, GridSpec(d, 2))] == sums
+            assert [w.weights[0] for w in brute_force_region(s, GridSpec(d, 2))] == sums
 
     def test_bounds_on_last_weight(self):
         s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
@@ -227,7 +255,8 @@ class TestDestabilizerWitness:
         half = Polarization((F(1, 2), F(1, 2)))
         trivial = LineBundleTwist.trivial(2)
         assert destabilizer_witness(curve, pair, half, trivial) is None
-        assert oracle._destabilizer_failures(curve, pair, GridSpec(2, 2), 0) == \
+        chi = kernel_numerics(curve, pair).chi
+        assert oracle._destabilizer_failures(curve, pair, chi, GridSpec(2, 2), 0) == \
             (1, [(half, trivial)])
         skewed = Polarization((F(1, 3), F(2, 3)))
         assert destabilizer_witness(curve, pair, skewed, trivial) == \
@@ -275,7 +304,9 @@ def pairs_and_grids(draw):
 def test_destabilizer_sweep_matches_rational_reference(case):
     curve, pair, grid, twist_range = case
     checks, failures, witnesses = _reference_destabilizers(curve, pair, grid, twist_range)
-    assert oracle._destabilizer_failures(curve, pair, grid, twist_range) == (checks, failures)
+    chi = kernel_numerics(curve, pair).chi
+    assert oracle._destabilizer_failures(curve, pair, chi, grid, twist_range) == \
+        (checks, failures)
     points = [(w, LineBundleTwist(degs))
               for degs in itertools.product(range(-twist_range, twist_range + 1),
                                             repeat=curve.n)
@@ -291,7 +322,8 @@ def test_destabilizer_sweep_reports_failures():
     grid = GridSpec(6, 2)
     checks, failures, _ = _reference_destabilizers(curve, pair, grid, 1)
     assert failures
-    assert oracle._destabilizer_failures(curve, pair, grid, 1) == (checks, failures)
+    chi = kernel_numerics(curve, pair).chi
+    assert oracle._destabilizer_failures(curve, pair, chi, grid, 1) == (checks, failures)
 
 
 class TestCrossValidate:
@@ -362,7 +394,7 @@ def test_completeness_at_matching_denominators():
         m = rng.randint(1, 2)
         degs = tuple(rng.randint(-6, 6) for _ in range(n))
         s = sheaf_from_multidegree(curve, (m,) * n, degs)
-        region = find_polarization(s)
+        region = simplex_intersect(bigas_intervals(s))
         if region.status != FEASIBLE:
             continue
         q = math.lcm(*(w.denominator for w in region.witness.weights))

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainstab import (FEASIBLE, INCONCLUSIVE, INFEASIBLE, STRONGLY_UNSTABLE, W_SEMISTABLE,
-                       W_STABLE, ChainCurve, ContradictoryHypotheses, GeneratedPairData,
-                       LineBundleTwist, RuleNotApplicable, ValidationError, analyze,
-                       analyze_sheaf, arithmetic_genus, check_bigas, clifford_h0_bound,
-                       h0_global_bound, k_bound_check, kernel_numerics, sheaf_from_multidegree,
-                       stability, weight_system)
+from chainstab import stability
+from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
+                                   arithmetic_genus, kernel_numerics, sheaf_from_multidegree)
+from chainstab.errors import ContradictoryHypotheses, RuleNotApplicable, ValidationError
+from chainstab.feasibility import FEASIBLE, INFEASIBLE, check_bigas, weight_system
+from chainstab.stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE,
+                                 analyze, analyze_sheaf, clifford_h0_bound, k_bound_check)
 
 F = Fraction
 
@@ -81,19 +82,14 @@ class TestCliffordH0Bound:
         assert clifford_h0_bound(3, 2, 4) == (4, "clifford")
 
     def test_above_range_riemann_roch(self):
-        assert clifford_h0_bound(2, 1, 6, h1_vanishes=True) == (5, "riemann_roch_h1_zero")
+        # declared h1 vanishing leaves the bound of a semistable component as it is
+        pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
+                                 restriction_semistable=(True, True), h1_vanishes=(True, True))
+        assert k_bound_check(ChainCurve((2, 2)), pair).h0.per_component == (5, 5)
         assert clifford_h0_bound(2, 1, 6) == (5, "riemann_roch_h1_zero")
 
     def test_degree_zero(self):
         assert clifford_h0_bound(2, 1, 0) == (1, "clifford")
-
-    def test_unbounded_without_hypotheses(self):
-        assert clifford_h0_bound(2, 1, 1, semistable=False) == (None, "unbounded")
-        assert clifford_h0_bound(2, 1, 9, semistable=False) == (None, "unbounded")
-
-    def test_h1_vanishing_in_range(self):
-        assert clifford_h0_bound(3, 1, 2, semistable=False, h1_vanishes=True) == \
-            (0, "riemann_roch_h1_zero")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
@@ -161,19 +157,11 @@ class TestKBoundCheck:
 
 
 class TestH0GlobalBound:
-    def test_unbounded_component_gives_none_total(self):
-        curve = ChainCurve((2, 2))
-        pair = GeneratedPairData(rank=1, sections=2, multidegree=(3, 0),
-                                 restriction_semistable=(False, True))
-        h0 = h0_global_bound(curve, pair)
-        assert h0.per_component[0] is None
-        assert h0.total is None
-
     def test_total_formula(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=2, multidegree=(3, 0),
                                  restriction_semistable=(True, True))
-        h0 = h0_global_bound(curve, pair)
+        h0 = k_bound_check(curve, pair).h0
         assert h0.total == sum(h0.per_component) - 1 * pair.rank
 
 
