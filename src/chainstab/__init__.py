@@ -2,13 +2,13 @@
 
 The package exports what the ``chainstab`` command uses: the entry points
 ``analyze``, ``analyze_sheaf``, ``weight_system``, ``simplex_intersect`` and
-``cross_validate``, the types they take and return, the scenario builders
-``sheaf_from_multidegree`` and ``kernel_numerics``, and the error classes.
-Everything else is reached through its module.
+``cross_validate``, the types they take and return (``SheafNumerics`` builds
+a sheaf from its ranks and degrees), the kernel builder ``kernel_numerics``
+and the error classes.  Everything else is reached through its module.
 """
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics, sheaf_from_multidegree)
+                          kernel_numerics)
 from .errors import (ChainstabError, ContradictoryHypotheses, InternalInvariantError,
                      RuleNotApplicable, UnsupportedData, ValidationError)
 from .feasibility import (FeasibleRegion, InfeasibilityCertificate, Polarization,
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainCurve", "GeneratedPairData", "LineBundleTwist", "SheafNumerics", "kernel_numerics",
-    "sheaf_from_multidegree", "ChainstabError", "ContradictoryHypotheses",
-    "InternalInvariantError", "RuleNotApplicable", "UnsupportedData", "ValidationError",
+    "ChainstabError", "ContradictoryHypotheses", "InternalInvariantError",
+    "RuleNotApplicable", "UnsupportedData", "ValidationError",
     "FeasibleRegion", "InfeasibilityCertificate", "Polarization", "RationalInterval",
     "WeightBound", "WeightSystem", "simplex_intersect", "weight_system", "ORACLE_WORK_LIMIT",
     "GridSpec", "ValidationReport", "cross_validate", "Report", "Verdict", "analyze",

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics, sheaf_from_multidegree)
+                          kernel_numerics)
 from .errors import InternalInvariantError, ValidationError
 from .feasibility import (FeasibleRegion, InfeasibilityCertificate, Polarization,
                           RationalInterval, simplex_intersect, weight_system)
@@ -36,7 +36,7 @@ Scenario file format (a single JSON object):
 }
 
 sheaf fields:
-  multirank:    [r1, ..., rn]   non-negative integers
+  multirank:    [r, ..., r]     one positive rank, repeated n times
   multidegree:  [d1, ..., dn]   integers
 
 pair fields:
@@ -70,11 +70,9 @@ class Scenario:
     twist: Optional[LineBundleTwist]
 
 
-def _expect(obj, key, where, required=True):
+def _expect(obj, key, where):
     if key not in obj:
-        if required:
-            raise ValidationError(f"{where}: missing required field {key!r}")
-        return None
+        raise ValidationError(f"{where}: missing required field {key!r}")
     return obj[key]
 
 
@@ -119,7 +117,7 @@ def parse_scenario(data: dict) -> Scenario:
         unknown = set(sh) - {"multirank", "multidegree"}
         if unknown:
             raise ValidationError(f"subject.sheaf: unknown fields {sorted(unknown)}")
-        sheaf = sheaf_from_multidegree(curve, ranks, degs)
+        sheaf = SheafNumerics(curve, ranks, degs)
         pair = None
     elif set(subject) == {"pair"}:
         pr = _as_dict(subject["pair"], "subject.pair")
@@ -263,9 +261,9 @@ def _report_json(report: Report) -> dict:
             "bound": kb.bound,
             "holds": kb.holds,
             "k_within_bound": kb.k_within_bound,
-            "h0_per_component": list(kb.h0.per_component),
-            "h0_methods": list(kb.h0.methods),
-            "h0_total": kb.h0.total,
+            "h0_per_component": list(kb.per_component),
+            "h0_methods": list(kb.methods),
+            "h0_total": kb.bound,
         }
     return out
 

@@ -12,17 +12,19 @@ r is glued from the components, one correction per node:
 
     chi = sum_j chi_j - r * (n - 1)
 
-For non-uniform multirank the gluing correction at a node is not determined
-by (multirank, multidegree) alone, so the global value is left undefined
-unless the caller supplies it explicitly.
+``SheafNumerics`` is the only place these two identities are written: every
+sheaf, kernel and twist is built from its ranks and degrees, and its Euler
+characteristics are derived, never supplied.  For non-uniform multirank the
+gluing correction at a node is not determined by (multirank, multidegree)
+alone, so the global value is left undefined (``None``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import InternalInvariantError, UnsupportedData, ValidationError
+from .errors import UnsupportedData, ValidationError
 
 
 def _int_tuple(name: str, values: Sequence[int]) -> tuple[int, ...]:
@@ -84,46 +86,32 @@ def arithmetic_genus(curve: ChainCurve) -> int:
 class SheafNumerics:
     """Multirank, multidegree and Euler characteristics of a pure dimension-one sheaf.
 
-    ``chi`` is the global Euler characteristic.  It is filled automatically
-    for uniform multirank (and checked if supplied); for non-uniform
-    multirank it stays ``None`` unless the caller provides a value, which is
-    then trusted as-is.
+    Built from ``(curve, multirank, multidegree)`` alone: ``chi_components``
+    comes from Riemann-Roch on each component and ``chi`` from gluing them,
+    which needs a uniform multirank; for a non-uniform one ``chi`` is
+    ``None``.
     """
 
     curve: ChainCurve
     multirank: tuple[int, ...]
     multidegree: tuple[int, ...]
-    chi_components: tuple[int, ...]
-    chi: Optional[int] = None
+    chi_components: tuple[int, ...] = field(init=False)
+    chi: Optional[int] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "multirank", _int_tuple("multirank", self.multirank))
         object.__setattr__(self, "multidegree", _int_tuple("multidegree", self.multidegree))
-        object.__setattr__(self, "chi_components", _int_tuple("chi_components", self.chi_components))
         n = self.curve.n
-        for name, seq in (("multirank", self.multirank),
-                          ("multidegree", self.multidegree),
-                          ("chi_components", self.chi_components)):
+        for name, seq in (("multirank", self.multirank), ("multidegree", self.multidegree)):
             if len(seq) != n:
                 raise ValidationError(f"{name} must have length {n}, got {len(seq)}")
         if any(r < 0 for r in self.multirank):
             raise ValidationError("multirank entries must be non-negative")
-        for j, (r, d, c, g) in enumerate(
-                zip(self.multirank, self.multidegree, self.chi_components, self.curve.genera), start=1):
-            if c != d + r * (1 - g):
-                raise ValidationError(
-                    f"component {j}: chi must equal degree + rank*(1 - genus); "
-                    f"got {c}, expected {d + r * (1 - g)}")
+        chis = tuple(d + r * (1 - g)
+                     for r, d, g in zip(self.multirank, self.multidegree, self.curve.genera))
         r = self.uniform_rank()
-        if r is not None:
-            glued = sum(self.chi_components) - r * (n - 1)
-            if self.chi is None:
-                object.__setattr__(self, "chi", glued)
-            elif self.chi != glued:
-                raise ValidationError(
-                    f"global chi {self.chi} contradicts the gluing value {glued} for uniform rank {r}")
-        elif self.chi is not None and (isinstance(self.chi, bool) or not isinstance(self.chi, int)):
-            raise ValidationError(f"global chi must be an integer, got {self.chi!r}")
+        object.__setattr__(self, "chi_components", chis)
+        object.__setattr__(self, "chi", None if r is None else sum(chis) - r * (n - 1))
 
     @property
     def n(self) -> int:
@@ -137,29 +125,6 @@ class SheafNumerics:
         """The common rank when the multirank is constant, else ``None``."""
         r = self.multirank[0]
         return r if all(rj == r for rj in self.multirank) else None
-
-    def require_chi(self) -> int:
-        if self.chi is None:
-            raise UnsupportedData(
-                "global Euler characteristic is unsupported for non-uniform multirank "
-                "unless supplied explicitly")
-        return self.chi
-
-
-def sheaf_from_multidegree(curve: ChainCurve,
-                           multirank: Sequence[int],
-                           multidegree: Sequence[int]) -> SheafNumerics:
-    """Build SheafNumerics from ranks and degrees via Riemann-Roch and gluing.
-
-    Per-component Euler characteristics are always filled; the global one
-    only for uniform multirank.
-    """
-    ranks = _int_tuple("multirank", multirank)
-    degs = _int_tuple("multidegree", multidegree)
-    if len(ranks) != curve.n or len(degs) != curve.n:
-        raise ValidationError(f"multirank and multidegree must have length {curve.n}")
-    chi_components = tuple(d + r * (1 - g) for r, d, g in zip(ranks, degs, curve.genera))
-    return SheafNumerics(curve, ranks, degs, chi_components)
 
 
 @dataclass(frozen=True)
@@ -268,35 +233,19 @@ def validate_pair(curve: ChainCurve, pair: GeneratedPairData) -> None:
 
 
 def kernel_numerics(curve: ChainCurve, pair: GeneratedPairData) -> SheafNumerics:
-    """Numerics of the kernel of the evaluation map onto the generated bundle.
-
-    The kernel has uniform rank k - r, component degrees -d_j, and
-
-        chi_j = (k - r)(1 - g_j) - d_j
-        chi   = (k - r)(1 - p_a) - d
-
-    The gluing identity chi = sum(chi_j) - (k - r)(n - 1) holds by
-    construction and is re-verified.
-    """
+    """Numerics of the kernel of the evaluation map onto the generated bundle:
+    uniform rank k - r and component degrees -d_j."""
     validate_pair(curve, pair)
-    m = pair.kernel_rank
-    chi_components = tuple(m * (1 - g) - d for g, d in zip(curve.genera, pair.multidegree))
-    chi = m * (1 - arithmetic_genus(curve)) - pair.total_degree
-    if chi != sum(chi_components) - m * (curve.n - 1):
-        raise InternalInvariantError("kernel gluing identity failed")
-    return SheafNumerics(curve, (m,) * curve.n, tuple(-d for d in pair.multidegree),
-                         chi_components, chi)
+    return SheafNumerics(curve, (pair.kernel_rank,) * curve.n,
+                         tuple(-d for d in pair.multidegree))
 
 
 def twist(sheaf: SheafNumerics, line: LineBundleTwist) -> SheafNumerics:
-    """Twist a uniform-rank sheaf by a line bundle: degrees and chi shift by rank * deg."""
+    """Twist a uniform-rank sheaf by a line bundle: each degree d_j shifts by rank * t_j."""
     r = sheaf.uniform_rank()
     if r is None:
         raise UnsupportedData("twisting is only defined here for uniform multirank")
     if line.n != sheaf.n:
         raise ValidationError(f"twist multidegree must have length {sheaf.n}, got {line.n}")
-    degs = tuple(d + r * t for d, t in zip(sheaf.multidegree, line.multidegree))
-    chis = tuple(c + r * t for c, t in zip(sheaf.chi_components, line.multidegree))
-    return SheafNumerics(sheaf.curve, sheaf.multirank, degs, chis,
-                         sheaf.chi + r * line.total_degree)
-
+    return SheafNumerics(sheaf.curve, sheaf.multirank,
+                         tuple(d + r * t for d, t in zip(sheaf.multidegree, line.multidegree)))

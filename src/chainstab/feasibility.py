@@ -208,7 +208,7 @@ def bigas_intervals(sheaf: SheafNumerics) -> list[RationalInterval]:
         raise UnsupportedData("partial-sum intervals require uniform multirank")
     if m < 1:
         raise ValidationError("partial-sum intervals require positive rank")
-    chi = sheaf.require_chi()
+    chi = sheaf.chi
     out = []
     part = 0
     for i in range(1, sheaf.n):
@@ -233,7 +233,7 @@ def check_bigas(sheaf: SheafNumerics, w: Polarization) -> bool:
         raise UnsupportedData("the inequality system requires uniform multirank")
     if w.n != sheaf.n:
         raise ValidationError(f"polarization has {w.n} weights, sheaf has {sheaf.n} components")
-    chi = sheaf.require_chi()
+    chi = sheaf.chi
     part = 0
     s = Fraction(0)
     for i in range(1, sheaf.n):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics)
+                          kernel_numerics, twist)
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
 from .feasibility import (FEASIBLE, Polarization, WeightBound, _subsheaf_chi, check_bigas,
                           simplex_intersect, weight_system)
@@ -88,7 +88,7 @@ def _cut_ranges(sheaf: SheafNumerics, m: int, d: int) -> tuple[list[int], list[i
     i <= c <= D-(n-i).  Each greatest cut is then lowered below the next
     level's, so every cut in range extends to a full grid point.
     """
-    chi, n = sheaf.require_chi(), sheaf.n
+    chi, n = sheaf.chi, sheaf.n
     first, last = [0] * n, [0] * n
     part = 0
     for i in range(1, n):
@@ -193,7 +193,7 @@ def destabilizer_witness(curve: ChainCurve, pair: GeneratedPairData, w: Polariza
     if w.n != curve.n or line.n != curve.n:
         raise ValidationError("polarization and twist must match the curve's components")
     m = pair.kernel_rank
-    chi = kernel_numerics(curve, pair).chi + m * line.total_degree
+    chi = twist(kernel_numerics(curve, pair), line).chi
     for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
         p, q = w.weights[j - 1].numerator, w.weights[j - 1].denominator
         if numer * q * m > chi * p:
@@ -226,7 +226,9 @@ def _destabilizer_failures(
     every grid point and sampled twist, twist-major then lexicographic.
 
     ``chi`` is the untwisted kernel's.  Weight a_j/D gives a destabilizer on
-    component j when numer_j*D*m > chi_L*a_j, chi_L = chi + m * deg L.
+    component j when numer_j*D*m > chi_L*a_j, chi_L = chi + m * deg L: the
+    twisted chi of ``curve_model.twist``, applied as a shift so that the
+    loop over (2B+1)^n twists builds no sheaf.
     """
     d, m = grid.denominator, pair.kernel_rank
     points = list(_grid_parts(grid))

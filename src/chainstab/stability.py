@@ -92,30 +92,21 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class H0Bound:
-    """Per-component and global upper bounds for the section count.
-
-    ``total`` is sum(per_component) - (n-1)*rank.
-    """
-
-    per_component: tuple[int, ...]
-    methods: tuple[str, ...]
-    total: int
-
-
-@dataclass(frozen=True)
 class KBoundResult:
     """Result of the global section-count bound check.
 
-    ``holds`` records that the bound is strictly below total degree + rank
-    (guaranteed whenever the check's preconditions are met);
-    ``k_within_bound`` compares the declared section count against the bound.
+    ``bound`` is sum(per_component) - (n-1)*rank, from the per-component
+    bounds and the ``methods`` that gave them.  ``holds`` records that the
+    bound is strictly below total degree + rank (guaranteed whenever the
+    check's preconditions are met); ``k_within_bound`` compares the declared
+    section count against the bound.
     """
 
     bound: int
     holds: bool
     k_within_bound: bool
-    h0: H0Bound
+    per_component: tuple[int, ...]
+    methods: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
     return KBoundResult(bound=bound,
                         holds=bound < pair.total_degree + pair.rank,
                         k_within_bound=pair.sections <= bound,
-                        h0=H0Bound(per, methods, bound))
+                        per_component=per, methods=methods)
 
 
 def _component_bound(system: WeightSystem, j: int) -> tuple[WeightBound, ...]:
@@ -195,7 +186,7 @@ def _middle(system: WeightSystem) -> _Rule:
     pair, m = system.pair, system.pair.kernel_rank
     for j in range(2, system.curve.n):
         if (pair.twisted_sections_nonzero[j - 1] and pair.restriction_semistable[j - 1]
-                and m < Fraction(pair.multidegree[j - 1], 2)):
+                and 2 * m < pair.multidegree[j - 1]):
             return _Rule(CRITERION_MIDDLE, True,
                          (f"component {j}: kernel rank {m} < degree "
                           f"{pair.multidegree[j - 1]}/2",),
@@ -312,7 +303,7 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
         if genus:
             fired.append(CRITERION_GENUS_BOUND)
     elif genus:
-        chi = pair.total_degree + pair.rank * (1 - arithmetic_genus(curve))
+        chi = SheafNumerics(curve, (pair.rank,) * curve.n, pair.multidegree).chi
         problems.append(
             f"declared section count {pair.sections} exceeds chi = d + r(1 - p_a) = {chi}, "
             "the section count under h1 vanishing on every component; the genus condition "

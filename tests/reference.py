@@ -1,7 +1,8 @@
 """Test-only references for quantities the library no longer computes itself.
 
 ``slope`` is the polarized slope chi / sum(w_j * r_j) of a sheaf, which the
-weight system encodes as intervals on partial sums but never evaluates.
+weight system encodes as intervals on partial sums but never evaluates; a
+sheaf of non-uniform multirank has no derived chi, so it is passed in.
 ``enumerate_polarizations`` lists a whole grid, independently of the
 oracle's level-by-level walk, so the walk can be held to a plain filter.
 """
@@ -10,16 +11,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 from chainstab.curve_model import SheafNumerics
 from chainstab.feasibility import Polarization
 from chainstab.oracle import GridSpec
 
 
-def slope(sheaf: SheafNumerics, w: Polarization) -> Fraction:
-    """Polarized slope: global chi over the weighted total rank."""
-    return sheaf.require_chi() / sum(wj * rj for wj, rj in zip(w.weights, sheaf.multirank))
+def slope(sheaf: SheafNumerics, w: Polarization, chi: Optional[int] = None) -> Fraction:
+    """Polarized slope: global chi (``sheaf.chi`` unless given) over the weighted total rank."""
+    chi = sheaf.chi if chi is None else chi
+    return chi / sum(wj * rj for wj, rj in zip(w.weights, sheaf.multirank))
 
 
 def enumerate_polarizations(spec: GridSpec) -> Iterator[Polarization]:

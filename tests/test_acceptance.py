@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from chainstab import cli
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
-                                   kernel_numerics, sheaf_from_multidegree, twist)
+                                   SheafNumerics, kernel_numerics, twist)
 from chainstab.feasibility import (FEASIBLE, WeightBound, bigas_intervals, check_bigas,
                                    simplex_intersect, weight_system)
 from chainstab.oracle import GridSpec, brute_force_region, cross_validate
@@ -64,7 +64,7 @@ def test_criterion_2_trivial_bundle_polarization(tmp_path, capsys):
         {"lower": "1/3", "lower_open": False, "upper": "2/3", "upper_open": False}]
     assert payload["region"]["witness"] == ["1/2", "1/2"]
 
-    sheaf = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+    sheaf = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
     grid = brute_force_region(sheaf, GridSpec(12, 2))
     assert [w.weights[0] for w in grid] == \
         [F(4, 12), F(5, 12), F(6, 12), F(7, 12), F(8, 12)]
@@ -84,7 +84,7 @@ def test_criterion_3_constructive_polarization_property(capsys):
         curve = ChainCurve(tuple(rng.randint(2, 8) for _ in range(n)))
         m = rng.randint(1, 4)
         degs = tuple(rng.randint(-30, m * (g - 1) - 1) for g in curve.genera)
-        sheaf = sheaf_from_multidegree(curve, (m,) * n, degs)
+        sheaf = SheafNumerics(curve, (m,) * n, degs)
         assert sheaf.chi < 0 and all(c < 0 for c in sheaf.chi_components)
         region = simplex_intersect(bigas_intervals(sheaf))
         if region.status != FEASIBLE:
@@ -204,7 +204,7 @@ def test_criterion_7_section_count_bound(capsys):
         res = k_bound_check(curve, pair)
         assert res.holds
         assert res.bound < pair.total_degree + pair.rank
-        methods = set(res.h0.methods)
+        methods = set(res.methods)
         if methods == {"clifford"}:
             cases["clifford"] += 1
         elif methods == {"riemann_roch_h1_zero"}:
@@ -231,7 +231,7 @@ def test_criterion_8_oracle_emptiness_agreement(capsys):
         curve = ChainCurve(tuple(rng.randint(2, 4) for _ in range(n)))
         m = rng.randint(1, 3)
         degs = tuple(rng.randint(-8, 8) for _ in range(n))
-        sheaf = sheaf_from_multidegree(curve, (m,) * n, degs)
+        sheaf = SheafNumerics(curve, (m,) * n, degs)
         region = simplex_intersect(bigas_intervals(sheaf))
         grid = brute_force_region(sheaf, GridSpec(40, n))
         if grid and region.status != FEASIBLE:

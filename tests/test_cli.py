@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -192,6 +195,50 @@ class TestSchema:
         assert cli.main(["schema"]) == 0
         out = capsys.readouterr().out
         assert "multidegree" in out and "pair" in out and "sheaf" in out
+
+
+class TestProcessEntryPoint:
+    """``python -m chainstab`` in a child process, as a shell runs it."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def run(self, *args):
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        return subprocess.run([sys.executable, "-m", "chainstab", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def readme_example(self):
+        """The README's example scenario and the output lines its console block shows."""
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        scenario = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        console = re.search(r"```console\n\$ chainstab check scenario.json\n(.*?)```",
+                            readme, re.S).group(1)
+        shown = [line for line in console.splitlines() if line != "..."]
+        return scenario, shown
+
+    def test_readme_check_example(self, tmp_path):
+        scenario, shown = self.readme_example()
+        assert len(shown) >= 4
+        result = self.run("check", write_scenario(tmp_path, scenario))
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[:len(shown)] == shown
+
+    def test_contradictory_hypotheses_exit_2(self, tmp_path):
+        data = {"curve": {"genera": [2, 2]},
+                "subject": {"pair": {"rank": 1, "sections": 3, "multidegree": [6, 6],
+                                     "twisted_sections_nonzero": [True, False],
+                                     "restriction_semistable": [True, False],
+                                     "kernel_restriction_semistable": [True, True]}}}
+        result = self.run("check", write_scenario(tmp_path, data))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "kernel restriction declared semistable" in result.stderr
+
+    def test_schema(self):
+        result = self.run("schema")
+        assert result.returncode == 0
+        assert result.stdout == cli.SCHEMA_TEXT
 
 
 class TestValidation:

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from chainstab import cli
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
-                                   SheafNumerics, arithmetic_genus, kernel_numerics,
-                                   sheaf_from_multidegree, twist)
+                                   SheafNumerics, arithmetic_genus, kernel_numerics, twist)
 from chainstab.errors import UnsupportedData, ValidationError
+from chainstab.feasibility import weight_system
 
 
 def curves(max_n=5, max_genus=8):
@@ -50,56 +51,47 @@ class TestGenusFormulas:
     @pytest.mark.parametrize("genera,expected", [((2, 2), -3), ((2, 3), -4), ((2, 2, 2), -5)])
     def test_chi_structure_sheaf(self, genera, expected):
         curve = ChainCurve(genera)
-        structure_sheaf = sheaf_from_multidegree(curve, (1,) * curve.n, (0,) * curve.n)
+        structure_sheaf = SheafNumerics(curve, (1,) * curve.n, (0,) * curve.n)
         assert structure_sheaf.chi == expected == 1 - arithmetic_genus(curve)
 
 
 class TestSheafFromMultidegree:
     def test_structure_sheaf(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         assert s.chi_components == (-1, -1)
         assert s.chi == -3 == 1 - arithmetic_genus(ChainCurve((2, 2)))
 
     def test_unbalanced_line_bundle(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))
         assert s.chi_components == (-1, 3)
         assert s.chi == 1
 
     def test_rank_two(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (2, 2), (6, 6))
+        s = SheafNumerics(ChainCurve((2, 2)), (2, 2), (6, 6))
         assert s.chi_components == (4, 4)
         assert s.chi == 4 + 4 - 2
 
     def test_non_uniform_has_no_global_chi(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (2, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (2, 1), (0, 0))
         assert s.chi_components == (-2, -1)
         assert s.chi is None
         with pytest.raises(UnsupportedData):
-            s.require_chi()
+            weight_system(s.curve, s)
 
-    def test_non_uniform_accepts_explicit_chi(self):
-        # component-supported sheaf O_{C_1}(-p)^t with t = 2 on genus 2
+    def test_chi_is_derived_not_supplied(self):
         curve = ChainCurve((2, 2))
-        s = SheafNumerics(curve, (2, 0), (-2, 0), (-4, 0), chi=-4)
-        assert s.require_chi() == -4
+        with pytest.raises(TypeError):
+            SheafNumerics(curve, (1, 1), (0, 0), (-1, -1))
+        with pytest.raises(TypeError):
+            SheafNumerics(curve, (2, 0), (-2, 0), chi=-4)
 
     def test_rejects_negative_rank(self):
         with pytest.raises(ValidationError):
-            sheaf_from_multidegree(ChainCurve((2, 2)), (1, -1), (0, 0))
-
-    def test_rejects_wrong_component_chi(self):
-        curve = ChainCurve((2, 2))
-        with pytest.raises(ValidationError):
-            SheafNumerics(curve, (1, 1), (0, 0), (-1, 0))
-
-    def test_rejects_wrong_global_chi_for_uniform_rank(self):
-        curve = ChainCurve((2, 2))
-        with pytest.raises(ValidationError):
-            SheafNumerics(curve, (1, 1), (0, 0), (-1, -1), chi=-2)
+            SheafNumerics(ChainCurve((2, 2)), (1, -1), (0, 0))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1, 1), (0, 0, 0))
+            SheafNumerics(ChainCurve((2, 2)), (1, 1, 1), (0, 0, 0))
 
 
 class TestGeneratedPairData:
@@ -180,17 +172,17 @@ class TestTwist:
         assert t.chi == 2 * (1 + 2 - arithmetic_genus(ChainCurve((2, 2)))) - 12
 
     def test_identity_twist(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 3)), (2, 2), (5, -1))
+        s = SheafNumerics(ChainCurve((2, 3)), (2, 2), (5, -1))
         assert twist(s, LineBundleTwist.trivial(2)) == s
 
     def test_unbalanced_twist_of_line_bundle(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         t = twist(s, LineBundleTwist((0, 4)))
         assert t.chi == 1
         assert t.chi_components == (-1, 3)
 
     def test_non_uniform_rejected(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (2, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (2, 1), (0, 0))
         with pytest.raises(UnsupportedData):
             twist(s, LineBundleTwist((1, 1)))
 
@@ -198,7 +190,7 @@ class TestTwist:
 @given(curves(), st.integers(1, 4), st.data())
 def test_gluing_identity_uniform_rank(curve, rank, data):
     degs = tuple(data.draw(st.integers(-30, 30)) for _ in range(curve.n))
-    s = sheaf_from_multidegree(curve, (rank,) * curve.n, degs)
+    s = SheafNumerics(curve, (rank,) * curve.n, degs)
     for j in range(curve.n):
         assert s.chi_components[j] == degs[j] + rank * (1 - curve.genera[j])
     assert s.chi == sum(s.chi_components) - rank * (curve.n - 1)
@@ -208,7 +200,7 @@ def test_gluing_identity_uniform_rank(curve, rank, data):
 def test_twist_round_trip(curve, rank, data):
     degs = tuple(data.draw(st.integers(-10, 10)) for _ in range(curve.n))
     line = LineBundleTwist(tuple(data.draw(st.integers(-6, 6)) for _ in range(curve.n)))
-    s = sheaf_from_multidegree(curve, (rank,) * curve.n, degs)
+    s = SheafNumerics(curve, (rank,) * curve.n, degs)
     inverse = LineBundleTwist(tuple(-d for d in line.multidegree))
     assert twist(twist(s, line), inverse) == s
 
@@ -229,7 +221,7 @@ def test_randomized_gluing_identity_thousand():
         curve = ChainCurve(tuple(rng.randint(2, 9) for _ in range(n)))
         r = rng.randint(1, 5)
         degs = tuple(rng.randint(-40, 40) for _ in range(n))
-        s = sheaf_from_multidegree(curve, (r,) * n, degs)
+        s = SheafNumerics(curve, (r,) * n, degs)
         assert s.chi == sum(s.chi_components) - r * (n - 1)
 
 
@@ -240,3 +232,38 @@ def test_arbitrary_precision_integers():
     k = kernel_numerics(curve, pair)
     assert k.chi == (1 - (2 * g + 1)) - 10 ** 15
     assert k.chi == sum(k.chi_components) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(curves(), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_derived_chi_matches_closed_forms(curve, rank, extra, data):
+    """The closed forms that SheafNumerics replaced, kept as oracles: the
+    kernel, its twists and the generated bundle E, and no chi (so every
+    command refuses) for a non-uniform multirank."""
+    n, p_a = curve.n, arithmetic_genus(curve)
+    degs = tuple(data.draw(st.integers(0, 12)) for _ in range(n))
+    pair = GeneratedPairData(rank=rank, sections=rank + extra, multidegree=degs)
+    m, d = pair.kernel_rank, pair.total_degree
+    k = kernel_numerics(curve, pair)
+    assert k.chi_components == tuple(m * (1 - g) - dj for g, dj in zip(curve.genera, degs))
+    assert k.chi == m * (1 - p_a) - d
+
+    line = LineBundleTwist(tuple(data.draw(st.integers(-6, 6)) for _ in range(n)))
+    t = twist(k, line)
+    assert t.chi_components == tuple(c + m * tj
+                                     for c, tj in zip(k.chi_components, line.multidegree))
+    assert t.chi == k.chi + m * line.total_degree
+
+    assert SheafNumerics(curve, (rank,) * n, degs).chi == d + rank * (1 - p_a)
+
+    ranks = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                      .filter(lambda rs: len(set(rs)) > 1))
+    assert SheafNumerics(curve, ranks, degs).chi is None
+    scenario = {"curve": {"genera": list(curve.genera)},
+                "subject": {"sheaf": {"multirank": ranks, "multidegree": list(degs)}}}
+    if data.draw(st.booleans()):
+        scenario["twist"] = {"multidegree": list(line.multidegree)}
+    scn = cli.parse_scenario(scenario)
+    for command in (cli.cmd_check, cli.cmd_polarize, lambda s: cli.cmd_oracle(s, n, 0)):
+        with pytest.raises(UnsupportedData):
+            command(scn)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
-                                   SheafNumerics, arithmetic_genus, kernel_numerics,
-                                   sheaf_from_multidegree)
+                                   SheafNumerics, arithmetic_genus, kernel_numerics)
 from chainstab.errors import UnsupportedData, ValidationError
 from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, Polarization,
                                    RationalInterval, WeightBound, bigas_intervals, check_bigas,
@@ -19,7 +18,7 @@ F = Fraction
 
 def trivial_sheaf(genera=(2, 2)):
     curve = ChainCurve(genera)
-    return sheaf_from_multidegree(curve, (1,) * curve.n, (0,) * curve.n)
+    return SheafNumerics(curve, (1,) * curve.n, (0,) * curve.n)
 
 
 def pinned(w):
@@ -101,7 +100,8 @@ class TestRationalInterval:
 class TestSlope:
     def test_kernel_slope(self):
         curve = ChainCurve((2, 2))
-        s = SheafNumerics(curve, (2, 2), (-6, -6), (-8, -8), -18)
+        s = SheafNumerics(curve, (2, 2), (-6, -6))
+        assert (s.chi_components, s.chi) == ((-8, -8), -18)
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
         assert slope(s, Polarization((F(1, 2), F(1, 2)))) == -9 == \
             weight_system(curve, s, pair=pair).target
@@ -109,21 +109,26 @@ class TestSlope:
     def test_trivial_bundle_slope_is_chi_structure_sheaf(self):
         curve = ChainCurve((2, 2))
         for t in (1, 2, 3):
-            s = sheaf_from_multidegree(curve, (t, t), (0, 0))
+            s = SheafNumerics(curve, (t, t), (0, 0))
             for w in (Polarization((F(1, 4), F(3, 4))), Polarization((F(2, 5), F(3, 5)))):
                 assert slope(s, w) == -3 == 1 - arithmetic_genus(curve)
 
     def test_component_supported_sheaf(self):
-        # rank (t, 0), chi = -t*g_1: slope is -g_1 / w_1
+        # rank (t, 0), chi = -t*g_1: slope is -g_1 / w_1.  The gluing at the
+        # node is not fixed by the numerics of a non-uniform multirank, so
+        # chi is not derived and the reference slope takes it explicitly.
         curve = ChainCurve((2, 2))
         t = 2
-        s = SheafNumerics(curve, (t, 0), (-t, 0), (-t * 2, 0), chi=-t * 2)
+        s = SheafNumerics(curve, (t, 0), (-t, 0))
+        assert s.chi_components == (-t * 2, 0)
+        assert s.chi is None
         w = Polarization((F(1, 3), F(2, 3)))
-        assert slope(s, w) == F(-2) / F(1, 3) == -6
+        assert slope(s, w, chi=-t * 2) == F(-2) / F(1, 3) == -6
 
     def test_zero_rank_rejected(self):
         curve = ChainCurve((2, 2))
-        s = SheafNumerics(curve, (0, 0), (0, 0), (0, 0), chi=0)
+        s = SheafNumerics(curve, (0, 0), (0, 0))
+        assert (s.chi_components, s.chi) == ((0, 0), 0)
         with pytest.raises(ValidationError, match="require positive rank"):
             bigas_intervals(s)
 
@@ -137,28 +142,29 @@ class TestBigasIntervals:
 
     def test_kernel_interval(self):
         curve = ChainCurve((2, 2))
-        s = SheafNumerics(curve, (2, 2), (-6, -6), (-8, -8), -18)
+        s = SheafNumerics(curve, (2, 2), (-6, -6))
+        assert (s.chi_components, s.chi) == ((-8, -8), -18)
         ivs = bigas_intervals(s)
         assert (ivs[0].lower, ivs[0].upper) == (F(4, 9), F(5, 9))
 
     def test_positive_chi_interval(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))
         ivs = bigas_intervals(s)
         assert (ivs[0].lower, ivs[0].upper) == (F(-2), F(-1))
 
     def test_chi_zero_full_line(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (1, 2))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (1, 2))
         assert s.chi == 0
         ivs = bigas_intervals(s)
         assert ivs[0].lower is None and ivs[0].upper is None
 
     def test_chi_zero_unsatisfiable(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (3, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (3, 0))
         assert s.chi == 0
         assert bigas_intervals(s) == [RationalInterval.empty()]
 
     def test_non_uniform_rejected(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (2, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (2, 1), (0, 0))
         with pytest.raises(UnsupportedData):
             bigas_intervals(s)
 
@@ -172,7 +178,7 @@ class TestBigasIntervals:
         # independent oracle: every grid polarization must land inside the
         # intervals exactly when the raw inequalities hold
         curve = ChainCurve(genera)
-        s = sheaf_from_multidegree(curve, ranks, degs)
+        s = SheafNumerics(curve, ranks, degs)
         ivs = bigas_intervals(s)
         for w in enumerate_polarizations(GridSpec(denominator, curve.n)):
             inside = simplex_intersect(ivs, pinned(w)).status == FEASIBLE
@@ -214,7 +220,7 @@ class TestSimplexIntersect:
 
     def test_boundary_only(self):
         # chi < 0 with chi_1 = rank: the interval upper endpoint is exactly 0
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (2, -1))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (2, -1))
         ivs = bigas_intervals(s)
         assert (ivs[0].lower, ivs[0].upper) == (F(-1, 2), F(0))
         region = simplex_intersect(ivs)
@@ -255,7 +261,7 @@ class TestSimplexIntersect:
             curve = ChainCurve(tuple(rng.randint(2, 6) for _ in range(n)))
             m = rng.randint(1, 3)
             degs = tuple(rng.randint(-9, 9) for _ in range(n))
-            s = sheaf_from_multidegree(curve, (m,) * n, degs)
+            s = SheafNumerics(curve, (m,) * n, degs)
             region = simplex_intersect(bigas_intervals(s))
             if region.status != FEASIBLE:
                 continue
@@ -269,7 +275,8 @@ class TestSimplexIntersect:
 class TestFindPolarization:
     def test_kernel_midpoint(self):
         curve = ChainCurve((2, 2))
-        s = SheafNumerics(curve, (2, 2), (-6, -6), (-8, -8), -18)
+        s = SheafNumerics(curve, (2, 2), (-6, -6))
+        assert (s.chi_components, s.chi) == ((-8, -8), -18)
         region = simplex_intersect(bigas_intervals(s))
         assert region.status == FEASIBLE
         assert region.witness.weights == (F(1, 2), F(1, 2))
@@ -283,7 +290,7 @@ class TestFindPolarization:
 
     def test_unbalanced_line_bundle_infeasible(self):
         region = simplex_intersect(bigas_intervals(
-            sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4))))
+            SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))))
         assert region.status == INFEASIBLE
 
     def test_constructive_guarantee_and_step_lower_bounds(self):
@@ -296,7 +303,7 @@ class TestFindPolarization:
             m = rng.randint(1, 4)
             degs = tuple(rng.randint(-25, m * (g - 1) - 1)
                          for g in curve.genera)
-            s = sheaf_from_multidegree(curve, (m,) * n, degs)
+            s = SheafNumerics(curve, (m,) * n, degs)
             assert all(c < 0 for c in s.chi_components) and s.chi < 0
             region = simplex_intersect(bigas_intervals(s))
             assert region.status == FEASIBLE
@@ -340,7 +347,7 @@ class TestSubsheafSlopeConstraints:
         assert target == F(-7)
         assert bounds[0].upper == 0 and not bounds[0].open
         region = simplex_intersect(
-            bigas_intervals(sheaf_from_multidegree(curve, (1, 1), (0, 0))), bounds)
+            bigas_intervals(SheafNumerics(curve, (1, 1), (0, 0))), bounds)
         assert region.status != FEASIBLE
 
     def test_zero_target(self):
@@ -369,7 +376,8 @@ class TestSubsheafSlopeConstraints:
 class TestInfeasibilityCertificate:
     def test_endpoint_scenario_clash(self):
         curve = ChainCurve((2, 2))
-        s = SheafNumerics(curve, (2, 2), (-6, -6), (-8, -8), -18)
+        s = SheafNumerics(curve, (2, 2), (-6, -6))
+        assert (s.chi_components, s.chi) == ((-8, -8), -18)
         cert = simplex_intersect(bigas_intervals(s), [WeightBound(1, F(2, 9))]).certificate
         assert cert is not None
         assert cert.quantity == "S_1"
@@ -378,7 +386,7 @@ class TestInfeasibilityCertificate:
         assert cert.verify()
 
     def test_unit_interval_clash(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))
         cert = simplex_intersect(bigas_intervals(s)).certificate
         assert cert.quantity == "S_1"
         assert cert.lower == 0 and cert.lower_open
@@ -409,7 +417,7 @@ def test_two_component_feasible_set_matches_closed_form():
         curve = ChainCurve((rng.randint(2, 5), rng.randint(2, 5)))
         m = rng.randint(1, 3)
         degs = (rng.randint(-8, 8), rng.randint(-8, 8))
-        s = sheaf_from_multidegree(curve, (m, m), degs)
+        s = SheafNumerics(curve, (m, m), degs)
         if s.chi >= 0:
             continue
         lo = F(s.chi_components[0], s.chi)
@@ -428,7 +436,7 @@ def uniform_sheaves(draw):
     curve = ChainCurve(tuple(draw(st.integers(2, 5)) for _ in range(n)))
     m = draw(st.integers(1, 3))
     degs = tuple(draw(st.integers(-8, 8)) for _ in range(n))
-    return sheaf_from_multidegree(curve, (m,) * n, degs)
+    return SheafNumerics(curve, (m,) * n, degs)
 
 
 _RANK = {FEASIBLE: 2, BOUNDARY_ONLY: 1, INFEASIBLE: 0}

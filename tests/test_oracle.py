@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chainstab import cli, oracle
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
-                                   kernel_numerics, sheaf_from_multidegree, twist)
+                                   SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
 from chainstab.feasibility import (FEASIBLE, INFEASIBLE, Polarization, WeightBound,
                                    bigas_intervals, check_bigas, simplex_intersect)
@@ -23,7 +23,7 @@ F = Fraction
 def vacuous(n):
     """A sheaf with chi_j = (1, .., 1, 0): chi = 0 and every inequality is
     vacuous, so its grid region is the whole grid."""
-    return sheaf_from_multidegree(ChainCurve((2,) * n), (1,) * n, (2,) * (n - 1) + (1,))
+    return SheafNumerics(ChainCurve((2,) * n), (1,) * n, (2,) * (n - 1) + (1,))
 
 
 class TestGridSpec:
@@ -78,13 +78,13 @@ class TestEnumeratePolarizations:
 
 class TestBruteForceRegion:
     def test_trivial_bundle_denominator_six(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         got = brute_force_region(s, GridSpec(6, 2))
         sums = [w.weights[0] for w in got]
         assert sums == [F(1, 3), F(1, 2), F(2, 3)]
 
     def test_infeasible_line_bundle_always_empty(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))
         for d in range(2, 121):
             assert brute_force_region(s, GridSpec(d, 2)) == []
 
@@ -101,13 +101,13 @@ class TestBruteForceRegion:
             curve = ChainCurve(tuple(rng.randint(2, 4) for _ in range(n)))
             m = rng.randint(1, 2)
             degs = tuple(rng.randint(-6, 6) for _ in range(n))
-            s = sheaf_from_multidegree(curve, (m,) * n, degs)
+            s = SheafNumerics(curve, (m,) * n, degs)
             spec = GridSpec(rng.randint(n, 12), n)
             expected = [w for w in enumerate_polarizations(spec) if check_bigas(s, w)]
             assert brute_force_region(s, spec) == expected
 
     def test_bounds_filtering(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         got = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, F(5, 12))])
         assert [w.weights[0] for w in got] == [F(4, 12), F(5, 12)]
         got_open = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, F(5, 12), open=True)])
@@ -119,7 +119,7 @@ class TestBruteForceRegion:
 
     def test_vacuous_chi_zero_keeps_every_point_in_order(self):
         # chi_j = (1, 1, 1, 0): chi = 0 and 0 lies in every [lo_i, hi_i]
-        s = sheaf_from_multidegree(ChainCurve((2, 2, 2, 2)), (1,) * 4, (2, 2, 2, 1))
+        s = SheafNumerics(ChainCurve((2, 2, 2, 2)), (1,) * 4, (2, 2, 2, 1))
         assert s.chi == 0
         spec = GridSpec(12, 4)
         got = brute_force_region(s, spec)
@@ -127,20 +127,20 @@ class TestBruteForceRegion:
         assert got == list(enumerate_polarizations(spec))
 
     def test_chi_zero_unmet_inequality_is_empty(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (3, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (3, 0))
         assert s.chi == 0
         assert brute_force_region(s, GridSpec(12, 2)) == []
 
     @pytest.mark.parametrize("degrees, chi", [((0, 0), -3), ((3, 3), 3)])
     def test_closed_endpoints_on_grid_points_kept(self, degrees, chi):
         # S_1 in [1/3, 2/3] whether chi is negative or positive
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), degrees)
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), degrees)
         assert s.chi == chi
         for d, sums in ((6, [F(1, 3), F(1, 2), F(2, 3)]), (3, [F(1, 3), F(2, 3)])):
             assert [w.weights[0] for w in brute_force_region(s, GridSpec(d, 2))] == sums
 
     def test_bounds_on_last_weight(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         spec = GridSpec(12, 2)
         closed = brute_force_region(s, spec, [WeightBound(2, F(1, 2))])
         # w_1 rises along the grid, so w_2 falls
@@ -151,7 +151,7 @@ class TestBruteForceRegion:
         assert [w.weights[1] for w in lower] == [F(8, 12), F(7, 12), F(6, 12)]
 
     def test_bound_index_beyond_chain_rejected(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         with pytest.raises(ValidationError):
             brute_force_region(s, GridSpec(6, 2), [WeightBound(3, F(1, 2))])
 
@@ -186,7 +186,7 @@ def sheaves_with_bounds(draw):
             for i, c in enumerate(cuts, start=1)] + [chi + m * (n - 1)]
     chis = [b - a for a, b in zip([0] + sums, sums)]
     degrees = [c - m * (1 - g) for c, g in zip(chis, genera)]
-    sheaf = sheaf_from_multidegree(ChainCurve(tuple(genera)), (m,) * n, degrees)
+    sheaf = SheafNumerics(ChainCurve(tuple(genera)), (m,) * n, degrees)
     assert sheaf.chi == chi
     bounds = []
     for _ in range(draw(st.integers(0, 3))):
@@ -329,7 +329,7 @@ def test_destabilizer_sweep_reports_failures():
 class TestCrossValidate:
     def test_trivial_bundle_agreement(self):
         curve = ChainCurve((2, 2))
-        s = sheaf_from_multidegree(curve, (1, 1), (0, 0))
+        s = SheafNumerics(curve, (1, 1), (0, 0))
         report = cross_validate(curve, GridSpec(12, 2), sheaf=s)
         assert report.agreement
         assert report.region_status == FEASIBLE
@@ -337,7 +337,7 @@ class TestCrossValidate:
 
     def test_infeasible_sheaf_agreement(self):
         curve = ChainCurve((2, 2))
-        s = sheaf_from_multidegree(curve, (1, 1), (0, 4))
+        s = SheafNumerics(curve, (1, 1), (0, 4))
         report = cross_validate(curve, GridSpec(60, 2), sheaf=s)
         assert report.agreement
         assert report.region_status == INFEASIBLE
@@ -375,7 +375,7 @@ class TestCrossValidate:
 
     def test_requires_exactly_one_subject(self):
         curve = ChainCurve((2, 2))
-        s = sheaf_from_multidegree(curve, (1, 1), (0, 0))
+        s = SheafNumerics(curve, (1, 1), (0, 0))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
         with pytest.raises(ValidationError):
             cross_validate(curve, GridSpec(6, 2))
@@ -393,7 +393,7 @@ def test_completeness_at_matching_denominators():
         curve = ChainCurve(tuple(rng.randint(2, 4) for _ in range(n)))
         m = rng.randint(1, 2)
         degs = tuple(rng.randint(-6, 6) for _ in range(n))
-        s = sheaf_from_multidegree(curve, (m,) * n, degs)
+        s = SheafNumerics(curve, (m,) * n, degs)
         region = simplex_intersect(bigas_intervals(s))
         if region.status != FEASIBLE:
             continue
@@ -409,7 +409,7 @@ def test_completeness_at_matching_denominators():
 
 def test_soundness_every_grid_point_passes():
     curve = ChainCurve((2, 3))
-    s = sheaf_from_multidegree(curve, (2, 2), (3, -1))
+    s = SheafNumerics(curve, (2, 2), (3, -1))
     for w in brute_force_region(s, GridSpec(20, 2)):
         assert check_bigas(s, w)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainstab import stability
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
-                                   arithmetic_genus, kernel_numerics, sheaf_from_multidegree)
+                                   SheafNumerics, arithmetic_genus, kernel_numerics)
 from chainstab.errors import ContradictoryHypotheses, RuleNotApplicable, ValidationError
 from chainstab.feasibility import FEASIBLE, INFEASIBLE, check_bigas, weight_system
 from chainstab.stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE,
@@ -85,7 +85,7 @@ class TestCliffordH0Bound:
         # declared h1 vanishing leaves the bound of a semistable component as it is
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  restriction_semistable=(True, True), h1_vanishes=(True, True))
-        assert k_bound_check(ChainCurve((2, 2)), pair).h0.per_component == (5, 5)
+        assert k_bound_check(ChainCurve((2, 2)), pair).per_component == (5, 5)
         assert clifford_h0_bound(2, 1, 6) == (5, "riemann_roch_h1_zero")
 
     def test_degree_zero(self):
@@ -106,7 +106,7 @@ class TestKBoundCheck:
         res = k_bound_check(curve, pair)
         assert res.bound == 5 + 5 - 1 == 9
         assert res.holds and res.bound < 6 + 6 + 1
-        assert res.h0.methods == ("riemann_roch_h1_zero",) * 2
+        assert res.methods == ("riemann_roch_h1_zero",) * 2
 
     def test_both_in_clifford_range(self):
         curve = ChainCurve((2, 2))
@@ -115,7 +115,7 @@ class TestKBoundCheck:
         res = k_bound_check(curve, pair)
         assert res.bound == (2 + 2) + (0 + 2) - 2 == 4
         assert res.holds and res.bound < 4 + 0 + 2
-        assert res.h0.methods == ("clifford", "clifford")
+        assert res.methods == ("clifford", "clifford")
 
     def test_mixed_case(self):
         curve = ChainCurve((2, 3))
@@ -124,7 +124,7 @@ class TestKBoundCheck:
         res = k_bound_check(curve, pair)
         assert res.bound == 5 + (1 + 1) - 1 == 6
         assert res.holds
-        assert set(res.h0.methods) == {"riemann_roch_h1_zero", "clifford"}
+        assert set(res.methods) == {"riemann_roch_h1_zero", "clifford"}
 
     def test_preconditions(self):
         curve = ChainCurve((2, 2))
@@ -161,8 +161,8 @@ class TestH0GlobalBound:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=2, multidegree=(3, 0),
                                  restriction_semistable=(True, True))
-        h0 = k_bound_check(curve, pair).h0
-        assert h0.total == sum(h0.per_component) - 1 * pair.rank
+        res = k_bound_check(curve, pair)
+        assert res.bound == sum(res.per_component) - 1 * pair.rank
 
 
 class TestEndpointRule:
@@ -608,13 +608,13 @@ class TestAnalyze:
 
 class TestAnalyzeSheaf:
     def test_infeasible_sheaf_is_strongly_unstable(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 4))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))
         report = analyze_sheaf(s)
         assert report.verdict.kind == STRONGLY_UNSTABLE
         assert report.verdict.certificate.verify()
 
     def test_feasible_sheaf_is_inconclusive(self):
-        s = sheaf_from_multidegree(ChainCurve((2, 2)), (1, 1), (0, 0))
+        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         report = analyze_sheaf(s)
         assert report.verdict.kind == INCONCLUSIVE
         assert report.region.status == FEASIBLE

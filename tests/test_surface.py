@@ -13,7 +13,7 @@ import chainstab
 
 EXPORTED = [
     "ChainCurve", "GeneratedPairData", "LineBundleTwist", "SheafNumerics",
-    "kernel_numerics", "sheaf_from_multidegree",
+    "kernel_numerics",
     "ChainstabError", "ContradictoryHypotheses", "InternalInvariantError",
     "RuleNotApplicable", "UnsupportedData", "ValidationError",
     "FeasibleRegion", "InfeasibilityCertificate", "Polarization", "RationalInterval",
