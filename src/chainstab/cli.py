@@ -2,8 +2,9 @@
 
 Input files are plain JSON with integer data only; every rational in the
 output is a reduced "p/q" string, so no floating-point number ever appears
-on either side.  JSON output is canonical (sorted keys, two-space indent)
-and round-trips byte-identically.
+on either side.  JSON output is canonical and round-trips byte-identically:
+keys sorted, two-space indent, ``": "`` after each key, non-ASCII characters
+escaped as ``\\uXXXX``, integers written in full.
 
 Exit codes: 0 analysis completed (whatever the verdict), 2 invalid input,
 3 internal invariant violation.
@@ -16,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
@@ -268,8 +270,65 @@ def _report_json(report: Report) -> dict:
     return out
 
 
+# The JSON text of every scalar a payload may hold, by exact type.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _emit(value, append, newline: str) -> None:
+    """Append the JSON of the dict, list or tuple ``value`` to ``append``,
+    whose own line starts with ``newline``; scalar members are written inline."""
+    inner = newline + "  "
+    sep, comma = inner, "," + inner
+    if type(value) is dict:
+        if not value:
+            append("{}")
+            return
+        append("{")
+        for key in sorted(value):
+            item = value[key]
+            scalar = _SCALAR_JSON.get(type(item))
+            if scalar is None:
+                append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _emit(item, append, inner)
+            else:
+                append(f"{sep}{encode_basestring_ascii(key)}: {scalar(item)}")
+            sep = comma
+        append(newline + "}")
+    elif type(value) is list or type(value) is tuple:
+        if not value:
+            append("[]")
+            return
+        append("[")
+        for item in value:
+            scalar = _SCALAR_JSON.get(type(item))
+            if scalar is None:
+                append(sep)
+                _emit(item, append, inner)
+            else:
+                append(sep + scalar(item))
+            sep = comma
+        append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """The canonical JSON text of ``payload``.
+
+    Its bytes equal ``json.dumps(payload, sort_keys=True, indent=2)`` for
+    every payload the commands build, and the tests hold it to that.  Values
+    may be str, int, bool, None, lists, tuples and dicts with str keys;
+    anything else, floats included, raises ``TypeError``.  An int longer
+    than ``sys.get_int_max_str_digits()`` raises ``ValueError``.
+    """
+    out = []
+    _emit(payload, out.append, "\n")
+    return "".join(out)
 
 
 def render_text(payload: dict) -> str:

@@ -28,12 +28,13 @@ from .errors import UnsupportedData, ValidationError
 
 
 def _int_tuple(name: str, values: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for v in values:
+    out = tuple(values)
+    if {*map(type, out)} <= {int}:  # the common case, checked at C speed
+        return out
+    for v in out:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValidationError(f"{name} must contain integers, got {v!r}")
-        out.append(v)
-    return tuple(out)
+    return out
 
 
 def _bool_tuple(name: str, values, n: int) -> tuple[bool, ...]:

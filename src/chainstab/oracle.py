@@ -24,10 +24,10 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics, twist)
+                          kernel_numerics)
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
-from .feasibility import (FEASIBLE, Polarization, WeightBound, _subsheaf_chi, check_bigas,
-                          simplex_intersect, weight_system)
+from .feasibility import (FEASIBLE, Polarization, WeightBound, WeightSystem, _subsheaf_chi,
+                          check_bigas, simplex_intersect, weight_system)
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
 # may do.  Units count every point of the grid, C(D-1, n-1), although the
@@ -180,24 +180,25 @@ def _destabilizer_terms(curve: ChainCurve, pair: GeneratedPairData,
             for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1]]
 
 
-def destabilizer_witness(curve: ChainCurve, pair: GeneratedPairData, w: Polarization,
-                         line: LineBundleTwist) -> Optional[DestabilizerWitness]:
+def destabilizer_witness(system: WeightSystem, w: Polarization
+                         ) -> Optional[DestabilizerWitness]:
     """First component whose twisted kernel subsheaf destabilizes under ``w``.
 
-    For each component j with a non-zero restriction kernel, the subsheaf
-    slope is (deg L_j - delta_j + 1 - g_j) / w_j; the target is the twisted
-    kernel's own slope chi / m.  With w_j = p/q the comparison is the integer
-    one numer*q*m > chi*p.  Components are scanned in increasing order so the
-    output is deterministic.
+    ``system`` is a pair's weight system: its subject is the kernel twisted
+    by ``system.line``.  For each component j with a non-zero restriction
+    kernel, the subsheaf slope is (deg L_j - delta_j + 1 - g_j) / w_j; the
+    target is the twisted kernel's own slope chi / m.  With w_j = p/q the
+    comparison is the integer one numer*q*m > chi*p.  Components are scanned
+    in increasing order so the output is deterministic.
     """
-    if w.n != curve.n or line.n != curve.n:
-        raise ValidationError("polarization and twist must match the curve's components")
-    m = pair.kernel_rank
-    chi = twist(kernel_numerics(curve, pair), line).chi
+    curve, pair, line = system.curve, system.pair, system.line
+    if w.n != curve.n:
+        raise ValidationError("polarization must match the curve's components")
+    m, chi = pair.kernel_rank, system.subject.chi
     for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
         p, q = w.weights[j - 1].numerator, w.weights[j - 1].denominator
         if numer * q * m > chi * p:
-            return DestabilizerWitness(j, Fraction(numer * q, p), Fraction(chi, m))
+            return DestabilizerWitness(j, Fraction(numer * q, p), system.target)
     return None
 
 

@@ -207,7 +207,7 @@ def _all_twists(system: WeightSystem) -> _Rule:
     notes = [_EVERY_TWIST]
     if not system.line.is_trivial():
         w = Polarization(tuple(Fraction(1, curve.n) for _ in range(curve.n)))
-        witness = destabilizer_witness(curve, pair, w, system.line)
+        witness = destabilizer_witness(system, w)
         if witness is not None:
             notes.append(
                 f"supplied twist, barycentric weights: component {witness.component} "

@@ -9,10 +9,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chainstab import GeneratedPairData, GridSpec, cli, oracle
 from chainstab.errors import InternalInvariantError
+
+NO_INT_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                  reason="no limit on integer string conversion")
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -252,8 +255,7 @@ class TestValidation:
         assert cli.main(["check", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="no limit on integer string conversion")
+    @NO_INT_LIMIT
     def test_overlong_integer_literal_rejected(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         digits = "9" * (sys.get_int_max_str_digits() + 1)
@@ -287,8 +289,7 @@ class TestValidation:
         assert cli.main(["polarize", path]) == 2
         assert "curve: unknown fields ['extra']" in capsys.readouterr().err
 
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                        reason="no limit on integer string conversion")
+    @NO_INT_LIMIT
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_unrenderable_report_exits_2(self, tmp_path, capsys, fmt):
         # every literal is within the digit limit, but the kernel's chi,
@@ -377,6 +378,40 @@ class TestCanonicalOutput:
         assert f"criterion: {payload['verdict']['criterion']}" in text
         cert = payload["verdict"]["certificate"]
         assert cert["lower"] in text and cert["upper"] in text
+
+
+# The emitter against the standard library's encoder on arbitrary JSON trees.
+
+# any code point, lone surrogates included, and often one that needs escaping
+TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                         st.sampled_from('"\\/\x00\x1f\x7f\x80\u00e9\u2028\ud800\udfff\U0001f600')),
+               max_size=6)
+TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(TREES, max_size=4), st.dictionaries(TEXT, TREES, max_size=4)))
+@example({"\ud800": {"\x00": "\\"}, "a": [[], {}, (), [[{"": [None, True, False, -0]}]]]})
+def test_canonical_json_matches_json_dumps(tree):
+    assert cli.canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@NO_INT_LIMIT
+@pytest.mark.parametrize("wrap", [lambda v: {"chi": v}, lambda v: [1, [v]], lambda v: {"a": (v,)}])
+def test_canonical_json_refuses_overlong_int(wrap):
+    with pytest.raises(ValueError):
+        cli.canonical_json(wrap(10 ** sys.get_int_max_str_digits()))
+
+
+@pytest.mark.parametrize("payload", [{"w": 0.5}, [1, [0.5]], {1: "a"}, {"a": {None: 1}},
+                                     {"a": 1, 2: 3}, {"s": {"set"}}])
+def test_canonical_json_refuses_non_json_values(payload):
+    with pytest.raises(TypeError):
+        cli.canonical_json(payload)
 
 
 # Fuzzing: arbitrary JSON shapes never end in a traceback or an exit code other than 0 or 2.

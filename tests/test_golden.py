@@ -4,7 +4,9 @@
 that cover every criterion, twisted and untwisted, and every refusal, plus
 the README and acceptance scenarios.  Next to each scenario it keeps the
 canonical JSON that both commands printed for it, or the refusal.  Any
-change to a verdict, certificate, witness, region or note fails here.
+change to a verdict, certificate, witness, region or note fails here, and
+so does any change to the bytes of the canonical JSON: they must equal
+``json.dumps(..., sort_keys=True, indent=2)`` of the frozen output.
 After an intended output change, rewrite the expected outputs with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,6 +16,7 @@ and account for every changed output in the change description.
 
 import json
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -25,19 +28,24 @@ COMMANDS = ("check", "polarize")
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def run(command: str, scenario: dict) -> dict:
+def run(command: str, scenario: dict) -> tuple[dict, Optional[str]]:
+    """The output in its frozen form, and the canonical JSON (None when refused)."""
     try:
         scn = cli.parse_scenario(scenario)
         payload = cli.cmd_check(scn) if command == "check" else cli.cmd_polarize(scn)
     except ValidationError as exc:
-        return {"refused": type(exc).__name__, "message": str(exc)}
-    return json.loads(cli.canonical_json(payload))
+        return {"refused": type(exc).__name__, "message": str(exc)}, None
+    text = cli.canonical_json(payload)
+    return json.loads(text), text
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_output_is_frozen(case):
     for command in COMMANDS:
-        assert run(command, case["scenario"]) == case[command], command
+        frozen, text = run(command, case["scenario"])
+        assert frozen == case[command], command
+        if text is not None:
+            assert text == json.dumps(case[command], sort_keys=True, indent=2), command
 
 
 def test_set_covers_every_criterion_and_refusal():
@@ -57,7 +65,7 @@ def test_set_covers_every_criterion_and_refusal():
 def main() -> None:
     for case in CASES:
         for command in COMMANDS:
-            case[command] = run(command, case["scenario"])
+            case[command] = run(command, case["scenario"])[0]
     GOLDEN.write_text(json.dumps(CASES, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 

@@ -12,7 +12,8 @@ from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwis
                                    SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
 from chainstab.feasibility import (FEASIBLE, INFEASIBLE, Polarization, WeightBound,
-                                   bigas_intervals, check_bigas, simplex_intersect)
+                                   bigas_intervals, check_bigas, simplex_intersect,
+                                   weight_system)
 from chainstab.oracle import (DestabilizerWitness, GridSpec, brute_force_region,
                               cross_validate, destabilizer_witness)
 from reference import enumerate_polarizations
@@ -209,13 +210,18 @@ def test_grid_walk_matches_reference_filter(case):
     assert brute_force_region(sheaf, spec, bounds) == expected
 
 
+def kernel_system(curve, pair, line):
+    """The weight system of ``pair``'s kernel twisted by ``line``."""
+    return weight_system(curve, kernel_numerics(curve, pair), line, pair)
+
+
 class TestDestabilizerWitness:
     def test_barycentric_polarization(self):
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True))
         w = Polarization((F(1, 3), F(1, 3), F(1, 3)))
-        got = destabilizer_witness(curve, pair, w, LineBundleTwist.trivial(3))
+        got = destabilizer_witness(kernel_system(curve, pair, LineBundleTwist.trivial(3)), w)
         assert got == DestabilizerWitness(1, F(-6), F(-19, 2))
 
     def test_skewed_polarization_still_witnessed(self):
@@ -223,7 +229,8 @@ class TestDestabilizerWitness:
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True))
         w = Polarization((F(1, 6), F(1, 6), F(4, 6)))
-        assert destabilizer_witness(curve, pair, w, LineBundleTwist.trivial(3)) is not None
+        system = kernel_system(curve, pair, LineBundleTwist.trivial(3))
+        assert destabilizer_witness(system, w) is not None
 
     def test_absent_when_hypothesis_fails(self):
         # d/(k-r) <= n-1: no guarantee, and the barycentric weights admit no
@@ -232,14 +239,15 @@ class TestDestabilizerWitness:
         pair = GeneratedPairData(rank=1, sections=4, multidegree=(1, 1),
                                  ker_rho_nonzero=(True, True))
         w = Polarization((F(1, 2), F(1, 2)))
-        assert destabilizer_witness(curve, pair, w, LineBundleTwist.trivial(2)) is None
+        system = kernel_system(curve, pair, LineBundleTwist.trivial(2))
+        assert destabilizer_witness(system, w) is None
 
     def test_skips_components_without_flag(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(False, True))
         w = Polarization((F(1, 2), F(1, 2)))
-        got = destabilizer_witness(curve, pair, w, LineBundleTwist.trivial(2))
+        got = destabilizer_witness(kernel_system(curve, pair, LineBundleTwist.trivial(2)), w)
         assert got is not None and got.component == 2
 
     def test_witness_invariant(self):
@@ -254,12 +262,13 @@ class TestDestabilizerWitness:
                                  ker_rho_nonzero=(True, True))
         half = Polarization((F(1, 2), F(1, 2)))
         trivial = LineBundleTwist.trivial(2)
-        assert destabilizer_witness(curve, pair, half, trivial) is None
+        system = kernel_system(curve, pair, trivial)
+        assert destabilizer_witness(system, half) is None
         chi = kernel_numerics(curve, pair).chi
         assert oracle._destabilizer_failures(curve, pair, chi, GridSpec(2, 2), 0) == \
             (1, [(half, trivial)])
         skewed = Polarization((F(1, 3), F(2, 3)))
-        assert destabilizer_witness(curve, pair, skewed, trivial) == \
+        assert destabilizer_witness(system, skewed) == \
             DestabilizerWitness(2, F(-3), F(-4))
 
 
@@ -307,11 +316,11 @@ def test_destabilizer_sweep_matches_rational_reference(case):
     chi = kernel_numerics(curve, pair).chi
     assert oracle._destabilizer_failures(curve, pair, chi, grid, twist_range) == \
         (checks, failures)
-    points = [(w, LineBundleTwist(degs))
-              for degs in itertools.product(range(-twist_range, twist_range + 1),
-                                            repeat=curve.n)
-              for w in enumerate_polarizations(grid)]
-    assert [destabilizer_witness(curve, pair, w, line) for w, line in points] == witnesses
+    systems = [kernel_system(curve, pair, LineBundleTwist(degs))
+               for degs in itertools.product(range(-twist_range, twist_range + 1),
+                                             repeat=curve.n)]
+    assert [destabilizer_witness(system, w)
+            for system in systems for w in enumerate_polarizations(grid)] == witnesses
 
 
 def test_destabilizer_sweep_reports_failures():
