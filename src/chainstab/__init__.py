@@ -5,6 +5,13 @@ The package exports what the ``chainstab`` command uses: the entry points
 ``cross_validate``, the types they take and return (``SheafNumerics`` builds
 a sheaf from its ranks and degrees), the kernel builder ``kernel_numerics``
 and the error classes.  Everything else is reached through its module.
+
+A weight system's slope-inequality intervals are integers throughout: a
+``feasibility.IntervalChain`` of numerators over |chi| (1 when chi = 0),
+held by ``WeightSystem.intervals`` and ``FeasibleRegion.s_intervals`` and
+printed as reduced "p/q" strings.  ``Fraction``s appear only in the
+witness ``Polarization``, the ``InfeasibilityCertificate`` and the one
+slope endpoint a certificate's reason cites.
 """
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
@@ -12,8 +19,7 @@ from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafN
 from .errors import (ChainstabError, ContradictoryHypotheses, InternalInvariantError,
                      RuleNotApplicable, UnsupportedData, ValidationError)
 from .feasibility import (FeasibleRegion, InfeasibilityCertificate, Polarization,
-                          RationalInterval, WeightBound, WeightSystem, simplex_intersect,
-                          weight_system)
+                          WeightBound, WeightSystem, simplex_intersect, weight_system)
 from .oracle import ORACLE_WORK_LIMIT, GridSpec, ValidationReport, cross_validate
 from .stability import Report, Verdict, analyze, analyze_sheaf
 
@@ -23,8 +29,8 @@ __all__ = [
     "ChainCurve", "GeneratedPairData", "LineBundleTwist", "SheafNumerics", "kernel_numerics",
     "ChainstabError", "ContradictoryHypotheses", "InternalInvariantError",
     "RuleNotApplicable", "UnsupportedData", "ValidationError",
-    "FeasibleRegion", "InfeasibilityCertificate", "Polarization", "RationalInterval",
-    "WeightBound", "WeightSystem", "simplex_intersect", "weight_system", "ORACLE_WORK_LIMIT",
-    "GridSpec", "ValidationReport", "cross_validate", "Report", "Verdict", "analyze",
-    "analyze_sheaf", "__version__",
+    "FeasibleRegion", "InfeasibilityCertificate", "Polarization", "WeightBound",
+    "WeightSystem", "simplex_intersect", "weight_system", "ORACLE_WORK_LIMIT", "GridSpec",
+    "ValidationReport", "cross_validate", "Report", "Verdict", "analyze", "analyze_sheaf",
+    "__version__",
 ]

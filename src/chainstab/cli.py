@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,15 +25,20 @@ from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafN
                           kernel_numerics)
 from .errors import InternalInvariantError, ValidationError
 from .feasibility import (FeasibleRegion, InfeasibilityCertificate, Polarization,
-                          RationalInterval, simplex_intersect, weight_system)
+                          simplex_intersect, weight_system)
 from .oracle import ORACLE_WORK_LIMIT, GridSpec, cross_validate
 from .stability import Report, Verdict, analyze, analyze_sheaf
+
+# Longest chain a scenario may describe: 10x the longest benchmark chain,
+# about 1.5 s per command at the ~15 us per component measured on the
+# benchmark's long chains (2-core x86 machine).
+CHAIN_LENGTH_LIMIT = 100_000
 
 SCHEMA_TEXT = """\
 Scenario file format (a single JSON object):
 
 {
-  "curve":   {"genera": [g1, ..., gn]},              # integers >= 2, n >= 2
+  "curve":   {"genera": [g1, ..., gn]},              # integers >= 2, 2 <= n <= {chain}
   "subject": {"sheaf": {...}} or {"pair": {...}},    # exactly one
   "twist":   {"multidegree": [t1, ..., tn]}          # optional line-bundle twist
 }
@@ -58,10 +64,11 @@ Commands:
             {limit} units of work are refused with exit code 2
   schema    print this description
 
-All numbers in scenario files are integers; rationals appear only in output,
-as reduced "p/q" strings.  Exit codes: 0 analysis completed, 2 invalid
-input, 3 internal invariant violation.
-""".replace("{limit}", f"{ORACLE_WORK_LIMIT:,}")
+A curve of more than {chain} components is refused with exit code 2
+before any analysis runs.  All numbers in scenario files are integers;
+rationals appear only in output, as reduced "p/q" strings.  Exit codes:
+0 analysis completed, 2 invalid input, 3 internal invariant violation.
+""".replace("{limit}", f"{ORACLE_WORK_LIMIT:,}").replace("{chain}", f"{CHAIN_LENGTH_LIMIT:,}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,14 @@ def _as_int(value, where):
     return value
 
 
+def _int_list(value, where):
+    values = _as_list(value, where)
+    if not {*map(type, values)} <= {int}:  # the common case, checked at C speed
+        for v in values:
+            _as_int(v, where)
+    return values
+
+
 def parse_scenario(data: dict) -> Scenario:
     data = _as_dict(data, "scenario")
     unknown = set(data) - {"curve", "subject", "twist"}
@@ -105,17 +120,17 @@ def parse_scenario(data: dict) -> Scenario:
     unknown = set(curve_obj) - {"genera"}
     if unknown:
         raise ValidationError(f"curve: unknown fields {sorted(unknown)}")
-    genera = [_as_int(g, "curve.genera") for g in _as_list(_expect(curve_obj, "genera", "curve"),
-                                                           "curve.genera")]
-    curve = ChainCurve(tuple(genera))
+    genera = _as_list(_expect(curve_obj, "genera", "curve"), "curve.genera")
+    if len(genera) > CHAIN_LENGTH_LIMIT:
+        raise ValidationError(f"curve.genera: {len(genera):,} components exceed the chain-length "
+                              f"limit of {CHAIN_LENGTH_LIMIT:,}")
+    curve = ChainCurve(tuple(_int_list(genera, "curve.genera")))
 
     subject = _as_dict(_expect(data, "subject", "scenario"), "subject")
     if set(subject) == {"sheaf"}:
         sh = _as_dict(subject["sheaf"], "subject.sheaf")
-        ranks = [_as_int(r, "sheaf.multirank") for r in
-                 _as_list(_expect(sh, "multirank", "subject.sheaf"), "sheaf.multirank")]
-        degs = [_as_int(d, "sheaf.multidegree") for d in
-                _as_list(_expect(sh, "multidegree", "subject.sheaf"), "sheaf.multidegree")]
+        ranks = _int_list(_expect(sh, "multirank", "subject.sheaf"), "sheaf.multirank")
+        degs = _int_list(_expect(sh, "multidegree", "subject.sheaf"), "sheaf.multidegree")
         unknown = set(sh) - {"multirank", "multidegree"}
         if unknown:
             raise ValidationError(f"subject.sheaf: unknown fields {sorted(unknown)}")
@@ -140,9 +155,8 @@ def parse_scenario(data: dict) -> Scenario:
         pair = GeneratedPairData(
             rank=_as_int(_expect(pr, "rank", "subject.pair"), "pair.rank"),
             sections=_as_int(_expect(pr, "sections", "subject.pair"), "pair.sections"),
-            multidegree=tuple(_as_int(d, "pair.multidegree") for d in
-                              _as_list(_expect(pr, "multidegree", "subject.pair"),
-                                       "pair.multidegree")),
+            multidegree=tuple(_int_list(_expect(pr, "multidegree", "subject.pair"),
+                                        "pair.multidegree")),
             **flags)
         if pair.n != curve.n:
             raise ValidationError(
@@ -157,9 +171,8 @@ def parse_scenario(data: dict) -> Scenario:
         unknown = set(tw) - {"multidegree"}
         if unknown:
             raise ValidationError(f"twist: unknown fields {sorted(unknown)}")
-        line = LineBundleTwist(tuple(_as_int(d, "twist.multidegree") for d in
-                                     _as_list(_expect(tw, "multidegree", "twist"),
-                                              "twist.multidegree")))
+        line = LineBundleTwist(tuple(_int_list(_expect(tw, "multidegree", "twist"),
+                                               "twist.multidegree")))
         if line.n != curve.n:
             raise ValidationError(
                 f"twist.multidegree has length {line.n} but the curve has {curve.n} components")
@@ -191,23 +204,26 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _interval_json(iv: RationalInterval) -> dict:
-    return {
-        "lower": None if iv.lower is None else frac_str(iv.lower),
-        "lower_open": iv.lower_open,
-        "upper": None if iv.upper is None else frac_str(iv.upper),
-        "upper_open": iv.upper_open,
-    }
-
-
 def _witness_json(w: Optional[Polarization]):
     return None if w is None else [frac_str(x) for x in w.weights]
 
 
 def _region_json(region: FeasibleRegion) -> dict:
+    chain = region.s_intervals
+    den = chain.den
+
+    def ratio(num):
+        if num is None:
+            return None
+        g = math.gcd(num, den)
+        return f"{num // g}/{den // g}"
+
     return {
         "status": region.status,
-        "s_intervals": [_interval_json(iv) for iv in region.s_intervals],
+        "s_intervals": [
+            {"lower": ratio(lo), "lower_open": lo_open, "upper": ratio(hi), "upper_open": hi_open}
+            for lo, lo_open, hi, hi_open in zip(chain.lower, chain.lower_open,
+                                                chain.upper, chain.upper_open)],
         "witness": _witness_json(region.witness),
     }
 

@@ -15,18 +15,20 @@ polarization definition itself contributes the strict constraints w_j > 0
 and 0 < S_i < 1.  A system solvable only when some weight degenerates to 0
 is reported ``boundary-only``, never feasible.
 
-Every rational a caller passes in or gets back is a ``fractions.Fraction``.
-The sweep itself runs in integers: ``simplex_intersect`` scales every
-finite interval endpoint and weight-bound value once to L, the lcm of their
-denominators (for slope inequalities a divisor of |chi|), and propagates
-per-index ``(numerator, open)`` reach bounds over L.  Each reach bound keeps
-only a source tag: shifted from S_{i-1} by the step w_i, the simplex's
-S_i < 1, the slope-inequality interval, S_0 = 0, or S_n = 1 shifted back by
-w_n; each step bound keeps the position of the ``WeightBound`` it came from.
-Fractions are built at the boundary only: the witness, whose backward pass
-carries numerators over L * 2**e because midpoints halve, and the
-certificate of a failed strict sweep, whose reasons are rendered from the
-tags by one walk back from the failing index.
+A subject's slope inequalities stay integers from construction to output:
+``bigas_intervals`` returns an ``IntervalChain``, whose endpoints are
+numerators over |chi| (the inequalities read X_i - m*i <= S_i * chi <=
+X_i - m*(i-1)).  ``simplex_intersect`` rescales the chain only when a
+``WeightBound``'s denominator does not divide it, and propagates per-index
+``(numerator, open)`` reach bounds over that one denominator.  Each reach
+bound keeps only a source tag: shifted from S_{i-1} by the step w_i, the
+simplex's S_i < 1, the slope-inequality interval, S_0 = 0, or S_n = 1
+shifted back by w_n; each step bound keeps the position of the
+``WeightBound`` it came from.  ``Fraction``s are built at the boundary
+only: the witness, whose backward pass carries numerators over den * 2**e
+because midpoints halve, and the certificate of a failed strict sweep,
+whose reasons are rendered from the tags by one walk back from the failing
+index and cite the one slope endpoint they use.
 
 ``weight_system`` is the one place that decides what a subject's system is:
 it twists the subject (a sheaf, or a pair's kernel) and builds its
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics, twist,
@@ -89,37 +92,20 @@ class Polarization:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    """Interval with exact rational endpoints; ``None`` means unbounded.
+class IntervalChain(NamedTuple):
+    """Intervals on S_1..S_{n-1}, at list index i - 1, as integer numerators
+    over the one positive denominator ``den``.
 
-    Endpoint openness is tracked explicitly.  An interval whose bounds
-    exclude each other represents the empty set; the canonical empty
-    interval is (0, 0) with both endpoints open.
+    An endpoint is ``None`` where unbounded, and an unbounded endpoint is
+    open.  Bounds that exclude each other give the empty set; the canonical
+    empty interval is (0, 0) with both endpoints open.
     """
 
-    lower: Optional[Fraction]
-    upper: Optional[Fraction]
-    lower_open: bool = False
-    upper_open: bool = False
-
-    def __post_init__(self):
-        if self.lower is None:
-            object.__setattr__(self, "lower_open", True)
-        elif type(self.lower) is not Fraction:
-            object.__setattr__(self, "lower", _as_fraction("lower", self.lower))
-        if self.upper is None:
-            object.__setattr__(self, "upper_open", True)
-        elif type(self.upper) is not Fraction:
-            object.__setattr__(self, "upper", _as_fraction("upper", self.upper))
-
-    @classmethod
-    def unbounded(cls) -> "RationalInterval":
-        return cls(None, None)
-
-    @classmethod
-    def empty(cls) -> "RationalInterval":
-        return cls(Fraction(0), Fraction(0), True, True)
+    den: int
+    lower: list
+    lower_open: list
+    upper: list
+    upper_open: list
 
 
 @dataclass(frozen=True)
@@ -168,28 +154,28 @@ class InfeasibilityCertificate:
 class FeasibleRegion:
     """Outcome of a weight-system feasibility check.
 
-    ``s_intervals`` echoes the per-index partial-sum constraints the system
-    was built from.  ``witness`` is present exactly when the status is
-    feasible, and then satisfies every stored interval and the strict
-    simplex chain 0 < S_1 < ... < S_{n-1} < 1.  ``certificate`` is the
-    clash at which the strict sweep ran dry; it is evidence for a verdict
-    and is not part of the region's serialized form.
+    ``s_intervals`` is the integer chain of partial-sum intervals the system
+    was built from, as given, over its own denominator.  ``witness`` is
+    present exactly when the status is feasible, and then satisfies every
+    interval of the chain and the strict simplex chain
+    0 < S_1 < ... < S_{n-1} < 1.  ``certificate`` is the clash at which the
+    strict sweep ran dry; it is evidence for a verdict and is not part of
+    the region's serialized form.
     """
 
-    s_intervals: tuple[RationalInterval, ...]
+    s_intervals: IntervalChain
     status: str
     witness: Optional[Polarization] = None
     certificate: Optional[InfeasibilityCertificate] = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "s_intervals", tuple(self.s_intervals))
         if self.status not in (FEASIBLE, INFEASIBLE, BOUNDARY_ONLY):
             raise ValidationError(f"unknown status {self.status!r}")
         if (self.status == FEASIBLE) != (self.witness is not None):
             raise ValidationError("witness must be present exactly for feasible regions")
 
 
-def bigas_intervals(sheaf: SheafNumerics) -> list[RationalInterval]:
+def bigas_intervals(sheaf: SheafNumerics) -> IntervalChain:
     """Per-index intervals for the partial sums S_i implied by semistability.
 
     For uniform rank m the system reads, for i = 1..n-1 and X_i the partial
@@ -199,9 +185,10 @@ def bigas_intervals(sheaf: SheafNumerics) -> list[RationalInterval]:
 
     with closed endpoints.  Feasibility of these intervals is necessary for
     w-semistability and, when every component restriction is semistable,
-    sufficient.  The sign of chi decides the orientation after division;
-    chi = 0 leaves a constant inequality that is either vacuous or
-    unsatisfiable.
+    sufficient.  The chain's denominator is |chi|, so the numerators are the
+    two constants, with their signs flipped and their sides swapped when
+    chi < 0; chi = 0 leaves a constant inequality that is either vacuous
+    (unbounded) or unsatisfiable (the empty interval), over 1.
     """
     m = sheaf.uniform_rank()
     if m is None:
@@ -209,21 +196,15 @@ def bigas_intervals(sheaf: SheafNumerics) -> list[RationalInterval]:
     if m < 1:
         raise ValidationError("partial-sum intervals require positive rank")
     chi = sheaf.chi
-    out = []
-    part = 0
-    for i in range(1, sheaf.n):
-        part += sheaf.chi_components[i - 1]
-        lo_const = part - m * i          # lo_const <= S_i * chi
-        hi_const = part - m * (i - 1)    # S_i * chi <= hi_const
-        if chi < 0:
-            out.append(RationalInterval(Fraction(hi_const, chi), Fraction(lo_const, chi)))
-        elif chi > 0:
-            out.append(RationalInterval(Fraction(lo_const, chi), Fraction(hi_const, chi)))
-        elif lo_const <= 0 <= hi_const:
-            out.append(RationalInterval.unbounded())
-        else:
-            out.append(RationalInterval.empty())
-    return out
+    # X_i - m*i, the lower constant; the upper one is m more
+    lo = list(accumulate(c - m for c in sheaf.chi_components[:-1]))
+    if chi > 0:
+        return IntervalChain(chi, lo, [False] * len(lo), [v + m for v in lo], [False] * len(lo))
+    if chi < 0:
+        return IntervalChain(-chi, [-v - m for v in lo], [False] * len(lo),
+                             [-v for v in lo], [False] * len(lo))
+    ends = [None if -m <= v <= 0 else 0 for v in lo]
+    return IntervalChain(1, ends, [True] * len(lo), list(ends), [True] * len(lo))
 
 
 def check_bigas(sheaf: SheafNumerics, w: Polarization) -> bool:
@@ -255,29 +236,21 @@ def check_bigas(sheaf: SheafNumerics, w: Polarization) -> bool:
 _SHIFT, _SIMPLEX, _SLOPE, _ORIGIN, _FINAL = range(5)
 
 
-class _Scaled(NamedTuple):
-    """Interval endpoints (``None`` where unbounded) and weight-bound values
-    as integer numerators over the common denominator ``den``."""
-
-    den: int
-    lower: list
-    lower_open: list
-    upper: list
-    upper_open: list
-    bounds: list
-
-
-def _scale(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound]) -> _Scaled:
-    n = len(ivs) + 1
+def _scale(chain: IntervalChain, bounds: Sequence[WeightBound]) -> tuple[IntervalChain, list]:
+    """The chain over the lcm of its denominator and the bounds', and the
+    bounds' values as numerators over that lcm.  The chain is rebuilt only
+    when the lcm is not its own denominator, which a kernel's own subsheaf
+    bounds (values over a divisor of |chi|) never cause."""
+    n = len(chain.lower) + 1
     for b in bounds:
         if not 1 <= b.index <= n:
             raise ValidationError(f"bound index {b.index} out of range 1..{n}")
-    values = [iv.lower for iv in ivs] + [iv.upper for iv in ivs] + [b.upper for b in bounds]
-    den = math.lcm(*(v.denominator for v in values if v is not None))
-    nums = [None if v is None else v.numerator * (den // v.denominator) for v in values]
-    k = len(ivs)
-    return _Scaled(den, nums[:k], [iv.lower_open for iv in ivs],
-                   nums[k:2 * k], [iv.upper_open for iv in ivs], nums[2 * k:])
+    den = math.lcm(chain.den, *(b.upper.denominator for b in bounds))
+    if den != chain.den:
+        k = den // chain.den
+        chain = chain._replace(den=den, lower=[None if v is None else v * k for v in chain.lower],
+                               upper=[None if v is None else v * k for v in chain.upper])
+    return chain, [b.upper.numerator * (den // b.upper.denominator) for b in bounds]
 
 
 class _Edges(NamedTuple):
@@ -296,13 +269,14 @@ class _Edges(NamedTuple):
     upper_src: list
 
 
-def _edges(n: int, system: _Scaled, bounds: Sequence[WeightBound], strict: bool) -> _Edges:
+def _edges(n: int, den: int, values: Sequence[int], bounds: Sequence[WeightBound],
+           strict: bool) -> _Edges:
     lo, lo_open, lo_src = [0] * n, [strict] * n, [None] * n
     up, up_open, up_src = [None] * n, [False] * n, [None] * n
-    for k, (b, v) in enumerate(zip(bounds, system.bounds)):
+    for k, (b, v) in enumerate(zip(bounds, values)):
         i = b.index - 1
         if b.complement:
-            v = system.den - v
+            v = den - v
             if v > lo[i] or (v == lo[i] and b.open and not lo_open[i]):
                 lo[i], lo_open[i], lo_src[i] = v, b.open, k
         elif up[i] is None or v < up[i] or (v == up[i] and b.open and not up_open[i]):
@@ -330,7 +304,7 @@ def _halve(num: int, e: int) -> tuple[int, int]:
     return num >> k, e - k
 
 
-def _sweep(system: _Scaled, edges: _Edges, strict: bool):
+def _sweep(system: IntervalChain, edges: _Edges, strict: bool):
     """Forward sweep, then the backward witness pass when the system is solvable.
 
     Each S_i's reach bound is the tightest of its candidates, taken in the
@@ -431,10 +405,10 @@ def _step_term(bounds: Sequence[WeightBound], edges: _Edges, j: int, upper: bool
     return f"w_{j} {'<' if b.open else '<='} {b.upper} ({b.label})"
 
 
-def _reach_reason(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound],
+def _reach_reason(system: IntervalChain, bounds: Sequence[WeightBound],
                   edges: _Edges, dry: _Dry, upper: bool) -> str:
     """The terms of S_index's lower (or upper) bound, found by one walk back."""
-    n = len(ivs) + 1
+    n = len(system.lower) + 1
     slot = 5 if upper else 2
     k = dry.index
     terms = []
@@ -448,17 +422,16 @@ def _reach_reason(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound]
         terms.append(f"S_{k} < 1")
     elif tag == _FINAL:
         terms += [_step_term(bounds, edges, n, not upper), f"S_{n} = 1"]
-    elif upper:
-        iv = ivs[k - 1]
-        terms.append(f"S_{k} {'<' if iv.upper_open else '<='} {iv.upper} (slope inequalities)")
     else:
-        iv = ivs[k - 1]
-        terms.append(f"S_{k} {'>' if iv.lower_open else '>='} {iv.lower} (slope inequalities)")
+        ends, opens = ((system.upper, system.upper_open) if upper
+                       else (system.lower, system.lower_open))
+        rel = ("<" if upper else ">") + ("" if opens[k - 1] else "=")
+        terms.append(f"S_{k} {rel} {Fraction(ends[k - 1], system.den)} (slope inequalities)")
     return "; ".join(reversed(terms))
 
 
-def _certificate(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound],
-                 system: _Scaled, edges: _Edges, dry: _Dry) -> InfeasibilityCertificate:
+def _certificate(system: IntervalChain, bounds: Sequence[WeightBound],
+                 edges: _Edges, dry: _Dry) -> InfeasibilityCertificate:
     """The clashing pair of accumulated bounds where a strict sweep ran dry."""
     i = dry.index
     if dry.on_step:
@@ -470,8 +443,8 @@ def _certificate(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound],
     else:
         lo, lo_open, _, hi, hi_open, _ = dry.reach[i]
         quantity = f"S_{i}"
-        lower_reason = _reach_reason(ivs, bounds, edges, dry, False)
-        upper_reason = _reach_reason(ivs, bounds, edges, dry, True)
+        lower_reason = _reach_reason(system, bounds, edges, dry, False)
+        upper_reason = _reach_reason(system, bounds, edges, dry, True)
     cert = InfeasibilityCertificate(quantity, Fraction(lo, system.den), lo_open, lower_reason,
                                     Fraction(hi, system.den), hi_open, upper_reason)
     if not cert.verify():
@@ -479,7 +452,7 @@ def _certificate(ivs: Sequence[RationalInterval], bounds: Sequence[WeightBound],
     return cert
 
 
-def simplex_intersect(intervals: Sequence[RationalInterval],
+def simplex_intersect(intervals: IntervalChain,
                       bounds: Sequence[WeightBound] = ()) -> FeasibleRegion:
     """Decide whether the interval chain meets the open weight simplex.
 
@@ -492,19 +465,18 @@ def simplex_intersect(intervals: Sequence[RationalInterval],
     is not feasible carries the certificate of the strict sweep's failure;
     the relaxed sweep runs only to tell boundary-only from infeasible.
     """
-    ivs = tuple(intervals)
-    if not ivs:
+    if not intervals.lower:
         raise ValidationError("at least one partial-sum interval is required")
     bounds = tuple(bounds)
-    n = len(ivs) + 1
-    system = _scale(ivs, bounds)
-    edges = _edges(n, system, bounds, True)
+    n = len(intervals.lower) + 1
+    system, values = _scale(intervals, bounds)
+    edges = _edges(n, system.den, values, bounds, True)
     res = _sweep(system, edges, True)
     if not isinstance(res, _Dry):
-        return FeasibleRegion(ivs, FEASIBLE, Polarization(tuple(res)))
-    relaxed = _sweep(system, _edges(n, system, bounds, False), False)
+        return FeasibleRegion(intervals, FEASIBLE, Polarization(tuple(res)))
+    relaxed = _sweep(system, _edges(n, system.den, values, bounds, False), False)
     status = INFEASIBLE if isinstance(relaxed, _Dry) else BOUNDARY_ONLY
-    return FeasibleRegion(ivs, status, None, _certificate(ivs, bounds, system, edges, res))
+    return FeasibleRegion(intervals, status, None, _certificate(system, bounds, edges, res))
 
 
 def _subsheaf_chi(curve: ChainCurve, j: int, deg: int) -> int:
@@ -550,7 +522,7 @@ class WeightSystem(NamedTuple):
     line: LineBundleTwist
     subject: SheafNumerics
     target: Optional[Fraction]
-    intervals: list[RationalInterval]
+    intervals: IntervalChain
     declared: list[WeightBound]
 
 

@@ -1,6 +1,7 @@
 """Rebuild both bounds of an infeasibility certificate from its weight system.
 
-``check_certificate(cert, intervals, bounds)`` does not trust the numbers
+``check_certificate(cert, intervals, bounds)`` takes the system's integer
+``IntervalChain`` and its weight bounds, and does not trust the numbers
 printed in ``lower_reason`` and ``upper_reason``.  Each ``"; "``-separated
 term names one constraint of the system:
 
@@ -24,7 +25,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from chainstab import InfeasibilityCertificate, RationalInterval, WeightBound
+from chainstab import InfeasibilityCertificate, WeightBound
+from chainstab.feasibility import IntervalChain
+from reference import fractions_of
 
 _TERM = re.compile(r"(S|w)_(\d+) (<=|>=|<|>|=) (\S+)(?: \((.*)\))?")
 _LOWER = (">", ">=")
@@ -39,8 +42,7 @@ class _Term(NamedTuple):
     open: bool
 
 
-def _resolve(text: str, intervals: Sequence[RationalInterval],
-             by_key: dict) -> _Term:
+def _resolve(text: str, intervals: Sequence[tuple], by_key: dict) -> _Term:
     """The constraint ``text`` names, with its value and strictness from the system."""
     n = len(intervals) + 1
     match = _TERM.fullmatch(text)
@@ -60,9 +62,8 @@ def _resolve(text: str, intervals: Sequence[RationalInterval],
         return _Term(var, index, side, Fraction(1 if side == "upper" else 0), True)
     if var == "S":
         assert label == "slope inequalities" and 1 <= index <= n - 1, text
-        iv = intervals[index - 1]
-        value, is_open = ((iv.lower, iv.lower_open) if side == "lower"
-                          else (iv.upper, iv.upper_open))
+        lower, upper, lower_open, upper_open = intervals[index - 1]
+        value, is_open = (lower, lower_open) if side == "lower" else (upper, upper_open)
         assert value is not None and is_open == strict, text
         return _Term(var, index, side, value, is_open)
     matches = by_key.get((index, side == "lower", strict, label))
@@ -98,13 +99,13 @@ def _combine(reason: str, quantity: str, side: str, intervals, by_key) -> tuple[
             first.open or any(t.open for t in steps))
 
 
-def check_certificate(cert: InfeasibilityCertificate, intervals: Sequence[RationalInterval],
+def check_certificate(cert: InfeasibilityCertificate, intervals: IntervalChain,
                       bounds: Sequence[WeightBound] = ()) -> None:
     """Assert that ``cert``'s two bounds follow from the system, and clash."""
     by_key: dict = {}
     for b in bounds:
         by_key.setdefault((b.index, b.complement, b.open, b.label), []).append(b)
-    intervals = tuple(intervals)
+    intervals = fractions_of(intervals)
     lower = _combine(cert.lower_reason, cert.quantity, "lower", intervals, by_key)
     upper = _combine(cert.upper_reason, cert.quantity, "upper", intervals, by_key)
     assert lower == (cert.lower, cert.lower_open), (cert, lower)

@@ -5,9 +5,10 @@ before it decided systems in integers over a common denominator, kept
 verbatim as a test-only reference: every rational is a ``Fraction``, every
 candidate bound carries its reason as a tuple of strings, and ``_shift``
 concatenates them.  ``simplex_intersect`` here must agree with the
-library's in status, witness and every certificate field.  It is quadratic
-in the chain length when accumulated bounds carry the reach, so use it on
-short and moderate chains only.
+library's in status, witness and every certificate field.  It takes the
+library's integer ``IntervalChain`` and reads its endpoints back as
+Fractions first.  It is quadratic in the chain length when accumulated
+bounds carry the reach, so use it on short and moderate chains only.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from chainstab.errors import InternalInvariantError, ValidationError
 from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, FeasibleRegion,
-                                   InfeasibilityCertificate, Polarization, RationalInterval,
+                                   InfeasibilityCertificate, IntervalChain, Polarization,
                                    WeightBound)
+from reference import fractions_of
 
 
 def _clash(lower: Fraction, lower_open: bool, upper: Fraction, upper_open: bool) -> bool:
@@ -121,7 +123,7 @@ class _SweepResult:
     fail_upper: Optional[_Bound] = None
 
 
-def _sweep(intervals: Sequence[RationalInterval], edges: Sequence[_Edge],
+def _sweep(intervals: Sequence[tuple], edges: Sequence[_Edge],
            strict: bool) -> _SweepResult:
     n = len(intervals) + 1
 
@@ -138,15 +140,15 @@ def _sweep(intervals: Sequence[RationalInterval], edges: Sequence[_Edge],
             return fail(f"w_{i}", edge.lower, edge.upper)
         cands_lo = [_shift(lo, edge.lower), _Bound(Fraction(0), strict, (f"S_{i} {gt} 0",))]
         cands_hi = [_shift(hi, edge.upper), _Bound(Fraction(1), strict, (f"S_{i} {lt} 1",))]
-        iv = intervals[i - 1]
-        if iv.lower is not None:
-            rel = ">" if iv.lower_open else ">="
-            cands_lo.append(_Bound(iv.lower, iv.lower_open,
-                                   (f"S_{i} {rel} {iv.lower} (slope inequalities)",)))
-        if iv.upper is not None:
-            rel = "<" if iv.upper_open else "<="
-            cands_hi.append(_Bound(iv.upper, iv.upper_open,
-                                   (f"S_{i} {rel} {iv.upper} (slope inequalities)",)))
+        iv_lower, iv_upper, iv_lower_open, iv_upper_open = intervals[i - 1]
+        if iv_lower is not None:
+            rel = ">" if iv_lower_open else ">="
+            cands_lo.append(_Bound(iv_lower, iv_lower_open,
+                                   (f"S_{i} {rel} {iv_lower} (slope inequalities)",)))
+        if iv_upper is not None:
+            rel = "<" if iv_upper_open else "<="
+            cands_hi.append(_Bound(iv_upper, iv_upper_open,
+                                   (f"S_{i} {rel} {iv_upper} (slope inequalities)",)))
         lo = _tightest_lower(*cands_lo)
         hi = _tightest_upper(*cands_hi)
         if _excludes(lo, hi):
@@ -214,7 +216,7 @@ def _certificate(res: _SweepResult) -> InfeasibilityCertificate:
     return cert
 
 
-def simplex_intersect(intervals: Sequence[RationalInterval],
+def simplex_intersect(intervals: IntervalChain,
                       bounds: Sequence[WeightBound] = ()) -> FeasibleRegion:
     """Decide whether the interval chain meets the open weight simplex.
 
@@ -227,14 +229,14 @@ def simplex_intersect(intervals: Sequence[RationalInterval],
     is not feasible carries the certificate of the strict sweep's failure;
     the relaxed sweep runs only to tell boundary-only from infeasible.
     """
-    ivs = tuple(intervals)
+    ivs = fractions_of(intervals)
     if not ivs:
         raise ValidationError("at least one partial-sum interval is required")
     n = len(ivs) + 1
     res = _sweep(ivs, _build_edges(n, bounds, True), True)
     if res.partial_sums is not None:
-        return FeasibleRegion(ivs, FEASIBLE, _weights_from_sums(res.partial_sums))
+        return FeasibleRegion(intervals, FEASIBLE, _weights_from_sums(res.partial_sums))
     relaxed = _sweep(ivs, _build_edges(n, bounds, False), False)
     status = BOUNDARY_ONLY if relaxed.partial_sums is not None else INFEASIBLE
-    return FeasibleRegion(ivs, status, None, _certificate(res))
+    return FeasibleRegion(intervals, status, None, _certificate(res))
 

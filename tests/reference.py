@@ -5,16 +5,25 @@ weight system encodes as intervals on partial sums but never evaluates; a
 sheaf of non-uniform multirank has no derived chi, so it is passed in.
 ``enumerate_polarizations`` lists a whole grid, independently of the
 oracle's level-by-level walk, so the walk can be held to a plain filter.
+
+The library keeps partial-sum intervals as an integer ``IntervalChain``.
+``chain`` builds one from rational endpoints, ``fractions_of`` reads one
+back, and ``bigas_fractions`` is the Fraction formula that
+``bigas_intervals`` used before it returned chains, kept as its oracle.
+An interval here is a tuple ``(lower, upper, lower_open, upper_open)``
+with ``None`` for an unbounded end; the two flags default to closed, and
+an unbounded end is always open, as in the library.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from chainstab.curve_model import SheafNumerics
-from chainstab.feasibility import Polarization
+from chainstab.feasibility import IntervalChain, Polarization
 from chainstab.oracle import GridSpec
 
 
@@ -34,3 +43,57 @@ def enumerate_polarizations(spec: GridSpec) -> Iterator[Polarization]:
     for cuts in itertools.combinations(range(1, d), spec.n - 1):
         yield Polarization(tuple(Fraction(hi - lo, d)
                                  for lo, hi in zip((0,) + cuts, cuts + (d,))))
+
+
+UNBOUNDED = (None, None, True, True)
+EMPTY = (Fraction(0), Fraction(0), True, True)
+
+
+def _interval(iv) -> tuple:
+    lo, hi, lo_open, hi_open = (tuple(iv) + (False, False))[:4]
+    lo = None if lo is None else Fraction(lo)
+    hi = None if hi is None else Fraction(hi)
+    return lo, hi, lo_open or lo is None, hi_open or hi is None
+
+
+def chain(intervals: Sequence[tuple]) -> IntervalChain:
+    """The integer chain of ``intervals``, over the lcm of their denominators."""
+    ivs = [_interval(iv) for iv in intervals]
+    den = math.lcm(*(v.denominator for iv in ivs for v in iv[:2] if v is not None))
+
+    def num(v):
+        return None if v is None else v.numerator * (den // v.denominator)
+
+    return IntervalChain(den, [num(iv[0]) for iv in ivs], [iv[2] for iv in ivs],
+                         [num(iv[1]) for iv in ivs], [iv[3] for iv in ivs])
+
+
+def fractions_of(c: IntervalChain) -> list[tuple]:
+    """The intervals of ``c`` with Fraction ends, reduced."""
+    def value(v):
+        return None if v is None else Fraction(v, c.den)
+
+    return [(value(lo), value(hi), lo_open, hi_open)
+            for lo, lo_open, hi, hi_open in zip(c.lower, c.lower_open, c.upper, c.upper_open)]
+
+
+def bigas_fractions(sheaf: SheafNumerics) -> list[tuple]:
+    """The slope-inequality intervals X_i - m*i <= S_i * chi <= X_i - m*(i-1),
+    divided out in Fractions index by index."""
+    m = sheaf.uniform_rank()
+    chi = sheaf.chi
+    out = []
+    part = 0
+    for i in range(1, sheaf.n):
+        part += sheaf.chi_components[i - 1]
+        lo_const = part - m * i
+        hi_const = part - m * (i - 1)
+        if chi < 0:
+            out.append((Fraction(hi_const, chi), Fraction(lo_const, chi), False, False))
+        elif chi > 0:
+            out.append((Fraction(lo_const, chi), Fraction(hi_const, chi), False, False))
+        elif lo_const <= 0 <= hi_const:
+            out.append(UNBOUNDED)
+        else:
+            out.append(EMPTY)
+    return out

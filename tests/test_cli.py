@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chainstab import GeneratedPairData, GridSpec, cli, oracle
-from chainstab.errors import InternalInvariantError
+from chainstab.errors import InternalInvariantError, ValidationError
 
 NO_INT_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                                   reason="no limit on integer string conversion")
@@ -198,6 +198,8 @@ class TestSchema:
         assert cli.main(["schema"]) == 0
         out = capsys.readouterr().out
         assert "multidegree" in out and "pair" in out and "sheaf" in out
+        assert "2 <= n <= 100,000" in out
+        assert "more than 100,000 components is refused with exit code 2" in out
 
 
 class TestProcessEntryPoint:
@@ -336,6 +338,44 @@ class TestValidation:
         path = write_scenario(tmp_path, TRIVIAL_SHEAF)
         assert cli.main(["check", path]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [True, 0.5])
+    @pytest.mark.parametrize("where", ["curve.genera", "sheaf.multirank", "sheaf.multidegree",
+                                       "pair.multidegree", "twist.multidegree"])
+    def test_long_integer_list_refusal_names_the_last_entry(self, where, bad):
+        n = 10_000
+        values = [2] * (n - 1) + [bad]
+        lists = {"curve.genera": [2] * n, "sheaf.multirank": [1] * n,
+                 "sheaf.multidegree": [0] * n, "pair.multidegree": [0] * n,
+                 "twist.multidegree": [0] * n, where: values}
+        subject = ({"pair": {"rank": 1, "sections": 3, "multidegree": lists["pair.multidegree"]}}
+                   if where == "pair.multidegree" else
+                   {"sheaf": {"multirank": lists["sheaf.multirank"],
+                              "multidegree": lists["sheaf.multidegree"]}})
+        data = {"curve": {"genera": lists["curve.genera"]}, "subject": subject,
+                "twist": {"multidegree": lists["twist.multidegree"]}}
+        with pytest.raises(ValidationError) as exc:
+            cli.parse_scenario(data)
+        assert str(exc.value) == f"{where}: expected an integer, got {bad!r}"
+
+    def test_chain_length_limit(self, tmp_path, capsys):
+        limit = cli.CHAIN_LENGTH_LIMIT
+        assert limit == 100_000
+
+        def scenario(n, genus=2):
+            return {"curve": {"genera": [genus] * n},
+                    "subject": {"sheaf": {"multirank": [1] * n, "multidegree": [0] * n}}}
+
+        assert cli.parse_scenario(scenario(limit)).curve.n == limit
+        message = "curve.genera: 100,001 components exceed the chain-length limit of 100,000"
+        # the length is refused before any genus is read
+        for genus in (2, 1, 0.5):
+            with pytest.raises(ValidationError) as exc:
+                cli.parse_scenario(scenario(limit + 1, genus))
+            assert str(exc.value) == message
+        path = write_scenario(tmp_path, scenario(limit + 1))
+        assert cli.main(["polarize", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCanonicalOutput:

@@ -8,10 +8,10 @@ from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwis
                                    SheafNumerics, arithmetic_genus, kernel_numerics)
 from chainstab.errors import UnsupportedData, ValidationError
 from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, Polarization,
-                                   RationalInterval, WeightBound, bigas_intervals, check_bigas,
-                                   simplex_intersect, weight_system)
+                                   WeightBound, bigas_intervals, check_bigas, simplex_intersect,
+                                   weight_system)
 from chainstab.oracle import GridSpec
-from reference import enumerate_polarizations, slope
+from reference import EMPTY, UNBOUNDED, chain, enumerate_polarizations, fractions_of, slope
 
 F = Fraction
 
@@ -39,7 +39,7 @@ def status_at(iv, x):
     """
     x = F(x)
     pin = [WeightBound(1, x), WeightBound(1, 1 - x, complement=True)]
-    return simplex_intersect([iv], pin).status
+    return simplex_intersect(chain([iv]), pin).status
 
 
 class TestPolarization:
@@ -61,39 +61,40 @@ class TestPolarization:
 
 
 class TestRationalInterval:
+    """One-interval chains built from rational ends by ``reference.chain``."""
+
     def test_contains_respects_openness(self):
-        iv = RationalInterval(F(0), F(1), lower_open=True, upper_open=False)
+        iv = (F(0), F(1), True, False)
         assert status_at(iv, 0) == INFEASIBLE
         assert status_at(iv, F(1, 2)) == FEASIBLE
         assert status_at(iv, 1) == BOUNDARY_ONLY
 
     def test_unbounded_sides(self):
-        iv = RationalInterval(None, F(1, 3))
+        iv = (None, F(1, 3))
         assert status_at(iv, 0) == BOUNDARY_ONLY
         assert status_at(iv, F(1, 2)) == INFEASIBLE
-        assert iv.lower_open
+        assert chain([iv]).lower_open == [True]
 
     def test_midpoint(self):
         def witness(iv):
-            return simplex_intersect([iv]).witness
+            return simplex_intersect(chain([iv])).witness
 
-        assert witness(RationalInterval(F(1, 3), F(2, 3))).weights == (F(1, 2), F(1, 2))
-        assert witness(RationalInterval(F(5, 7), F(5, 7))).weights == (F(5, 7), F(2, 7))
+        assert witness((F(1, 3), F(2, 3))).weights == (F(1, 2), F(1, 2))
+        assert witness((F(5, 7), F(5, 7))).weights == (F(5, 7), F(2, 7))
         # an unbounded side stops at the simplex, 0 < S_1 < 1
-        assert witness(RationalInterval(None, F(2))).weights == (F(1, 2), F(1, 2))
-        assert witness(RationalInterval.empty()) is None
+        assert witness((None, F(2))).weights == (F(1, 2), F(1, 2))
+        assert witness(EMPTY) is None
 
     def test_empty(self):
-        assert simplex_intersect([RationalInterval.empty()]).status == INFEASIBLE
-        assert simplex_intersect([RationalInterval(F(1), F(0))]).status == INFEASIBLE
-        assert simplex_intersect([RationalInterval(F(1), F(1), lower_open=True)]).status == \
-            INFEASIBLE
-        assert simplex_intersect([RationalInterval(F(1), F(1))]).status == BOUNDARY_ONLY
+        assert simplex_intersect(chain([EMPTY])).status == INFEASIBLE
+        assert simplex_intersect(chain([(F(1), F(0))])).status == INFEASIBLE
+        assert simplex_intersect(chain([(F(1), F(1), True, False)])).status == INFEASIBLE
+        assert simplex_intersect(chain([(F(1), F(1))])).status == BOUNDARY_ONLY
 
     def test_closure(self):
-        opened = RationalInterval(F(0), F(1), True, True)
+        opened = (F(0), F(1), True, True)
         assert status_at(opened, 0) == status_at(opened, 1) == INFEASIBLE
-        closed = RationalInterval(F(0), F(1))
+        closed = (F(0), F(1))
         assert status_at(closed, 0) == status_at(closed, 1) == BOUNDARY_ONLY
 
 
@@ -135,33 +136,33 @@ class TestSlope:
 
 class TestBigasIntervals:
     def test_trivial_line_bundle(self):
-        ivs = bigas_intervals(trivial_sheaf())
+        ivs = fractions_of(bigas_intervals(trivial_sheaf()))
         assert len(ivs) == 1
-        assert (ivs[0].lower, ivs[0].upper) == (F(1, 3), F(2, 3))
-        assert not ivs[0].lower_open and not ivs[0].upper_open
+        assert ivs[0][:2] == (F(1, 3), F(2, 3))
+        assert not ivs[0][2] and not ivs[0][3]
 
     def test_kernel_interval(self):
         curve = ChainCurve((2, 2))
         s = SheafNumerics(curve, (2, 2), (-6, -6))
         assert (s.chi_components, s.chi) == ((-8, -8), -18)
-        ivs = bigas_intervals(s)
-        assert (ivs[0].lower, ivs[0].upper) == (F(4, 9), F(5, 9))
+        ivs = fractions_of(bigas_intervals(s))
+        assert ivs[0][:2] == (F(4, 9), F(5, 9))
 
     def test_positive_chi_interval(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))
-        ivs = bigas_intervals(s)
-        assert (ivs[0].lower, ivs[0].upper) == (F(-2), F(-1))
+        ivs = fractions_of(bigas_intervals(s))
+        assert ivs[0][:2] == (F(-2), F(-1))
 
     def test_chi_zero_full_line(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (1, 2))
         assert s.chi == 0
-        ivs = bigas_intervals(s)
-        assert ivs[0].lower is None and ivs[0].upper is None
+        ivs = fractions_of(bigas_intervals(s))
+        assert ivs[0][0] is None and ivs[0][1] is None
 
     def test_chi_zero_unsatisfiable(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (3, 0))
         assert s.chi == 0
-        assert bigas_intervals(s) == [RationalInterval.empty()]
+        assert fractions_of(bigas_intervals(s)) == [EMPTY]
 
     def test_non_uniform_rejected(self):
         s = SheafNumerics(ChainCurve((2, 2)), (2, 1), (0, 0))
@@ -198,22 +199,22 @@ class TestCheckBigas:
 
 class TestSimplexIntersect:
     def test_trivial_feasible_with_midpoint_witness(self):
-        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))])
+        region = simplex_intersect(chain([(F(1, 3), F(2, 3))]))
         assert region.status == FEASIBLE
         assert region.witness.weights == (F(1, 2), F(1, 2))
 
     def test_negative_interval_infeasible(self):
-        region = simplex_intersect([RationalInterval(F(-2), F(-1))])
+        region = simplex_intersect(chain([(F(-2), F(-1))]))
         assert region.status == INFEASIBLE
         assert region.witness is None
 
     def test_weight_bound_makes_infeasible(self):
-        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
+        region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
                                    [WeightBound(1, F(1, 4))])
         assert region.status == INFEASIBLE
 
     def test_weight_bound_at_endpoint_still_feasible(self):
-        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
+        region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
                                    [WeightBound(1, F(1, 3))])
         assert region.status == FEASIBLE
         assert region.witness.weights[0] == F(1, 3)
@@ -222,35 +223,35 @@ class TestSimplexIntersect:
         # chi < 0 with chi_1 = rank: the interval upper endpoint is exactly 0
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (2, -1))
         ivs = bigas_intervals(s)
-        assert (ivs[0].lower, ivs[0].upper) == (F(-1, 2), F(0))
+        assert fractions_of(ivs)[0][:2] == (F(-1, 2), F(0))
         region = simplex_intersect(ivs)
         assert region.status == BOUNDARY_ONLY
         assert region.witness is None
 
     def test_complement_bound_is_lower_bound(self):
         # w_1 >= 3/4 forces S_1 out of [1/3, 2/3]
-        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
+        region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
                                    [WeightBound(1, F(1, 4), complement=True)])
         assert region.status == INFEASIBLE
         # w_1 >= 1/2 is compatible
-        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
+        region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
                                    [WeightBound(1, F(1, 2), complement=True)])
         assert region.status == FEASIBLE
         assert region.witness.weights[0] >= F(1, 2)
 
     def test_clashing_step_bounds(self):
-        region = simplex_intersect([RationalInterval.unbounded()],
+        region = simplex_intersect(chain([UNBOUNDED]),
                                    [WeightBound(2, F(1, 3)),
                                     WeightBound(2, F(1, 2), complement=True)])
         assert region.status == INFEASIBLE
 
     def test_unsatisfiable_marker_bound(self):
-        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))],
+        region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
                                    [WeightBound(1, F(0), open=True)])
         assert region.status == INFEASIBLE
 
     def test_closed_zero_bound_is_boundary_only(self):
-        region = simplex_intersect([RationalInterval(F(0), F(2, 3))],
+        region = simplex_intersect(chain([(F(0), F(2, 3))]),
                                    [WeightBound(1, F(0))])
         assert region.status == BOUNDARY_ONLY
 
@@ -284,8 +285,8 @@ class TestFindPolarization:
     def test_trivial_on_genus_2_3(self):
         region = simplex_intersect(bigas_intervals(trivial_sheaf((2, 3))))
         assert region.status == FEASIBLE
-        assert region.s_intervals[0].lower == F(1, 4)
-        assert region.s_intervals[0].upper == F(2, 4)
+        assert fractions_of(region.s_intervals)[0][0] == F(1, 4)
+        assert fractions_of(region.s_intervals)[0][1] == F(2, 4)
         assert region.witness.weights == (F(3, 8), F(5, 8))
 
     def test_unbalanced_line_bundle_infeasible(self):

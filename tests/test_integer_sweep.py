@@ -1,7 +1,7 @@
 """The integer sweep against the Fraction reference, and its certificates.
 
 ``simplex_intersect`` decides a system in integers over the common
-denominator of its endpoints and bounds.  These tests hold it to the
+denominator of its interval chain and bounds.  These tests hold it to the
 Fraction sweep it replaced (``fraction_sweep``), field by field, and
 re-derive every certificate's bounds from the system (``certificate_check``).
 """
@@ -22,12 +22,13 @@ import fraction_sweep
 from certificate_check import check_certificate
 from chainstab import cli
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
-                                   kernel_numerics, twist)
+                                   SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
 from chainstab.feasibility import (FEASIBLE, INFEASIBLE, InfeasibilityCertificate, Polarization,
-                                   RationalInterval, WeightBound, bigas_intervals,
-                                   simplex_intersect, weight_system)
+                                   WeightBound, bigas_intervals, simplex_intersect,
+                                   weight_system)
 from chainstab.stability import analyze
+from reference import UNBOUNDED, chain
 
 F = Fraction
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -64,16 +65,16 @@ def intervals(draw, centre):
     lo = centre - draw(WIDTHS)
     hi = centre + draw(WIDTHS)
     if kind == "unbounded":
-        return RationalInterval.unbounded()
+        return UNBOUNDED
     if kind == "one-sided":
         side_open = draw(st.booleans())
         if draw(st.booleans()):
-            return RationalInterval(lo, None, lower_open=side_open)
-        return RationalInterval(None, hi, upper_open=side_open)
+            return lo, None, side_open, True
+        return None, hi, True, side_open
     if kind == "half-open":
         lower_open = draw(st.booleans())
-        return RationalInterval(lo, hi, lower_open, not lower_open)
-    return RationalInterval(lo, hi, kind == "open", kind == "open")
+        return lo, hi, lower_open, not lower_open
+    return lo, hi, kind == "open", kind == "open"
 
 
 @st.composite
@@ -89,7 +90,7 @@ def systems(draw):
     bounds = [WeightBound(draw(st.integers(1, n)), draw(VALUES), open=draw(st.booleans()),
                           complement=draw(st.booleans()), label=draw(LABELS))
               for _ in range(draw(st.integers(0, 4)))]
-    return ivs, bounds
+    return chain(ivs), bounds
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,8 +107,8 @@ def test_seeded_systems_of_every_status_equal_fraction_reference():
     for _ in range(400):
         n = rng.randint(2, 6)
         lo = [F(rng.randint(-2, 14), rng.randint(1, 12)) for _ in range(n - 1)]
-        ivs = [RationalInterval(a, a + F(rng.randint(0, 6), rng.randint(1, 12)),
-                                rng.random() < 0.3, rng.random() < 0.3) for a in lo]
+        ivs = chain([(a, a + F(rng.randint(0, 6), rng.randint(1, 12)),
+                      rng.random() < 0.3, rng.random() < 0.3) for a in lo])
         bounds = [WeightBound(rng.randint(1, n), F(rng.randint(-1, 12), rng.randint(1, 12)),
                               open=rng.random() < 0.5, complement=rng.random() < 0.5)
                   for _ in range(rng.randint(0, 3))]
@@ -117,20 +118,20 @@ def test_seeded_systems_of_every_status_equal_fraction_reference():
 
 def test_midpoints_halve_past_the_common_denominator():
     # The common denominator is 315 and S_2's midpoint is 153/630.
-    ivs = [RationalInterval(F(0), F(1, 3)), RationalInterval(F(1, 5), F(2, 7))]
+    ivs = chain([(F(0), F(1, 3)), (F(1, 5), F(2, 7))])
     region = assert_same_as_reference(ivs, [WeightBound(2, F(1, 9), open=True)])
     assert region.witness.weights == (F(59, 315), F(1, 18), F(53, 70))
     # Only the simplex bounds each S_i: S_{n-1} = 1/2 and every earlier
     # S_i halves the next, so w_1 = 2**-(n-1) over a common denominator of 1.
     n = 40
-    region = assert_same_as_reference([RationalInterval.unbounded()] * (n - 1))
+    region = assert_same_as_reference(chain([UNBOUNDED] * (n - 1)))
     assert region.witness.weights == (F(1, 2 ** (n - 1)),) + tuple(
         F(1, 2 ** (n - j + 1)) for j in range(2, n + 1))
 
 
 def test_out_of_range_bound_index_is_refused():
     with pytest.raises(ValidationError, match="bound index 3 out of range 1..2"):
-        simplex_intersect([RationalInterval.unbounded()], [WeightBound(3, F(1, 2))])
+        simplex_intersect(chain([UNBOUNDED]), [WeightBound(3, F(1, 2))])
 
 
 def _long_kernel(n, dry):
@@ -170,7 +171,7 @@ def test_accumulated_bounds_are_rendered_once():
     # so the failing bound at S_{n-1} names all n - 1 of them.  Rendering it
     # per index, as the Fraction sweep did, is quadratic in n.
     n = 20000
-    ivs = [RationalInterval.unbounded()] * (n - 1)
+    ivs = chain([UNBOUNDED] * (n - 1))
     bounds = [WeightBound(j, 1 - F(1, n), complement=True) for j in range(1, n + 1)]
     bounds.append(WeightBound(n, 1 - F(2, n), complement=True))
     start = time.perf_counter()
@@ -213,7 +214,7 @@ def test_readme_certificate_rebuilds_from_the_system():
 
 
 def test_checker_rejects_a_wrong_reason():
-    ivs = [RationalInterval(F(4, 9), F(5, 9))]
+    ivs = chain([(F(4, 9), F(5, 9))])
     bounds = [WeightBound(1, F(2, 9), label="subsheaf slope bound")]
     cert = simplex_intersect(ivs, bounds).certificate
     check_certificate(cert, ivs, bounds)
@@ -234,8 +235,10 @@ def test_checker_rejects_a_wrong_reason():
 
 class TestBoundaryFractions:
     def test_exact_fraction_is_not_copied(self):
+        # the slope intervals hold plain ints, so there is no Fraction to copy
+        ivs = bigas_intervals(SheafNumerics(ChainCurve((2, 3, 2)), (2, 2, 2), (1, -3, 5)))
+        assert {*map(type, [ivs.den, *ivs.lower, *ivs.upper])} == {int}
         third = F(1, 3)
-        assert RationalInterval(third, None).lower is third
         assert WeightBound(1, third).upper is third
         w = Polarization((third, F(2, 3)))
         assert w.weights[0] is third
@@ -244,19 +247,19 @@ class TestBoundaryFractions:
         class Sub(Fraction):
             pass
 
-        iv = RationalInterval(Sub(1, 3), Sub(2, 3))
-        assert type(iv.lower) is Fraction and type(iv.upper) is Fraction
-        assert iv.lower == F(1, 3)
+        w = Polarization((Sub(1, 3), Sub(2, 3)))
+        assert type(w.weights[0]) is Fraction and type(w.weights[1]) is Fraction
+        assert WeightBound(1, Sub(1, 3)).upper == F(1, 3)
 
     def test_bool_and_float_refused(self):
         for bad in (True, 0.5):
             with pytest.raises(ValidationError, match="exact rational"):
-                RationalInterval(bad, None)
+                Polarization((bad, F(1, 2)))
             with pytest.raises(ValidationError, match="exact rational"):
                 WeightBound(1, bad)
 
     def test_witness_weights_are_exact_fractions(self):
-        region = simplex_intersect([RationalInterval(F(1, 3), F(2, 3))])
+        region = simplex_intersect(chain([(F(1, 3), F(2, 3))]))
         assert all(type(w) is Fraction for w in region.witness.weights)
 
     def test_polarization_sum_message(self):
@@ -280,7 +283,7 @@ def test_ties_on_a_small_grid_equal_fraction_reference():
     bound_sets += [((1, F(1, 2), o1, c1), (2, F(1, 2), o2, c2))
                    for o1, c1, o2, c2 in itertools.product((False, True), repeat=4)]
     for (lo, lo_open), (hi, hi_open) in itertools.product(ends, ends):
-        ivs = [RationalInterval(lo, hi, lo_open, hi_open)]
+        ivs = chain([(lo, hi, lo_open, hi_open)])
         for chosen in bound_sets:
             bounds = [WeightBound(j, v, open=o, complement=c) for j, v, o, c in chosen]
             assert_same_as_reference(ivs, bounds)

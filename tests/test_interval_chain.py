@@ -1,0 +1,143 @@
+"""The integer slope-inequality chain, from ``bigas_intervals`` to canonical JSON.
+
+``bigas_intervals`` keeps the system X_i - m*i <= S_i * chi <= X_i - m*(i-1)
+as integer numerators over |chi|.  These tests hold it to the Fraction
+formula it replaced (``reference.bigas_fractions``), hold every printed
+endpoint to ``frac_str`` of the same Fraction, and count the Fractions that
+``chainstab.feasibility`` builds on a long chain.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chainstab import cli, feasibility
+from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
+                                   SheafNumerics, kernel_numerics, twist)
+from chainstab.feasibility import (FEASIBLE, INFEASIBLE, bigas_intervals, simplex_intersect,
+                                   weight_system)
+from reference import bigas_fractions, fractions_of
+
+
+def twisted_sheaf(rng: random.Random) -> SheafNumerics:
+    """A uniform-rank sheaf twisted by a line bundle; half of them twisted to chi = 0."""
+    n = rng.randint(2, 7)
+    curve = ChainCurve(tuple(rng.randint(2, 5) for _ in range(n)))
+    m = rng.randint(1, 4)
+    degs = [rng.randint(-10, 10) for _ in range(n)]
+    zero = rng.random() < 0.5
+    if zero:
+        degs[0] -= sum(degs) % m      # chi = sum(degs) mod m, so m now divides chi
+    sheaf = SheafNumerics(curve, (m,) * n, degs)
+    tw = [rng.randint(-4, 4) for _ in range(n)]
+    if zero:
+        # the twist adds m * sum(tw) to chi
+        tw[-1] = -sheaf.chi // m - sum(tw[:-1])
+    return twist(sheaf, LineBundleTwist(tuple(tw)))
+
+
+def check_chain(sheaf: SheafNumerics) -> set:
+    """Assert the chain of ``sheaf`` against the Fraction formula and its rendering;
+    returns the kinds of interval it holds."""
+    c = bigas_intervals(sheaf)
+    assert c.den == (abs(sheaf.chi) or 1)
+    assert {*map(type, [c.den, *c.lower, *c.upper])} <= {int, type(None)}
+    assert fractions_of(c) == bigas_fractions(sheaf)
+    region = simplex_intersect(c)
+    assert region.s_intervals is c
+    rendered = cli._region_json(region)["s_intervals"]
+    assert len(rendered) == sheaf.n - 1
+    for iv, lo, lo_open, hi, hi_open in zip(rendered, c.lower, c.lower_open,
+                                            c.upper, c.upper_open):
+        assert iv == {
+            "lower": None if lo is None else cli.frac_str(Fraction(lo, c.den)),
+            "lower_open": lo_open,
+            "upper": None if hi is None else cli.frac_str(Fraction(hi, c.den)),
+            "upper_open": hi_open,
+        }
+    if sheaf.chi > 0:
+        return {"chi > 0"}
+    if sheaf.chi < 0:
+        return {"chi < 0"}
+    return {"chi = 0 vacuous" if lo is None else "chi = 0 empty" for lo in c.lower}
+
+
+KINDS = {"chi > 0", "chi < 0", "chi = 0 vacuous", "chi = 0 empty"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_chain_equals_fraction_formula(rng):
+    check_chain(twisted_sheaf(rng))
+
+
+def test_seeded_chains_cover_every_kind():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        seen |= check_chain(twisted_sheaf(rng))
+    assert seen == KINDS
+
+
+@pytest.mark.parametrize("degs,kinds", [
+    ((0, 4), {"chi > 0"}),
+    ((0, 0), {"chi < 0"}),
+    ((1, 2), {"chi = 0 vacuous"}),
+    ((3, 0), {"chi = 0 empty"}),
+])
+def test_each_kind_on_two_components(degs, kinds):
+    assert check_chain(SheafNumerics(ChainCurve((2, 2)), (1, 1), degs)) == kinds
+
+
+class _Counting(Fraction):
+    """A Fraction that counts the instances built through its own name."""
+
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        _Counting.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """Reads the number of Fractions ``chainstab.feasibility`` built since the last read."""
+    monkeypatch.setattr(feasibility, "Fraction", _Counting)
+    _Counting.made = 0
+
+    def read():
+        made, _Counting.made = _Counting.made, 0
+        return made
+    return read
+
+
+def _long_kernel(n):
+    rng = random.Random(f"guard:{n}")
+    curve = ChainCurve([rng.randint(2, 6) for _ in range(n)])
+    pair = GeneratedPairData(rank=1, sections=3,
+                             multidegree=tuple(rng.randint(0, 12) for _ in range(n)))
+    return curve, pair, kernel_numerics(curve, pair)
+
+
+def test_long_chain_builds_no_fraction_per_index(fractions_made):
+    n = 10_000
+    curve, pair, kernel = _long_kernel(n)
+    system = weight_system(curve, kernel)
+    assert fractions_made() == 0
+    weight_system(curve, kernel, pair=pair)
+    assert fractions_made() == 1          # the kernel's target slope, whatever n is
+    region = simplex_intersect(system.intervals)
+    assert region.status == FEASIBLE
+    assert fractions_made() <= n + 2      # the n witness weights
+    # twisted so that the strict and the relaxed sweep run dry in the last tenth
+    k = n - n // 20
+    tw = [0] * n
+    tw[k] = (6 - kernel.chi_components[k]) // 2 + 1
+    line = LineBundleTwist(tuple(tw))
+    system = weight_system(curve, kernel, line)
+    assert fractions_made() == 0
+    region = simplex_intersect(system.intervals)
+    assert region.status == INFEASIBLE
+    assert fractions_made() <= 4          # the certificate's two bounds and cited endpoints

@@ -16,7 +16,7 @@ EXPORTED = [
     "kernel_numerics",
     "ChainstabError", "ContradictoryHypotheses", "InternalInvariantError",
     "RuleNotApplicable", "UnsupportedData", "ValidationError",
-    "FeasibleRegion", "InfeasibilityCertificate", "Polarization", "RationalInterval",
+    "FeasibleRegion", "InfeasibilityCertificate", "Polarization",
     "WeightBound", "WeightSystem", "simplex_intersect", "weight_system",
     "ORACLE_WORK_LIMIT", "GridSpec", "ValidationReport", "cross_validate",
     "Report", "Verdict", "analyze", "analyze_sheaf",
