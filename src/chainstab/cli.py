@@ -24,7 +24,7 @@ from typing import Optional
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
                           kernel_numerics)
 from .errors import InternalInvariantError, ValidationError
-from .feasibility import (FeasibleRegion, InfeasibilityCertificate, Polarization,
+from .feasibility import (FeasibleRegion, InfeasibilityCertificate, IntervalChain, Polarization,
                           simplex_intersect, weight_system)
 from .oracle import ORACLE_WORK_LIMIT, GridSpec, cross_validate
 from .stability import Report, Verdict, analyze, analyze_sheaf
@@ -204,28 +204,20 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _ratio(num: int, den: int) -> str:
+    """num / den as a reduced "p/q" string."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def _witness_json(w: Optional[Polarization]):
-    return None if w is None else [frac_str(x) for x in w.weights]
+    return None if w is None else [_ratio(a, w.den) for a in w.nums]
 
 
 def _region_json(region: FeasibleRegion) -> dict:
-    chain = region.s_intervals
-    den = chain.den
-
-    def ratio(num):
-        if num is None:
-            return None
-        g = math.gcd(num, den)
-        return f"{num // g}/{den // g}"
-
-    return {
-        "status": region.status,
-        "s_intervals": [
-            {"lower": ratio(lo), "lower_open": lo_open, "upper": ratio(hi), "upper_open": hi_open}
-            for lo, lo_open, hi, hi_open in zip(chain.lower, chain.lower_open,
-                                                chain.upper, chain.upper_open)],
-        "witness": _witness_json(region.witness),
-    }
+    # the chain itself: ``_emit`` and ``render_text`` write its intervals
+    return {"status": region.status, "s_intervals": region.s_intervals,
+            "witness": _witness_json(region.witness)}
 
 
 def _certificate_json(cert: Optional[InfeasibilityCertificate]):
@@ -329,18 +321,40 @@ def _emit(value, append, newline: str) -> None:
                 append(sep + scalar(item))
             sep = comma
         append(newline + "]")
+    elif type(value) is IntervalChain:
+        _emit_chain(value, append, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_chain(chain: IntervalChain, append, newline: str) -> None:
+    """Append the JSON of ``chain``: the list of its intervals, each the dict
+    of "lower", "lower_open", "upper" and "upper_open", with "p/q" or null
+    ends, written through one template, as the keys never change."""
+    den, inner = chain.den, newline + "  "
+    fields = ",".join(f'{inner}  "{k}": %s' for k in ("lower", "lower_open", "upper", "upper_open"))
+    template = inner + "{" + fields + inner + "}"
+    flag = ("false", "true")
+
+    def end(num):
+        return "null" if num is None else f'"{_ratio(num, den)}"'
+
+    body = ",".join([template % (end(lo), flag[lo_open], end(hi), flag[hi_open])
+                     for lo, lo_open, hi, hi_open in zip(chain.lower, chain.lower_open,
+                                                         chain.upper, chain.upper_open)])
+    append(f"[{body}{newline}]" if body else "[]")
 
 
 def canonical_json(payload: dict) -> str:
     """The canonical JSON text of ``payload``.
 
     Its bytes equal ``json.dumps(payload, sort_keys=True, indent=2)`` for
-    every payload the commands build, and the tests hold it to that.  Values
-    may be str, int, bool, None, lists, tuples and dicts with str keys;
-    anything else, floats included, raises ``TypeError``.  An int longer
-    than ``sys.get_int_max_str_digits()`` raises ``ValueError``.
+    every payload the commands build, with each ``IntervalChain`` in it
+    taken as the list of its per-interval dicts, and the tests hold it to
+    that.  Values may be str, int, bool, None, lists, tuples, dicts with
+    str keys and interval chains; anything else, floats included, raises
+    ``TypeError``.  An int longer than ``sys.get_int_max_str_digits()``
+    raises ``ValueError``.
     """
     out = []
     _emit(payload, out.append, "\n")
@@ -368,12 +382,12 @@ def render_text(payload: dict) -> str:
     if payload.get("region") is not None:
         region = payload["region"]
         lines.append(f"region: {region['status']}")
-        for i, iv in enumerate(region["s_intervals"], start=1):
-            lo = "-inf" if iv["lower"] is None else iv["lower"]
-            hi = "+inf" if iv["upper"] is None else iv["upper"]
-            lb = "(" if iv["lower_open"] else "["
-            rb = ")" if iv["upper_open"] else "]"
-            lines.append(f"  S_{i} in {lb}{lo}, {hi}{rb}")
+        chain = region["s_intervals"]
+        for i, (lo, lo_open, hi, hi_open) in enumerate(
+                zip(chain.lower, chain.lower_open, chain.upper, chain.upper_open), start=1):
+            lo = "-inf" if lo is None else _ratio(lo, chain.den)
+            hi = "+inf" if hi is None else _ratio(hi, chain.den)
+            lines.append(f"  S_{i} in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
         if region["witness"] is not None:
             lines.append(f"  witness: ({', '.join(region['witness'])})")
     if payload.get("sheaf") is not None:
@@ -448,7 +462,7 @@ def cmd_oracle(scn: Scenario, denominator: int, twist_range: int) -> dict:
         "discrepancies": list(report.discrepancies),
         "witness_checks": report.witness_checks,
         "witness_failures": [
-            {"w": [frac_str(x) for x in w.weights], "twist": list(tw.multidegree)}
+            {"w": _witness_json(w), "twist": list(tw.multidegree)}
             for w, tw in report.witness_failures],
         "notes": list(report.notes),
     }

@@ -24,11 +24,15 @@ X_i - m*(i-1)).  ``simplex_intersect`` rescales the chain only when a
 bound keeps only a source tag: shifted from S_{i-1} by the step w_i, the
 simplex's S_i < 1, the slope-inequality interval, S_0 = 0, or S_n = 1
 shifted back by w_n; each step bound keeps the position of the
-``WeightBound`` it came from.  ``Fraction``s are built at the boundary
-only: the witness, whose backward pass carries numerators over den * 2**e
-because midpoints halve, and the certificate of a failed strict sweep,
-whose reasons are rendered from the tags by one walk back from the failing
-index and cite the one slope endpoint they use.
+``WeightBound`` it came from.  The witness stays integer too: the
+backward pass, run only after a solvable strict sweep, keeps each weight
+as a numerator over den * 2**e, because midpoints halve, and the
+``Polarization`` holds them over their least common denominator until
+its ``weights`` are read.  The sweep builds ``Fraction``s only for the
+certificate of a failed strict sweep, whose reasons are rendered from the
+tags by one walk back from the failing index and cite the one slope
+endpoint they use.  The relaxed sweep, which only tells boundary-only
+from infeasible, stops after its forward pass.
 
 ``weight_system`` is the one place that decides what a subject's system is:
 it twists the subject (a sheaf, or a pair's kernel) and builds its
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -69,27 +74,50 @@ def _as_fraction(name: str, value) -> Fraction:
         raise ValidationError(f"{name} must be an exact rational, got {value!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polarization:
-    """Strictly positive rational weights summing to 1, one per component."""
+    """Strictly positive rational weights summing to 1, one per component.
 
-    weights: tuple[Fraction, ...]
+    Held as integer numerators ``nums`` over their least common denominator
+    ``den``, so equality, hashing and ``repr`` go by value.
+    ``Polarization(weights)`` takes exact rationals and keeps the given
+    ``Fraction`` objects as ``weights``; ``from_parts`` takes numerators
+    over any positive denominator and builds ``weights`` only when read.
+    """
 
-    def __post_init__(self):
-        ws = tuple(_as_fraction("weight", w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if len(ws) < 2:
-            raise ValidationError("a polarization needs at least two weights")
-        if any(not 0 < w.numerator < w.denominator for w in ws):
-            raise ValidationError(f"every weight must lie strictly between 0 and 1, got {ws}")
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, weights: Sequence) -> None:
+        ws = vars(self)["weights"] = tuple(_as_fraction("weight", w) for w in weights)
         den = math.lcm(*(w.denominator for w in ws))
-        total = sum(w.numerator * (den // w.denominator) for w in ws)
-        if total != den:
-            raise ValidationError(f"weights must sum to exactly 1, got {Fraction(total, den)}")
+        self._check(tuple(w.numerator * (den // w.denominator) for w in ws), den)
+
+    @classmethod
+    def from_parts(cls, nums: Sequence[int], den: int) -> Polarization:
+        """The weights nums[i] / den, for a positive integer ``den``."""
+        g = math.gcd(den, *nums)
+        w = cls.__new__(cls)
+        w._check(tuple(nums) if g == 1 else tuple(a // g for a in nums), den // g)
+        return w
+
+    def _check(self, nums: tuple[int, ...], den: int) -> None:
+        vars(self).update(nums=nums, den=den)
+        if len(nums) < 2:
+            raise ValidationError("a polarization needs at least two weights")
+        if min(nums) <= 0 or max(nums) >= den:
+            raise ValidationError(
+                f"every weight must lie strictly between 0 and 1, got {self.weights}")
+        if sum(nums) != den:
+            raise ValidationError(f"weights must sum to exactly 1, got {Fraction(sum(nums), den)}")
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self.nums)
 
 
 class IntervalChain(NamedTuple):
@@ -155,8 +183,9 @@ class FeasibleRegion:
     """Outcome of a weight-system feasibility check.
 
     ``s_intervals`` is the integer chain of partial-sum intervals the system
-    was built from, as given, over its own denominator.  ``witness`` is
-    present exactly when the status is feasible, and then satisfies every
+    was built from, as given, over its own denominator; reports print it as
+    it is.  ``witness`` is present exactly when the status is feasible, as
+    integer numerators over one denominator, and then satisfies every
     interval of the chain and the strict simplex chain
     0 < S_1 < ... < S_{n-1} < 1.  ``certificate`` is the clash at which the
     strict sweep ran dry; it is evidence for a verdict and is not part of
@@ -214,14 +243,12 @@ def check_bigas(sheaf: SheafNumerics, w: Polarization) -> bool:
         raise UnsupportedData("the inequality system requires uniform multirank")
     if w.n != sheaf.n:
         raise ValidationError(f"polarization has {w.n} weights, sheaf has {sheaf.n} components")
-    chi = sheaf.chi
-    part = 0
-    s = Fraction(0)
+    chi, den = sheaf.chi, w.den
+    part = s = 0
     for i in range(1, sheaf.n):
         part += sheaf.chi_components[i - 1]
-        s += w.weights[i - 1]
-        t = s * chi
-        if not (part - m * i <= t <= part - m * (i - 1)):
+        s += w.nums[i - 1]
+        if not ((part - m * i) * den <= s * chi <= (part - m * (i - 1)) * den):
             return False
     return True
 
@@ -305,7 +332,7 @@ def _halve(num: int, e: int) -> tuple[int, int]:
 
 
 def _sweep(system: IntervalChain, edges: _Edges, strict: bool):
-    """Forward sweep, then the backward witness pass when the system is solvable.
+    """Forward sweep of the reach of every S_i.
 
     Each S_i's reach bound is the tightest of its candidates, taken in the
     order: shift from S_{i-1}, simplex constraint, interval endpoint.  A
@@ -314,7 +341,8 @@ def _sweep(system: IntervalChain, edges: _Edges, strict: bool):
     simplex's S_i > 0 (S_i >= 0 when relaxed) never replaces the shifted
     lower bound: that bound is at least 0, and when it is 0 in the strict
     sweep it is open, since the step bound w_i > 0 yields only to a greater
-    one.  Returns a ``_Dry`` record, or the witness weights w_1..w_n.
+    one.  Returns a ``_Dry`` record, or the reach of S_0..S_{n-1} when the
+    system is solvable.
     """
     one = system.den
     ilo, ilo_open = system.lower, system.lower_open
@@ -367,11 +395,23 @@ def _sweep(system: IntervalChain, edges: _Edges, strict: bool):
     if _clash(lo, lo_open, hi, hi_open):
         return _Dry(False, n - 1, reach)
 
-    # Backward pass: from S_n = 1 down, restrict each reach interval by the
-    # step out of it, fix S_i at the midpoint and read off w_{i+1} as the
-    # difference of two partial sums.  S_{i+1} is num / (den * 2**e) here;
-    # restricting S_{n-1} again by the step w_n changes nothing.
-    weights = [None] * n
+    return reach
+
+
+def _witness(system: IntervalChain, edges: _Edges, reach: list) -> Polarization:
+    """The witness of a solvable strict sweep, from its forward ``reach``.
+
+    From S_n = 1 down, restrict each reach interval by the step out of it,
+    fix S_i at the midpoint and read off w_{i+1} as the difference of two
+    partial sums.  S_{i+1} is num / (den * 2**e) here, and w_{i+1} is kept
+    as a numerator over den * 2**(e+1); restricting S_{n-1} again by the
+    step w_n changes nothing.
+    """
+    one = system.den
+    elo, elo_open = edges.lower, edges.lower_open
+    eup, eup_open = edges.upper, edges.upper_open
+    n = len(reach)
+    nums, exps = [0] * n, [0] * n
     num, e = one, 0
     for i in range(n - 1, 0, -1):
         lo, lo_open, _, hi, hi_open, _ = reach[i]
@@ -388,10 +428,11 @@ def _sweep(system: IntervalChain, edges: _Edges, strict: bool):
         if _clash(lo, lo_open, hi, hi_open):
             raise InternalInvariantError("backward witness extraction hit an empty interval")
         mid = lo + hi
-        weights[i] = Fraction((num << 1) - mid, one << (e + 1))
+        nums[i], exps[i] = (num << 1) - mid, e + 1
         num, e = _halve(mid, e + 1)
-    weights[0] = Fraction(num, one << e)
-    return weights
+    nums[0], exps[0] = num, e
+    top = max(exps)
+    return Polarization.from_parts([a << (top - k) for a, k in zip(nums, exps)], one << top)
 
 
 def _step_term(bounds: Sequence[WeightBound], edges: _Edges, j: int, upper: bool) -> str:
@@ -473,7 +514,7 @@ def simplex_intersect(intervals: IntervalChain,
     edges = _edges(n, system.den, values, bounds, True)
     res = _sweep(system, edges, True)
     if not isinstance(res, _Dry):
-        return FeasibleRegion(intervals, FEASIBLE, Polarization(tuple(res)))
+        return FeasibleRegion(intervals, FEASIBLE, _witness(system, edges, res))
     relaxed = _sweep(system, _edges(n, system.den, values, bounds, False), False)
     status = INFEASIBLE if isinstance(relaxed, _Dry) else BOUNDARY_ONLY
     return FeasibleRegion(intervals, status, None, _certificate(system, bounds, edges, res))

@@ -18,7 +18,6 @@ is estimated up front, exactly up to a cap, and refused above
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -61,10 +60,6 @@ def _grid_parts(spec: GridSpec) -> Iterator[tuple[int, ...]]:
     d = spec.denominator
     for cuts in itertools.combinations(range(1, d), spec.n - 1):
         yield tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,)))
-
-
-def _polarization(parts: Sequence[int], d: int) -> Polarization:
-    return Polarization(tuple(Fraction(a, d) for a in parts))
 
 
 def _admits(bound: WeightBound, a: int, d: int) -> bool:
@@ -147,7 +142,8 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
             level += 1
             cuts[level] = max(first[level], c + 1) - 1
         elif all(_admits(b, d - c, d) for b in at[n]):
-            survivors.append(_polarization([hi - lo for lo, hi in zip(cuts, cuts[1:])], d))
+            survivors.append(Polarization.from_parts(
+                [hi - lo for lo, hi in zip(cuts, cuts[1:])], d))
     for w in survivors:
         if not check_bigas(sheaf, w):
             raise InternalInvariantError("integer grid walk disagreed with the exact check")
@@ -188,15 +184,17 @@ def destabilizer_witness(system: WeightSystem, w: Polarization
     by ``system.line``.  For each component j with a non-zero restriction
     kernel, the subsheaf slope is (deg L_j - delta_j + 1 - g_j) / w_j; the
     target is the twisted kernel's own slope chi / m.  With w_j = p/q the
-    comparison is the integer one numer*q*m > chi*p.  Components are scanned
+    comparison is the integer one numer*q*m > chi*p, read from the
+    witness's numerators p over its denominator q.  Components are scanned
     in increasing order so the output is deterministic.
     """
     curve, pair, line = system.curve, system.pair, system.line
     if w.n != curve.n:
         raise ValidationError("polarization must match the curve's components")
     m, chi = pair.kernel_rank, system.subject.chi
+    q = w.den
     for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
-        p, q = w.weights[j - 1].numerator, w.weights[j - 1].denominator
+        p = w.nums[j - 1]
         if numer * q * m > chi * p:
             return DestabilizerWitness(j, Fraction(numer * q, p), system.target)
     return None
@@ -242,7 +240,7 @@ def _destabilizer_failures(
                 if s > shifted * parts[k]:
                     break
             else:
-                failures.append((_polarization(parts, d), LineBundleTwist(degs)))
+                failures.append((Polarization.from_parts(parts, d), LineBundleTwist(degs)))
         checks += len(points)
     return checks, failures
 
@@ -324,8 +322,7 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
             f"the system, first {[str(x) for x in grid_points[0].weights]}")
     if region.status == FEASIBLE:
         wit = region.witness
-        den = math.lcm(*(w.denominator for w in wit.weights))
-        if grid.denominator % den == 0:
+        if grid.denominator % wit.den == 0:
             if wit not in grid_points:
                 discrepancies.append(
                     f"feasible witness {[str(x) for x in wit.weights]} has denominator "

@@ -36,7 +36,6 @@ verdict always comes from the region printed beside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
@@ -206,7 +205,7 @@ def _all_twists(system: WeightSystem) -> _Rule:
                      (f"degree ratio {pair.total_degree}/{m} does not exceed {curve.n - 1}",))
     notes = [_EVERY_TWIST]
     if not system.line.is_trivial():
-        w = Polarization(tuple(Fraction(1, curve.n) for _ in range(curve.n)))
+        w = Polarization.from_parts((1,) * curve.n, curve.n)
         witness = destabilizer_witness(system, w)
         if witness is not None:
             notes.append(

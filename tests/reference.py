@@ -9,7 +9,8 @@ oracle's level-by-level walk, so the walk can be held to a plain filter.
 The library keeps partial-sum intervals as an integer ``IntervalChain``.
 ``chain`` builds one from rational endpoints, ``fractions_of`` reads one
 back, and ``bigas_fractions`` is the Fraction formula that
-``bigas_intervals`` used before it returned chains, kept as its oracle.
+``bigas_intervals`` used before it returned chains, kept as its oracle;
+``twisted_sheaf`` draws a subject of every kind of chain.
 An interval here is a tuple ``(lower, upper, lower_open, upper_open)``
 with ``None`` for an unbounded end; the two flags default to closed, and
 an unbounded end is always open, as in the library.
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from chainstab.curve_model import SheafNumerics
+from chainstab.curve_model import ChainCurve, LineBundleTwist, SheafNumerics, twist
 from chainstab.feasibility import IntervalChain, Polarization
 from chainstab.oracle import GridSpec
 
@@ -97,3 +99,20 @@ def bigas_fractions(sheaf: SheafNumerics) -> list[tuple]:
         else:
             out.append(EMPTY)
     return out
+
+
+def twisted_sheaf(rng: random.Random) -> SheafNumerics:
+    """A uniform-rank sheaf twisted by a line bundle; half of them twisted to chi = 0."""
+    n = rng.randint(2, 7)
+    curve = ChainCurve(tuple(rng.randint(2, 5) for _ in range(n)))
+    m = rng.randint(1, 4)
+    degs = [rng.randint(-10, 10) for _ in range(n)]
+    zero = rng.random() < 0.5
+    if zero:
+        degs[0] -= sum(degs) % m      # chi = sum(degs) mod m, so m now divides chi
+    sheaf = SheafNumerics(curve, (m,) * n, degs)
+    tw = [rng.randint(-4, 4) for _ in range(n)]
+    if zero:
+        # the twist adds m * sum(tw) to chi
+        tw[-1] = -sheaf.chi // m - sum(tw[:-1])
+    return twist(sheaf, LineBundleTwist(tuple(tw)))

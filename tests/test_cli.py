@@ -6,13 +6,17 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chainstab import GeneratedPairData, GridSpec, cli, oracle
+from chainstab.curve_model import ChainCurve, SheafNumerics
 from chainstab.errors import InternalInvariantError, ValidationError
+from chainstab.feasibility import IntervalChain, bigas_intervals
+from reference import twisted_sheaf
 
 NO_INT_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                                   reason="no limit on integer string conversion")
@@ -418,16 +422,41 @@ class TestCanonicalOutput:
         assert f"criterion: {payload['verdict']['criterion']}" in text
         cert = payload["verdict"]["certificate"]
         assert cert["lower"] in text and cert["upper"] in text
+        # 1000 components: feasible, and running dry at S_951
+        for degs in ([0] * 1000, [0] * 950 + [9] + [0] * 49):
+            data = {"curve": {"genera": [2] * 1000},
+                    "subject": {"sheaf": {"multirank": [1] * 1000, "multidegree": degs}}}
+            path = write_scenario(tmp_path, data, name="long.json")
+            assert cli.main(["polarize", path, "--format", "json"]) == 0
+            region = json.loads(capsys.readouterr().out)["region"]
+            assert cli.main(["polarize", path, "--format", "text"]) == 0
+            text = capsys.readouterr().out.splitlines()
+            assert f"region: {region['status']}" in text
+            assert [line for line in text if line.startswith("  S_")] == [
+                f"  S_{i} in {'(' if iv['lower_open'] else '['}"
+                f"{'-inf' if iv['lower'] is None else iv['lower']}, "
+                f"{'+inf' if iv['upper'] is None else iv['upper']}"
+                f"{')' if iv['upper_open'] else ']'}"
+                for i, iv in enumerate(region["s_intervals"], start=1)]
+            assert len(region["s_intervals"]) == 999
+            witness = [line for line in text if line.startswith("  witness: ")]
+            if region["witness"] is None:
+                assert region["status"] == "infeasible" and witness == []
+            else:
+                assert witness == [f"  witness: ({', '.join(region['witness'])})"]
 
 
-# The emitter against the standard library's encoder on arbitrary JSON trees.
+# The emitter against the standard library's encoder on arbitrary JSON trees,
+# whose leaves may be interval chains: the encoder gets each chain as the list
+# of per-interval dicts that reports print for it.
 
 # any code point, lone surrogates included, and often one that needs escaping
 TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
                          st.sampled_from('"\\/\x00\x1f\x7f\x80\u00e9\u2028\ud800\udfff\U0001f600')),
                max_size=6)
+CHAINS = st.randoms(use_true_random=False).map(lambda rng: bigas_intervals(twisted_sheaf(rng)))
 TREES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), TEXT),
+    st.one_of(st.none(), st.booleans(), st.integers(), TEXT, CHAINS),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
                             st.dictionaries(TEXT, inner, max_size=4)),
     max_leaves=24)
@@ -436,8 +465,27 @@ TREES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.lists(TREES, max_size=4), st.dictionaries(TEXT, TREES, max_size=4)))
 @example({"\ud800": {"\x00": "\\"}, "a": [[], {}, (), [[{"": [None, True, False, -0]}]]]})
+@example([{"region": {"status": "feasible", "s_intervals": bigas_intervals(
+    SheafNumerics(ChainCurve((2, 2)), (1, 1), degs)), "witness": None}}
+    for degs in ((0, 4), (0, 0), (1, 2), (3, 0))])   # chi > 0, chi < 0, chi = 0 vacuous, empty
+@example({"s_intervals": IntervalChain(1, [], [], [], [])})
 def test_canonical_json_matches_json_dumps(tree):
-    assert cli.canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    assert cli.canonical_json(tree) == json.dumps(as_dicts(tree), sort_keys=True, indent=2)
+
+
+def as_dicts(tree):
+    """``tree`` with every interval chain written out as its per-interval dicts."""
+    if type(tree) is IntervalChain:
+        def end(num):
+            return None if num is None else cli.frac_str(Fraction(num, tree.den))
+        return [{"lower": end(lo), "lower_open": lo_open, "upper": end(hi), "upper_open": hi_open}
+                for lo, lo_open, hi, hi_open in zip(tree.lower, tree.lower_open,
+                                                    tree.upper, tree.upper_open)]
+    if type(tree) is dict:
+        return {key: as_dicts(value) for key, value in tree.items()}
+    if type(tree) in (list, tuple):
+        return [as_dicts(value) for value in tree]
+    return tree
 
 
 @NO_INT_LIMIT

@@ -1,9 +1,12 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainstab import cli
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, arithmetic_genus, kernel_numerics)
 from chainstab.errors import UnsupportedData, ValidationError
@@ -58,6 +61,32 @@ class TestPolarization:
     def test_rejects_floats(self):
         with pytest.raises(ValidationError):
             Polarization((0.5, 0.5))
+
+    @pytest.mark.parametrize("parts,d", [((2,), 2), ((0, 2), 2), ((3, -1), 2), ((1, 1), 3),
+                                         ((2, 2, 1), 4)])
+    def test_integer_refusals_match_fraction_ones(self, parts, d):
+        with pytest.raises(ValidationError) as from_fractions:
+            Polarization(tuple(F(a, d) for a in parts))
+        with pytest.raises(ValidationError, match=re.escape(str(from_fractions.value))):
+            Polarization.from_parts(parts, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=2, max_size=8), st.integers(1, 12))
+def test_integer_polarization_is_the_fraction_one(parts, k):
+    d = sum(parts)
+    fracs = tuple(F(a, d) for a in parts)
+    from_fractions = Polarization(fracs)
+    built = Polarization.from_parts([a * k for a in parts], d * k)
+    assert built == from_fractions and hash(built) == hash(from_fractions)
+    assert built.den == from_fractions.den == math.lcm(*(x.denominator for x in fracs))
+    assert built.nums == from_fractions.nums
+    assert repr(built) == repr(from_fractions) and str(built) == str(from_fractions)
+    assert built.weights == fracs and all(type(x) is Fraction for x in built.weights)
+    assert cli._witness_json(built) == cli._witness_json(from_fractions) == \
+        [cli.frac_str(x) for x in fracs]
+    barycentric = Polarization.from_parts([1] * len(parts), len(parts))
+    assert (built == barycentric) == (len(set(parts)) == 1)
 
 
 class TestRationalInterval:

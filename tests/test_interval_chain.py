@@ -7,6 +7,7 @@ endpoint to ``frac_str`` of the same Fraction, and count the Fractions that
 ``chainstab.feasibility`` builds on a long chain.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,27 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from chainstab import cli, feasibility
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
-                                   SheafNumerics, kernel_numerics, twist)
-from chainstab.feasibility import (FEASIBLE, INFEASIBLE, bigas_intervals, simplex_intersect,
-                                   weight_system)
-from reference import bigas_fractions, fractions_of
-
-
-def twisted_sheaf(rng: random.Random) -> SheafNumerics:
-    """A uniform-rank sheaf twisted by a line bundle; half of them twisted to chi = 0."""
-    n = rng.randint(2, 7)
-    curve = ChainCurve(tuple(rng.randint(2, 5) for _ in range(n)))
-    m = rng.randint(1, 4)
-    degs = [rng.randint(-10, 10) for _ in range(n)]
-    zero = rng.random() < 0.5
-    if zero:
-        degs[0] -= sum(degs) % m      # chi = sum(degs) mod m, so m now divides chi
-    sheaf = SheafNumerics(curve, (m,) * n, degs)
-    tw = [rng.randint(-4, 4) for _ in range(n)]
-    if zero:
-        # the twist adds m * sum(tw) to chi
-        tw[-1] = -sheaf.chi // m - sum(tw[:-1])
-    return twist(sheaf, LineBundleTwist(tuple(tw)))
+                                   SheafNumerics, kernel_numerics)
+from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, bigas_intervals,
+                                   simplex_intersect, weight_system)
+from reference import UNBOUNDED, bigas_fractions, chain, fractions_of, twisted_sheaf
 
 
 def check_chain(sheaf: SheafNumerics) -> set:
@@ -47,7 +31,7 @@ def check_chain(sheaf: SheafNumerics) -> set:
     assert fractions_of(c) == bigas_fractions(sheaf)
     region = simplex_intersect(c)
     assert region.s_intervals is c
-    rendered = cli._region_json(region)["s_intervals"]
+    rendered = json.loads(cli.canonical_json(cli._region_json(region)))["s_intervals"]
     assert len(rendered) == sheaf.n - 1
     for iv, lo, lo_open, hi, hi_open in zip(rendered, c.lower, c.lower_open,
                                             c.upper, c.upper_open):
@@ -130,7 +114,7 @@ def test_long_chain_builds_no_fraction_per_index(fractions_made):
     assert fractions_made() == 1          # the kernel's target slope, whatever n is
     region = simplex_intersect(system.intervals)
     assert region.status == FEASIBLE
-    assert fractions_made() <= n + 2      # the n witness weights
+    assert fractions_made() == 0          # the witness is integer numerators
     # twisted so that the strict and the relaxed sweep run dry in the last tenth
     k = n - n // 20
     tw = [0] * n
@@ -141,3 +125,23 @@ def test_long_chain_builds_no_fraction_per_index(fractions_made):
     region = simplex_intersect(system.intervals)
     assert region.status == INFEASIBLE
     assert fractions_made() <= 4          # the certificate's two bounds and cited endpoints
+    # S_1 pinned to 0: the strict sweep runs dry at once, the relaxed one
+    # runs to the end and stops without a witness
+    system = chain([(0, 0)] + [UNBOUNDED] * (n - 2))
+    assert fractions_made() == 0
+    region = simplex_intersect(system)
+    assert region.status == BOUNDARY_ONLY
+    assert fractions_made() <= 4
+
+
+@pytest.mark.parametrize("intervals,status,passes", [
+    ([(Fraction(1, 3), Fraction(2, 3))] * 3, FEASIBLE, 1),
+    ([(0, 0)] + [UNBOUNDED] * 3, BOUNDARY_ONLY, 0),
+    ([(Fraction(1, 2), Fraction(1, 3))] + [UNBOUNDED] * 3, INFEASIBLE, 0),
+])
+def test_only_a_feasible_region_runs_the_witness_pass(monkeypatch, intervals, status, passes):
+    calls = []
+    witness = feasibility._witness
+    monkeypatch.setattr(feasibility, "_witness", lambda *args: calls.append(1) or witness(*args))
+    assert simplex_intersect(chain(intervals)).status == status
+    assert len(calls) == passes
