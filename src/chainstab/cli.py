@@ -214,10 +214,11 @@ def _witness_json(w: Optional[Polarization]):
     return None if w is None else [_ratio(a, w.den) for a in w.nums]
 
 
-def _region_json(region: FeasibleRegion) -> dict:
+def _region_json(region: FeasibleRegion, witness: Optional[list] = None) -> dict:
+    """``witness``, when given, is ``region.witness`` already formatted."""
     # the chain itself: ``_emit`` and ``render_text`` write its intervals
     return {"status": region.status, "s_intervals": region.s_intervals,
-            "witness": _witness_json(region.witness)}
+            "witness": _witness_json(region.witness) if witness is None else witness}
 
 
 def _certificate_json(cert: Optional[InfeasibilityCertificate]):
@@ -235,11 +236,12 @@ def _certificate_json(cert: Optional[InfeasibilityCertificate]):
     }
 
 
-def _verdict_json(v: Verdict) -> dict:
+def _verdict_json(v: Verdict, witness: Optional[list]) -> dict:
+    """``witness`` is ``v.witness`` already formatted."""
     return {
         "kind": v.kind,
         "criterion": v.criterion,
-        "witness": _witness_json(v.witness),
+        "witness": witness,
         "certificate": _certificate_json(v.certificate),
         "notes": list(v.notes),
     }
@@ -255,9 +257,13 @@ def _sheaf_json(s: SheafNumerics) -> dict:
 
 
 def _report_json(report: Report) -> dict:
+    verdict, region = report.verdict, report.region
+    # a semistability verdict's witness is the region's: formatted once for both
+    witness = _witness_json(verdict.witness)
     out = {
-        "verdict": _verdict_json(report.verdict),
-        "region": None if report.region is None else _region_json(report.region),
+        "verdict": _verdict_json(verdict, witness),
+        "region": None if region is None else _region_json(
+            region, witness if region.witness is verdict.witness else None),
         "sheaf": _sheaf_json(report.sheaf),
         "fired": list(report.fired),
         "obstructions": list(report.obstructions),

@@ -9,10 +9,11 @@ every inequality, in lexicographic order.  The subject (a sheaf or a pair's kern
 twisted when a twist is given) and its system come from
 ``feasibility.weight_system``, as for ``check`` and ``polarize``.  Also
 sweeps the known family of component-supported destabilizing subsheaves over
-grids of polarizations and twists, by integer cross-multiplication, to
-corroborate twist-independent instability verdicts.  The work a run may do
-is estimated up front, exactly up to a cap, and refused above
-``ORACLE_WORK_LIMIT``.
+grids of polarizations and twists, to corroborate twist-independent
+instability verdicts.  Each twist is decided from integer bounds on each
+part a_j = D*w_j on its own, and only the grid points that admit no
+destabilizer are listed.  The work a run may do is estimated up front,
+exactly up to a cap, and refused above ``ORACLE_WORK_LIMIT``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .feasibility import (FEASIBLE, Polarization, WeightBound, WeightSystem, _su
                           check_bigas, simplex_intersect, weight_system)
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
-# may do.  Units count every point of the grid, C(D-1, n-1), although the
-# level-by-level walk visits only the points that meet the inequalities: the
-# estimate bounds the grid work from above rather than measuring its cost.
+# may do.  Units count every point of the grid, C(D-1, n-1), and every point
+# of every sampled twist, although the level-by-level walk visits only the
+# points that meet the inequalities and the destabilizer sweep lists only the
+# failing ones: the estimate bounds the work from above rather than
+# measuring its cost.
 ORACLE_WORK_LIMIT = 10**7
 # Work estimates are exact up to this many units and print as "more than" it beyond.
 _WORK_CAP = 10**18
@@ -53,13 +56,6 @@ class GridSpec:
             raise ValidationError(
                 f"denominator {self.denominator} < {self.n}: no strictly positive "
                 "composition exists")
-
-
-def _grid_parts(spec: GridSpec) -> Iterator[tuple[int, ...]]:
-    """Numerators a_1..a_n of every grid polarization, lexicographic by cut positions."""
-    d = spec.denominator
-    for cuts in itertools.combinations(range(1, d), spec.n - 1):
-        yield tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,)))
 
 
 def _admits(bound: WeightBound, a: int, d: int) -> bool:
@@ -218,31 +214,80 @@ def _sweeps_twists(pair: Optional[GeneratedPairData]) -> bool:
     return pair is not None and all(pair.ker_rho_nonzero) and pair.degree_ratio_exceeds()
 
 
+def _box_compositions(lo: Sequence[int], hi: Sequence[int], d: int
+                      ) -> Iterator[tuple[int, ...]]:
+    """Compositions a of ``d`` with lo[k] <= a_k <= hi[k] for every k, in
+    lexicographic order (the order of their cut positions).
+
+    The box must hold one: 1 <= lo[k] <= hi[k] for every k and
+    sum(lo) <= d <= sum(hi).  Each part is placed within the range that the
+    parts after it can still complete to ``d``, so every part placed
+    extends to a listed composition and each one costs O(n) steps.
+    """
+    n = len(lo)
+    rest_lo, rest_hi = [0] * (n + 1), [0] * (n + 1)   # sums over parts k..n-1
+    for k in range(n - 1, -1, -1):
+        rest_lo[k], rest_hi[k] = rest_lo[k + 1] + lo[k], rest_hi[k + 1] + hi[k]
+    parts, top, left = [0] * n, [0] * n, [0] * n   # left[k]: what parts k..n-1 sum to
+    k, left[0] = 0, d
+    parts[0], top[0] = max(lo[0], d - rest_hi[1]) - 1, min(hi[0], d - rest_lo[1])
+    while k >= 0:
+        a = parts[k] + 1
+        if a > top[k]:
+            k -= 1
+            continue
+        parts[k] = a
+        if k == n - 1:
+            yield tuple(parts)
+            continue
+        r = left[k] - a
+        k += 1
+        left[k] = r
+        parts[k], top[k] = max(lo[k], r - rest_hi[k + 1]) - 1, min(hi[k], r - rest_lo[k + 1])
+
+
 def _destabilizer_failures(
         curve: ChainCurve, pair: GeneratedPairData, chi: int, grid: GridSpec, twist_range: int,
 ) -> tuple[int, list[tuple[Polarization, LineBundleTwist]]]:
-    """Checks done and (polarization, twist) pairs with no destabilizer, over
-    every grid point and sampled twist, twist-major then lexicographic.
+    """Checks decided and (polarization, twist) pairs with no destabilizer,
+    over every grid point and sampled twist, twist-major then lexicographic.
 
-    ``chi`` is the untwisted kernel's.  Weight a_j/D gives a destabilizer on
-    component j when numer_j*D*m > chi_L*a_j, chi_L = chi + m * deg L: the
-    twisted chi of ``curve_model.twist``, applied as a shift so that the
-    loop over (2B+1)^n twists builds no sheaf.
+    ``chi`` is the untwisted kernel's.  Weight a_k/D gives a destabilizer on
+    component k when s_k > chi_L*a_k, with s_k = numer_k*D*m and
+    chi_L = chi + m * deg L the twisted chi of ``curve_model.twist``, applied
+    as a shift so that the loop over (2B+1)^n twists builds no sheaf.  A
+    point fails when s_k <= chi_L*a_k on every flagged component, which
+    bounds each part on its own: a_k >= ceil(s_k/chi_L) when chi_L > 0,
+    a_k <= floor(s_k/chi_L) when chi_L < 0, and for chi_L = 0 every point
+    fails (all s_k <= 0) or none does.  Each twist is decided from those
+    bounds in O(n) steps, and only its failing points are listed, by
+    ``_box_compositions``.  Every grid point of every twist counts as one
+    check decided, C(D-1, n-1) * (2B+1)^n in all.
     """
-    d, m = grid.denominator, pair.kernel_rank
-    points = list(_grid_parts(grid))
-    checks, failures = 0, []
-    for degs in itertools.product(range(-twist_range, twist_range + 1), repeat=curve.n):
+    d, m, n = grid.denominator, pair.kernel_rank, curve.n
+    dm = d * m
+    # numer_k at twist 0; a twist of degree t_k on component k adds t_k
+    base = [(j - 1, numer) for j, numer in _destabilizer_terms(curve, pair, (0,) * n)]
+    failures = []
+    for degs in itertools.product(range(-twist_range, twist_range + 1), repeat=n):
         shifted = chi + m * sum(degs)
-        scaled = [(j - 1, numer * d * m) for j, numer in _destabilizer_terms(curve, pair, degs)]
-        for parts in points:
-            for k, s in scaled:
-                if s > shifted * parts[k]:
-                    break
-            else:
-                failures.append((Polarization.from_parts(parts, d), LineBundleTwist(degs)))
-        checks += len(points)
-    return checks, failures
+        lo, hi = [1] * n, [d] * n
+        for k, numer in base:
+            s = (numer + degs[k]) * dm
+            if shifted > 0:
+                lo[k] = max(1, -(-s // shifted))
+            elif shifted < 0:
+                hi[k] = s // shifted
+            elif s > 0:
+                break
+            if lo[k] > hi[k]:
+                break
+        else:
+            if sum(lo) <= d <= sum(hi):   # with lo <= hi: the box holds a composition
+                line = LineBundleTwist(degs)
+                failures.extend((Polarization.from_parts(parts, d), line)
+                                for parts in _box_compositions(lo, hi, d))
+    return _grid_count(grid) * (2 * twist_range + 1) ** n, failures
 
 
 def _grid_count(grid: GridSpec) -> int:
@@ -263,8 +308,14 @@ def _grid_count(grid: GridSpec) -> int:
 
 def work_estimate(grid: GridSpec, pair: Optional[GeneratedPairData] = None,
                   twist_range: int = 3) -> int:
-    """Work units ``cross_validate`` will do: grid points, plus one destabilizer
+    """Work units ``cross_validate`` may do: grid points, plus one destabilizer
     check per grid point and sampled twist when the sweep runs.
+
+    Both terms bound the work rather than measure it: the grid walk visits
+    only points meeting the inequalities, and the sweep decides each twist
+    in O(n) steps, plus O(n) per failing point it lists.  The checks term,
+    C(D-1, n-1) * (2B+1)^n, is the count of checks decided that the sweep
+    reports as ``witness_checks``.
 
     The twist count (2B+1)^n is only multiplied in while the grid alone is
     within ``ORACLE_WORK_LIMIT``, and only as far as ``_WORK_CAP``: the

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -297,15 +298,18 @@ def _reference_destabilizers(curve, pair, grid, twist_range):
 @st.composite
 def pairs_and_grids(draw):
     """Pairs with any restriction-kernel flags, most not meeting the all-twists
-    condition, so the sweep also finds grid/twist pairs without a destabilizer."""
-    n = draw(st.integers(2, 3))
+    condition, so the sweep also finds grid/twist pairs without a destabilizer.
+    Twists up to degree 2 reach twisted chi of every sign.  Four-component
+    grids stop at D = 7 to keep the rational reference small."""
+    n = draw(st.integers(2, 4))
     rank = draw(st.integers(1, 2))
     pair = GeneratedPairData(
         rank=rank, sections=rank + draw(st.integers(1, 3)),
         multidegree=tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))),
         ker_rho_nonzero=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
     curve = ChainCurve(tuple(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))))
-    return curve, pair, GridSpec(draw(st.integers(n, 9)), n), draw(st.integers(0, 1))
+    grid = GridSpec(draw(st.integers(n, 9 if n < 4 else 7)), n)
+    return curve, pair, grid, draw(st.integers(0, 2))
 
 
 @settings(max_examples=120, deadline=None)
@@ -333,6 +337,118 @@ def test_destabilizer_sweep_reports_failures():
     assert failures
     chi = kernel_numerics(curve, pair).chi
     assert oracle._destabilizer_failures(curve, pair, chi, grid, 1) == (checks, failures)
+
+
+@pytest.mark.parametrize("sign, sections, multidegree, denominator, twist_range", [
+    # chi = -15, m = 4: twist (2, 3) gives chi_L = 5 and the second subsheaf
+    # numerator 1, so only a_2 >= ceil(28/5) = 6 fails
+    (1, 5, (0, 3), 7, 3),
+    # chi = -4, m = 1: twist (2, 2) gives chi_L = 0 and numerators 0, 0, so
+    # every point fails there
+    (0, 2, (0, 1), 6, 2),
+    # the same pair: every twist of range 1 has chi_L < 0
+    (-1, 2, (0, 1), 6, 1),
+])
+def test_destabilizer_sweep_failures_by_twisted_chi_sign(sign, sections, multidegree,
+                                                         denominator, twist_range):
+    curve = ChainCurve((2, 2))
+    pair = GeneratedPairData(rank=1, sections=sections, multidegree=multidegree,
+                             ker_rho_nonzero=(True, True))
+    grid = GridSpec(denominator, 2)
+    chi, m = kernel_numerics(curve, pair).chi, pair.kernel_rank
+    checks, failures, _ = _reference_destabilizers(curve, pair, grid, twist_range)
+    assert oracle._destabilizer_failures(curve, pair, chi, grid, twist_range) == \
+        (checks, failures)
+    signs = [(chi_l > 0) - (chi_l < 0)
+             for chi_l in (chi + m * sum(line.multidegree) for _, line in failures)]
+    assert sign in signs
+
+
+def _oracle_lines_run(fn, *args):
+    """``fn(*args)`` and the number of source lines of ``chainstab.oracle`` it ran."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code.co_filename == oracle.__file__ else None)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, count
+
+
+@st.composite
+def boxes(draw):
+    """A denominator d and per-part bounds lo >= 1 and hi >= 0, some crossed."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(n, 10))
+    lo = draw(st.lists(st.integers(1, d + 1), min_size=n, max_size=n))
+    hi = draw(st.lists(st.integers(0, d + 1), min_size=n, max_size=n))
+    return lo, hi, d
+
+
+# the sums straddle d but the last part's bounds cross; a single composition
+@example(([1, 1, 1, 5], [10, 10, 10, 4], 10))
+@example(([1, 1, 1, 7], [10, 10, 10, 7], 10))
+@settings(max_examples=200, deadline=None)
+@given(boxes())
+def test_box_walk_is_the_grid_filtered_by_its_bounds(box):
+    lo, hi, d = box
+    n = len(lo)
+    expected = [parts for parts in (tuple(int(x * d) for x in w.weights)
+                                    for w in enumerate_polarizations(GridSpec(d, n)))
+                if all(a <= p <= b for a, p, b in zip(lo, parts, hi))]
+    # the sweep's test for a box holding a composition is exact
+    holds = all(a <= b for a, b in zip(lo, hi)) and sum(lo) <= d <= sum(hi)
+    assert holds == bool(expected)
+    if holds:
+        got, lines = _oracle_lines_run(lambda: list(oracle._box_compositions(lo, hi, d)))
+        assert got == expected
+        assert lines <= 16 * n * (len(got) + 1)   # O(n) per composition and to set up
+
+
+def test_destabilizer_sweep_does_not_walk_the_grid(monkeypatch):
+    # acceptance-6: 343 twists of a 253-point grid, every pair destabilized
+    curve = ChainCurve((2, 2, 2))
+    pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
+                             ker_rho_nonzero=(True, True, True))
+    grid = GridSpec(24, 3)
+    built, inside = [], []
+    from_parts = Polarization.from_parts
+    monkeypatch.setattr(Polarization, "from_parts", staticmethod(
+        lambda parts, d: built.append(bool(inside)) or from_parts(parts, d)))
+    sweep = oracle._destabilizer_failures
+
+    def counted(*args):
+        inside.append(True)
+        try:
+            return sweep(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(oracle, "_destabilizer_failures", counted)
+    report = cross_validate(curve, grid, pair=pair, twist_range=3)
+    assert report.witness_checks == 86779 and report.witness_failures == ()
+    assert built.count(True) == 0
+    assert built.count(False) == report.grid_count
+    # a sweep with failures builds each failing point once, and no other
+    weak = GeneratedPairData(rank=1, sections=4, multidegree=(1, 1, 1),
+                             ker_rho_nonzero=(True, True, True))
+    chi = kernel_numerics(curve, weak).chi
+    built.clear()
+    _, failures = oracle._destabilizer_failures(curve, weak, chi, GridSpec(12, 3), 1)
+    assert failures and built == [True] * len(failures)
+    # each twist is decided in a few steps per component, not one per grid point
+    # (walking the 253 points of each of the 343 twists ran over 1200 lines a twist)
+    chi = kernel_numerics(curve, pair).chi
+    (checks, failures), lines = _oracle_lines_run(sweep, curve, pair, chi, grid, 3)
+    assert (checks, failures) == (86779, [])
+    assert lines < 25 * 343
 
 
 class TestCrossValidate:
