@@ -214,11 +214,10 @@ def _witness_json(w: Optional[Polarization]):
     return None if w is None else [_ratio(a, w.den) for a in w.nums]
 
 
-def _region_json(region: FeasibleRegion, witness: Optional[list] = None) -> dict:
-    """``witness``, when given, is ``region.witness`` already formatted."""
+def _region_json(region: FeasibleRegion) -> dict:
     # the chain itself: ``_emit`` and ``render_text`` write its intervals
     return {"status": region.status, "s_intervals": region.s_intervals,
-            "witness": _witness_json(region.witness) if witness is None else witness}
+            "witness": _witness_json(region.witness)}
 
 
 def _certificate_json(cert: Optional[InfeasibilityCertificate]):
@@ -257,13 +256,12 @@ def _sheaf_json(s: SheafNumerics) -> dict:
 
 
 def _report_json(report: Report) -> dict:
-    verdict, region = report.verdict, report.region
-    # a semistability verdict's witness is the region's: formatted once for both
-    witness = _witness_json(verdict.witness)
+    verdict = report.verdict
+    region = None if report.region is None else _region_json(report.region)
+    # a verdict's witness is only ever its region's: formatted once for both
     out = {
-        "verdict": _verdict_json(verdict, witness),
-        "region": None if region is None else _region_json(
-            region, witness if region.witness is verdict.witness else None),
+        "verdict": _verdict_json(verdict, None if verdict.witness is None else region["witness"]),
+        "region": region,
         "sheaf": _sheaf_json(report.sheaf),
         "fired": list(report.fired),
         "obstructions": list(report.obstructions),

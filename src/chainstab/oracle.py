@@ -58,6 +58,13 @@ class GridSpec:
                 "composition exists")
 
 
+def _grid_parts(spec: GridSpec) -> Iterator[tuple[int, ...]]:
+    """Numerators a_1..a_n of every grid polarization, lexicographic by cut positions."""
+    d = spec.denominator
+    for cuts in itertools.combinations(range(1, d), spec.n - 1):
+        yield tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,)))
+
+
 def _admits(bound: WeightBound, a: int, d: int) -> bool:
     """Whether the weight a/d meets ``bound``, by integer cross-multiplication."""
     num, den = bound.upper.numerator, bound.upper.denominator
@@ -214,38 +221,6 @@ def _sweeps_twists(pair: Optional[GeneratedPairData]) -> bool:
     return pair is not None and all(pair.ker_rho_nonzero) and pair.degree_ratio_exceeds()
 
 
-def _box_compositions(lo: Sequence[int], hi: Sequence[int], d: int
-                      ) -> Iterator[tuple[int, ...]]:
-    """Compositions a of ``d`` with lo[k] <= a_k <= hi[k] for every k, in
-    lexicographic order (the order of their cut positions).
-
-    The box must hold one: 1 <= lo[k] <= hi[k] for every k and
-    sum(lo) <= d <= sum(hi).  Each part is placed within the range that the
-    parts after it can still complete to ``d``, so every part placed
-    extends to a listed composition and each one costs O(n) steps.
-    """
-    n = len(lo)
-    rest_lo, rest_hi = [0] * (n + 1), [0] * (n + 1)   # sums over parts k..n-1
-    for k in range(n - 1, -1, -1):
-        rest_lo[k], rest_hi[k] = rest_lo[k + 1] + lo[k], rest_hi[k + 1] + hi[k]
-    parts, top, left = [0] * n, [0] * n, [0] * n   # left[k]: what parts k..n-1 sum to
-    k, left[0] = 0, d
-    parts[0], top[0] = max(lo[0], d - rest_hi[1]) - 1, min(hi[0], d - rest_lo[1])
-    while k >= 0:
-        a = parts[k] + 1
-        if a > top[k]:
-            k -= 1
-            continue
-        parts[k] = a
-        if k == n - 1:
-            yield tuple(parts)
-            continue
-        r = left[k] - a
-        k += 1
-        left[k] = r
-        parts[k], top[k] = max(lo[k], r - rest_hi[k + 1]) - 1, min(hi[k], r - rest_lo[k + 1])
-
-
 def _destabilizer_failures(
         curve: ChainCurve, pair: GeneratedPairData, chi: int, grid: GridSpec, twist_range: int,
 ) -> tuple[int, list[tuple[Polarization, LineBundleTwist]]]:
@@ -260,15 +235,16 @@ def _destabilizer_failures(
     bounds each part on its own: a_k >= ceil(s_k/chi_L) when chi_L > 0,
     a_k <= floor(s_k/chi_L) when chi_L < 0, and for chi_L = 0 every point
     fails (all s_k <= 0) or none does.  Each twist is decided from those
-    bounds in O(n) steps, and only its failing points are listed, by
-    ``_box_compositions``.  Every grid point of every twist counts as one
-    check decided, C(D-1, n-1) * (2B+1)^n in all.
+    bounds in O(n) steps; only a twist whose bounds admit a grid point reads
+    the grid's points, built once, and lists those within them.  Every grid
+    point of every twist counts as one check decided, C(D-1, n-1) * (2B+1)^n
+    in all.
     """
     d, m, n = grid.denominator, pair.kernel_rank, curve.n
     dm = d * m
     # numer_k at twist 0; a twist of degree t_k on component k adds t_k
     base = [(j - 1, numer) for j, numer in _destabilizer_terms(curve, pair, (0,) * n)]
-    failures = []
+    failures, points = [], None
     for degs in itertools.product(range(-twist_range, twist_range + 1), repeat=n):
         shifted = chi + m * sum(degs)
         lo, hi = [1] * n, [d] * n
@@ -284,9 +260,10 @@ def _destabilizer_failures(
                 break
         else:
             if sum(lo) <= d <= sum(hi):   # with lo <= hi: the box holds a composition
+                points = points or list(_grid_parts(grid))
                 line = LineBundleTwist(degs)
-                failures.extend((Polarization.from_parts(parts, d), line)
-                                for parts in _box_compositions(lo, hi, d))
+                failures.extend((Polarization.from_parts(parts, d), line) for parts in points
+                                if all(a <= p <= b for a, p, b in zip(lo, parts, hi)))
     return _grid_count(grid) * (2 * twist_range + 1) ** n, failures
 
 
@@ -313,9 +290,9 @@ def work_estimate(grid: GridSpec, pair: Optional[GeneratedPairData] = None,
 
     Both terms bound the work rather than measure it: the grid walk visits
     only points meeting the inequalities, and the sweep decides each twist
-    in O(n) steps, plus O(n) per failing point it lists.  The checks term,
-    C(D-1, n-1) * (2B+1)^n, is the count of checks decided that the sweep
-    reports as ``witness_checks``.
+    in O(n) steps, reading the grid only for a twist that has failures.  The
+    checks term, C(D-1, n-1) * (2B+1)^n, is the count of checks decided that
+    the sweep reports as ``witness_checks``.
 
     The twist count (2B+1)^n is only multiplied in while the grid alone is
     within ``ORACLE_WORK_LIMIT``, and only as far as ``_WORK_CAP``: the

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 
@@ -364,65 +363,18 @@ def test_destabilizer_sweep_failures_by_twisted_chi_sign(sign, sections, multide
     assert sign in signs
 
 
-def _oracle_lines_run(fn, *args):
-    """``fn(*args)`` and the number of source lines of ``chainstab.oracle`` it ran."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg:
-                 local if frame.f_code.co_filename == oracle.__file__ else None)
-    try:
-        result = fn(*args)
-    finally:
-        sys.settrace(previous)
-    return result, count
-
-
-@st.composite
-def boxes(draw):
-    """A denominator d and per-part bounds lo >= 1 and hi >= 0, some crossed."""
-    n = draw(st.integers(2, 4))
-    d = draw(st.integers(n, 10))
-    lo = draw(st.lists(st.integers(1, d + 1), min_size=n, max_size=n))
-    hi = draw(st.lists(st.integers(0, d + 1), min_size=n, max_size=n))
-    return lo, hi, d
-
-
-# the sums straddle d but the last part's bounds cross; a single composition
-@example(([1, 1, 1, 5], [10, 10, 10, 4], 10))
-@example(([1, 1, 1, 7], [10, 10, 10, 7], 10))
-@settings(max_examples=200, deadline=None)
-@given(boxes())
-def test_box_walk_is_the_grid_filtered_by_its_bounds(box):
-    lo, hi, d = box
-    n = len(lo)
-    expected = [parts for parts in (tuple(int(x * d) for x in w.weights)
-                                    for w in enumerate_polarizations(GridSpec(d, n)))
-                if all(a <= p <= b for a, p, b in zip(lo, parts, hi))]
-    # the sweep's test for a box holding a composition is exact
-    holds = all(a <= b for a, b in zip(lo, hi)) and sum(lo) <= d <= sum(hi)
-    assert holds == bool(expected)
-    if holds:
-        got, lines = _oracle_lines_run(lambda: list(oracle._box_compositions(lo, hi, d)))
-        assert got == expected
-        assert lines <= 16 * n * (len(got) + 1)   # O(n) per composition and to set up
-
-
 def test_destabilizer_sweep_does_not_walk_the_grid(monkeypatch):
     # acceptance-6: 343 twists of a 253-point grid, every pair destabilized
     curve = ChainCurve((2, 2, 2))
     pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                              ker_rho_nonzero=(True, True, True))
     grid = GridSpec(24, 3)
-    built, inside = [], []
-    from_parts = Polarization.from_parts
+    built, inside, walked = [], [], []
+    from_parts, grid_parts = Polarization.from_parts, oracle._grid_parts
     monkeypatch.setattr(Polarization, "from_parts", staticmethod(
         lambda parts, d: built.append(bool(inside)) or from_parts(parts, d)))
+    monkeypatch.setattr(oracle, "_grid_parts",
+                        lambda spec: walked.append(spec) or grid_parts(spec))
     sweep = oracle._destabilizer_failures
 
     def counted(*args):
@@ -434,21 +386,18 @@ def test_destabilizer_sweep_does_not_walk_the_grid(monkeypatch):
     monkeypatch.setattr(oracle, "_destabilizer_failures", counted)
     report = cross_validate(curve, grid, pair=pair, twist_range=3)
     assert report.witness_checks == 86779 and report.witness_failures == ()
-    assert built.count(True) == 0
+    # every twist is decided from its bounds: the grid's points are never read
+    assert walked == [] and built.count(True) == 0
     assert built.count(False) == report.grid_count
-    # a sweep with failures builds each failing point once, and no other
+    # a sweep with failures reads the grid once and builds each failing point
+    # once, and no other
     weak = GeneratedPairData(rank=1, sections=4, multidegree=(1, 1, 1),
                              ker_rho_nonzero=(True, True, True))
     chi = kernel_numerics(curve, weak).chi
     built.clear()
     _, failures = oracle._destabilizer_failures(curve, weak, chi, GridSpec(12, 3), 1)
-    assert failures and built == [True] * len(failures)
-    # each twist is decided in a few steps per component, not one per grid point
-    # (walking the 253 points of each of the 343 twists ran over 1200 lines a twist)
-    chi = kernel_numerics(curve, pair).chi
-    (checks, failures), lines = _oracle_lines_run(sweep, curve, pair, chi, grid, 3)
-    assert (checks, failures) == (86779, [])
-    assert lines < 25 * 343
+    assert len({line for _, line in failures}) > 1
+    assert walked == [GridSpec(12, 3)] and built == [True] * len(failures)
 
 
 class TestCrossValidate:
