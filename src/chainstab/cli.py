@@ -21,8 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics)
+from .curve_model import PAIR_FLAGS, ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, ValidationError
 from .feasibility import (FeasibleRegion, InfeasibilityCertificate, IntervalChain, Polarization,
                           simplex_intersect, weight_system)
@@ -74,8 +73,7 @@ rationals appear only in output, as reduced "p/q" strings.  Exit codes:
 @dataclass(frozen=True)
 class Scenario:
     curve: ChainCurve
-    sheaf: Optional[SheafNumerics]
-    pair: Optional[GeneratedPairData]
+    subject: SheafNumerics | GeneratedPairData
     twist: Optional[LineBundleTwist]
 
 
@@ -103,6 +101,12 @@ def _as_int(value, where):
     return value
 
 
+def _no_unknown(obj, allowed, where):
+    unknown = set(obj).difference(allowed)
+    if unknown:
+        raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")
+
+
 def _int_list(value, where):
     values = _as_list(value, where)
     if not {*map(type, values)} <= {int}:  # the common case, checked at C speed
@@ -113,70 +117,55 @@ def _int_list(value, where):
 
 def parse_scenario(data: dict) -> Scenario:
     data = _as_dict(data, "scenario")
-    unknown = set(data) - {"curve", "subject", "twist"}
-    if unknown:
-        raise ValidationError(f"scenario: unknown fields {sorted(unknown)}")
+    _no_unknown(data, ("curve", "subject", "twist"), "scenario")
     curve_obj = _as_dict(_expect(data, "curve", "scenario"), "curve")
-    unknown = set(curve_obj) - {"genera"}
-    if unknown:
-        raise ValidationError(f"curve: unknown fields {sorted(unknown)}")
+    _no_unknown(curve_obj, ("genera",), "curve")
     genera = _as_list(_expect(curve_obj, "genera", "curve"), "curve.genera")
     if len(genera) > CHAIN_LENGTH_LIMIT:
         raise ValidationError(f"curve.genera: {len(genera):,} components exceed the chain-length "
                               f"limit of {CHAIN_LENGTH_LIMIT:,}")
     curve = ChainCurve(tuple(_int_list(genera, "curve.genera")))
 
-    subject = _as_dict(_expect(data, "subject", "scenario"), "subject")
-    if set(subject) == {"sheaf"}:
-        sh = _as_dict(subject["sheaf"], "subject.sheaf")
+    subject_obj = _as_dict(_expect(data, "subject", "scenario"), "subject")
+    if set(subject_obj) == {"sheaf"}:
+        sh = _as_dict(subject_obj["sheaf"], "subject.sheaf")
         ranks = _int_list(_expect(sh, "multirank", "subject.sheaf"), "sheaf.multirank")
         degs = _int_list(_expect(sh, "multidegree", "subject.sheaf"), "sheaf.multidegree")
-        unknown = set(sh) - {"multirank", "multidegree"}
-        if unknown:
-            raise ValidationError(f"subject.sheaf: unknown fields {sorted(unknown)}")
-        sheaf = SheafNumerics(curve, ranks, degs)
-        pair = None
-    elif set(subject) == {"pair"}:
-        pr = _as_dict(subject["pair"], "subject.pair")
-        flag_names = ("restriction_semistable", "restriction_stable",
-                      "kernel_restriction_semistable", "kernel_restriction_stable",
-                      "ker_rho_nonzero", "twisted_sections_nonzero", "h1_vanishes")
-        unknown = set(pr) - {"rank", "sections", "multidegree", *flag_names}
-        if unknown:
-            raise ValidationError(f"subject.pair: unknown fields {sorted(unknown)}")
+        _no_unknown(sh, ("multirank", "multidegree"), "subject.sheaf")
+        subject = SheafNumerics(curve, ranks, degs)
+    elif set(subject_obj) == {"pair"}:
+        pr = _as_dict(subject_obj["pair"], "subject.pair")
+        _no_unknown(pr, ("rank", "sections", "multidegree", *PAIR_FLAGS), "subject.pair")
         flags = {}
-        for name in flag_names:
+        for name in PAIR_FLAGS:
             if name in pr:
                 raw = _as_list(pr[name], f"pair.{name}")
                 for v in raw:
                     if not isinstance(v, bool):
                         raise ValidationError(f"pair.{name}: expected booleans, got {v!r}")
                 flags[name] = tuple(raw)
-        pair = GeneratedPairData(
+        subject = GeneratedPairData(
             rank=_as_int(_expect(pr, "rank", "subject.pair"), "pair.rank"),
             sections=_as_int(_expect(pr, "sections", "subject.pair"), "pair.sections"),
             multidegree=tuple(_int_list(_expect(pr, "multidegree", "subject.pair"),
                                         "pair.multidegree")),
             **flags)
-        if pair.n != curve.n:
+        if subject.n != curve.n:
             raise ValidationError(
-                f"pair.multidegree has length {pair.n} but the curve has {curve.n} components")
-        sheaf = None
+                f"pair.multidegree has length {subject.n} but the curve has {curve.n} components")
     else:
         raise ValidationError("subject: provide exactly one of 'sheaf' or 'pair'")
 
     line = None
     if "twist" in data and data["twist"] is not None:
         tw = _as_dict(data["twist"], "twist")
-        unknown = set(tw) - {"multidegree"}
-        if unknown:
-            raise ValidationError(f"twist: unknown fields {sorted(unknown)}")
+        _no_unknown(tw, ("multidegree",), "twist")
         line = LineBundleTwist(tuple(_int_list(_expect(tw, "multidegree", "twist"),
                                                "twist.multidegree")))
         if line.n != curve.n:
             raise ValidationError(
                 f"twist.multidegree has length {line.n} but the curve has {curve.n} components")
-    return Scenario(curve, sheaf, pair, line)
+    return Scenario(curve, subject, line)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -420,41 +409,40 @@ def render_text(payload: dict) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_polarize(scn: Scenario) -> dict:
-    untwisted = scn.sheaf if scn.sheaf is not None else kernel_numerics(scn.curve, scn.pair)
-    system = weight_system(scn.curve, untwisted, scn.twist)
+    system = weight_system(scn.curve, scn.subject, scn.twist)
     return {
         "command": "polarize",
         "curve": {"genera": list(scn.curve.genera)},
-        "subject": "sheaf" if scn.sheaf is not None else "pair",
+        "subject": "sheaf" if system.pair is None else "pair",
         "sheaf": _sheaf_json(system.subject),
         "region": _region_json(simplex_intersect(system.intervals)),
     }
 
 
 def cmd_check(scn: Scenario) -> dict:
-    if scn.pair is not None:
-        report = analyze(scn.curve, scn.pair, scn.twist)
+    pair = scn.subject if isinstance(scn.subject, GeneratedPairData) else None
+    if pair is not None:
+        report = analyze(scn.curve, pair, scn.twist)
     else:
-        report = analyze_sheaf(scn.sheaf, scn.twist)
+        report = analyze_sheaf(scn.subject, scn.twist)
     payload = {
         "command": "check",
         "curve": {"genera": list(scn.curve.genera)},
-        "subject": "sheaf" if scn.sheaf is not None else "pair",
+        "subject": "sheaf" if pair is None else "pair",
     }
     payload.update(_report_json(report))
-    if scn.pair is not None:
+    if pair is not None:
         payload["pair"] = {
-            "rank": scn.pair.rank,
-            "sections": scn.pair.sections,
-            "multidegree": list(scn.pair.multidegree),
+            "rank": pair.rank,
+            "sections": pair.sections,
+            "multidegree": list(pair.multidegree),
         }
     return payload
 
 
 def cmd_oracle(scn: Scenario, denominator: int, twist_range: int) -> dict:
     grid = GridSpec(denominator, scn.curve.n)
-    report = cross_validate(scn.curve, grid, sheaf=scn.sheaf, pair=scn.pair,
-                            line=scn.twist, twist_range=twist_range)
+    report = cross_validate(scn.curve, grid, scn.subject, scn.twist, twist_range)
     return {
         "command": "oracle",
         "curve": {"genera": list(scn.curve.genera)},

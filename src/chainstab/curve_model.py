@@ -118,10 +118,6 @@ class SheafNumerics:
     def n(self) -> int:
         return len(self.multirank)
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.multidegree)
-
     def uniform_rank(self) -> Optional[int]:
         """The common rank when the multirank is constant, else ``None``."""
         r = self.multirank[0]
@@ -153,6 +149,12 @@ class LineBundleTwist:
     @classmethod
     def trivial(cls, n: int) -> "LineBundleTwist":
         return cls((0,) * n)
+
+
+# The hypothesis flags of a generated pair, each a list of n booleans.
+PAIR_FLAGS = ("restriction_semistable", "restriction_stable",
+              "kernel_restriction_semistable", "kernel_restriction_stable",
+              "ker_rho_nonzero", "twisted_sections_nonzero", "h1_vanishes")
 
 
 @dataclass(frozen=True)
@@ -191,9 +193,7 @@ class GeneratedPairData:
             raise ValidationError("multidegree must cover at least two components")
         if any(d < 0 for d in self.multidegree):
             raise ValidationError("a globally generated restriction has non-negative degree")
-        for name in ("restriction_semistable", "restriction_stable",
-                     "kernel_restriction_semistable", "kernel_restriction_stable",
-                     "ker_rho_nonzero", "twisted_sections_nonzero", "h1_vanishes"):
+        for name in PAIR_FLAGS:
             object.__setattr__(self, name, _bool_tuple(name, getattr(self, name), n))
         for j in range(n):
             if self.restriction_stable[j] and not self.restriction_semistable[j]:

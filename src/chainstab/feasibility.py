@@ -35,8 +35,11 @@ endpoint they use.  The relaxed sweep, which only tells boundary-only
 from infeasible, stops after its forward pass.
 
 ``weight_system`` is the one place that decides what a subject's system is:
-it twists the subject (a sheaf, or a pair's kernel) and builds its
-intervals and, for a pair, the declared subsheaf bounds.
+given a sheaf, or a pair whose kernel it builds, it twists the subject and
+builds its intervals and, for a pair, the declared subsheaf bounds.  Beside
+those bounds sits their pointwise test, ``destabilizer_witness``: the first
+component subsheaf whose slope under a given polarization exceeds the
+twisted kernel's.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
-from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics, twist,
-                          validate_pair)
+from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
+                          kernel_numerics, twist)
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
 
 FEASIBLE = "feasible"
@@ -74,35 +77,29 @@ def _as_fraction(name: str, value) -> Fraction:
         raise ValidationError(f"{name} must be an exact rational, got {value!r}") from exc
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Polarization:
-    """Strictly positive rational weights summing to 1, one per component.
+    """Strictly positive rational weights summing to 1, one per component:
+    the weights nums[i] / den, for integers ``nums`` and a positive integer
+    ``den``.
 
-    Held as integer numerators ``nums`` over their least common denominator
-    ``den``, so equality, hashing and ``repr`` go by value.
-    ``Polarization(weights)`` takes exact rationals and keeps the given
-    ``Fraction`` objects as ``weights``; ``from_parts`` takes numerators
-    over any positive denominator and builds ``weights`` only when read.
+    Held in lowest terms, so equality, hashing and ``repr`` go by value;
+    ``weights`` is built only when read.
     """
 
     nums: tuple[int, ...]
     den: int
 
-    def __init__(self, weights: Sequence) -> None:
-        ws = vars(self)["weights"] = tuple(_as_fraction("weight", w) for w in weights)
-        den = math.lcm(*(w.denominator for w in ws))
-        self._check(tuple(w.numerator * (den // w.denominator) for w in ws), den)
-
-    @classmethod
-    def from_parts(cls, nums: Sequence[int], den: int) -> Polarization:
-        """The weights nums[i] / den, for a positive integer ``den``."""
+    def __post_init__(self):
+        nums, den = tuple(self.nums), self.den
+        if {*map(type, nums), type(den)} != {int}:  # bool is refused too
+            bad = next(v for v in (*nums, den) if type(v) is not int)
+            raise ValidationError(f"polarization parts must be integers, got {bad!r}")
+        if den < 1:
+            raise ValidationError(f"polarization denominator must be positive, got {den}")
         g = math.gcd(den, *nums)
-        w = cls.__new__(cls)
-        w._check(tuple(nums) if g == 1 else tuple(a // g for a in nums), den // g)
-        return w
-
-    def _check(self, nums: tuple[int, ...], den: int) -> None:
-        vars(self).update(nums=nums, den=den)
+        object.__setattr__(self, "nums", nums if g == 1 else tuple(a // g for a in nums))
+        object.__setattr__(self, "den", den // g)
         if len(nums) < 2:
             raise ValidationError("a polarization needs at least two weights")
         if min(nums) <= 0 or max(nums) >= den:
@@ -432,7 +429,7 @@ def _witness(system: IntervalChain, edges: _Edges, reach: list) -> Polarization:
         num, e = _halve(mid, e + 1)
     nums[0], exps[0] = num, e
     top = max(exps)
-    return Polarization.from_parts([a << (top - k) for a, k in zip(nums, exps)], one << top)
+    return Polarization([a << (top - k) for a, k in zip(nums, exps)], one << top)
 
 
 def _step_term(bounds: Sequence[WeightBound], edges: _Edges, j: int, upper: bool) -> str:
@@ -550,12 +547,63 @@ def subsheaf_weight_bound(curve, line, target: Fraction, j: int) -> Optional[Wei
     return WeightBound(j, 1 - Fraction(numer) / target, complement=True, label=label)
 
 
+@dataclass(frozen=True)
+class DestabilizerWitness:
+    """A component subsheaf whose slope strictly exceeds the subject's slope."""
+
+    component: int
+    subsheaf_slope: Fraction
+    target_slope: Fraction
+
+    def __post_init__(self):
+        if not self.subsheaf_slope > self.target_slope:
+            raise ValidationError("a destabilizer must strictly exceed the target slope")
+
+
+def _destabilizer_terms(curve: ChainCurve, pair: GeneratedPairData,
+                        degs: Sequence[int]) -> list[tuple[int, int]]:
+    """(j, numer_j) for each component j with a non-zero restriction kernel,
+    in increasing j, under the twist of multidegree ``degs``.
+
+    Under weights w the component-j subsheaf has slope numer_j / w_j, and the
+    kernel twisted by L has slope chi / m: its untwisted chi shifted by
+    m * deg L, with m the kernel rank.
+    """
+    return [(j, _subsheaf_chi(curve, j, degs[j - 1]))
+            for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1]]
+
+
+def destabilizer_witness(system: WeightSystem, w: Polarization
+                         ) -> Optional[DestabilizerWitness]:
+    """First component whose twisted kernel subsheaf destabilizes under ``w``.
+
+    ``system`` is a pair's weight system: its subject is the kernel twisted
+    by ``system.line``.  For each component j with a non-zero restriction
+    kernel, the subsheaf slope is (deg L_j - delta_j + 1 - g_j) / w_j; the
+    target is the twisted kernel's own slope chi / m.  With w_j = p/q the
+    comparison is the integer one numer*q*m > chi*p, read from the
+    witness's numerators p over its denominator q.  Components are scanned
+    in increasing order so the output is deterministic.
+    """
+    curve, pair, line = system.curve, system.pair, system.line
+    if w.n != curve.n:
+        raise ValidationError("polarization must match the curve's components")
+    m, chi = pair.kernel_rank, system.subject.chi
+    q = w.den
+    for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
+        p = w.nums[j - 1]
+        if numer * q * m > chi * p:
+            return DestabilizerWitness(j, Fraction(numer * q, p), system.target)
+    return None
+
+
 class WeightSystem(NamedTuple):
     """A subject's weight system before any rule contributes to it.
 
     ``subject`` is the twisted sheaf whose slope inequalities give
-    ``intervals``; ``target`` (its slope per kernel rank) and the
-    ``declared`` subsheaf bounds exist only for a pair's kernel.
+    ``intervals``; ``pair``, ``target`` (the subject's slope per kernel
+    rank) and the ``declared`` subsheaf bounds exist only for a pair's
+    kernel.
     """
 
     curve: ChainCurve
@@ -567,23 +615,27 @@ class WeightSystem(NamedTuple):
     declared: list[WeightBound]
 
 
-def weight_system(curve: ChainCurve, sheaf: SheafNumerics,
-                  line: Optional[LineBundleTwist] = None,
-                  pair: Optional[GeneratedPairData] = None) -> WeightSystem:
-    """The weight system of ``sheaf`` twisted by ``line``.
+def weight_system(curve: ChainCurve, subject: SheafNumerics | GeneratedPairData,
+                  line: Optional[LineBundleTwist] = None) -> WeightSystem:
+    """The weight system of ``subject`` twisted by ``line``.
 
-    ``sheaf`` is the untwisted subject: raw sheaf numerics, or the kernel
-    ``kernel_numerics(curve, pair)`` of a generated pair.  Without ``line``
-    the subject is not twisted.  With ``pair`` the system also holds the
+    ``subject`` is sheaf numerics on ``curve``, or a generated pair, whose
+    kernel ``kernel_numerics(curve, pair)`` is then built here; a sheaf on
+    another curve, or a pair of another length, is refused.  Without
+    ``line`` the subject is not twisted.  A pair's system also holds the
     kernel's target slope and the ``subsheaf_weight_bound`` of every
     component whose restriction kernel is declared non-zero.
     """
-    subject = sheaf if line is None else twist(sheaf, line)
+    pair = subject if isinstance(subject, GeneratedPairData) else None
+    if pair is not None:
+        subject = kernel_numerics(curve, pair)
+    elif subject.curve != curve:
+        raise ValidationError("the sheaf lies on another curve than the one given")
+    subject = subject if line is None else twist(subject, line)
     line = line if line is not None else LineBundleTwist.trivial(curve.n)
     intervals = bigas_intervals(subject)
     if pair is None:
         return WeightSystem(curve, None, line, subject, None, intervals, [])
-    validate_pair(curve, pair)
     target = Fraction(subject.chi, pair.kernel_rank)
     bounds = (subsheaf_weight_bound(curve, line, target, j)
               for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1])

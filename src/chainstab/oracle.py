@@ -5,14 +5,15 @@ common denominator D (integer compositions of D into n positive parts),
 independently of the interval sweep.  The grid is walked level by level:
 the cut c_i = D*S_i is placed within the integer range that the i-th
 partial-sum inequality allows, so the walk visits only points that meet
-every inequality, in lexicographic order.  The subject (a sheaf or a pair's kernel,
-twisted when a twist is given) and its system come from
+every inequality, in lexicographic order.  The subject (a sheaf or a
+pair, twisted when a twist is given) and its system come from
 ``feasibility.weight_system``, as for ``check`` and ``polarize``.  Also
 sweeps the known family of component-supported destabilizing subsheaves over
 grids of polarizations and twists, to corroborate twist-independent
-instability verdicts.  Each twist is decided from integer bounds on each
-part a_j = D*w_j on its own, and only the grid points that admit no
-destabilizer are listed.  The work a run may do is estimated up front,
+instability verdicts: the subsheaves are those of
+``feasibility.destabilizer_witness``, but each twist is decided from integer
+bounds on each part a_j = D*w_j on its own, and only the grid points that
+admit no destabilizer are listed.  The work a run may do is estimated up front,
 exactly up to a cap, and refused above ``ORACLE_WORK_LIMIT``.
 """
 
@@ -20,14 +21,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
                           kernel_numerics)
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
-from .feasibility import (FEASIBLE, Polarization, WeightBound, WeightSystem, _subsheaf_chi,
-                          check_bigas, simplex_intersect, weight_system)
+from .feasibility import (FEASIBLE, Polarization, WeightBound, _destabilizer_terms, check_bigas,
+                          simplex_intersect, weight_system)
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
 # may do.  Units count every point of the grid, C(D-1, n-1), and every point
@@ -145,62 +145,11 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
             level += 1
             cuts[level] = max(first[level], c + 1) - 1
         elif all(_admits(b, d - c, d) for b in at[n]):
-            survivors.append(Polarization.from_parts(
-                [hi - lo for lo, hi in zip(cuts, cuts[1:])], d))
+            survivors.append(Polarization([hi - lo for lo, hi in zip(cuts, cuts[1:])], d))
     for w in survivors:
         if not check_bigas(sheaf, w):
             raise InternalInvariantError("integer grid walk disagreed with the exact check")
     return survivors
-
-
-@dataclass(frozen=True)
-class DestabilizerWitness:
-    """A component subsheaf whose slope strictly exceeds the subject's slope."""
-
-    component: int
-    subsheaf_slope: Fraction
-    target_slope: Fraction
-
-    def __post_init__(self):
-        if not self.subsheaf_slope > self.target_slope:
-            raise ValidationError("a destabilizer must strictly exceed the target slope")
-
-
-def _destabilizer_terms(curve: ChainCurve, pair: GeneratedPairData,
-                        degs: Sequence[int]) -> list[tuple[int, int]]:
-    """(j, numer_j) for each component j with a non-zero restriction kernel,
-    in increasing j, under the twist of multidegree ``degs``.
-
-    Under weights w the component-j subsheaf has slope numer_j / w_j, and the
-    kernel twisted by L has slope chi / m: its untwisted chi shifted by
-    m * deg L, with m the kernel rank.
-    """
-    return [(j, _subsheaf_chi(curve, j, degs[j - 1]))
-            for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1]]
-
-
-def destabilizer_witness(system: WeightSystem, w: Polarization
-                         ) -> Optional[DestabilizerWitness]:
-    """First component whose twisted kernel subsheaf destabilizes under ``w``.
-
-    ``system`` is a pair's weight system: its subject is the kernel twisted
-    by ``system.line``.  For each component j with a non-zero restriction
-    kernel, the subsheaf slope is (deg L_j - delta_j + 1 - g_j) / w_j; the
-    target is the twisted kernel's own slope chi / m.  With w_j = p/q the
-    comparison is the integer one numer*q*m > chi*p, read from the
-    witness's numerators p over its denominator q.  Components are scanned
-    in increasing order so the output is deterministic.
-    """
-    curve, pair, line = system.curve, system.pair, system.line
-    if w.n != curve.n:
-        raise ValidationError("polarization must match the curve's components")
-    m, chi = pair.kernel_rank, system.subject.chi
-    q = w.den
-    for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
-        p = w.nums[j - 1]
-        if numer * q * m > chi * p:
-            return DestabilizerWitness(j, Fraction(numer * q, p), system.target)
-    return None
 
 
 @dataclass(frozen=True)
@@ -262,7 +211,7 @@ def _destabilizer_failures(
             if sum(lo) <= d <= sum(hi):   # with lo <= hi: the box holds a composition
                 points = points or list(_grid_parts(grid))
                 line = LineBundleTwist(degs)
-                failures.extend((Polarization.from_parts(parts, d), line) for parts in points
+                failures.extend((Polarization(parts, d), line) for parts in points
                                 if all(a <= p <= b for a, p, b in zip(lo, parts, hi)))
     return _grid_count(grid) * (2 * twist_range + 1) ** n, failures
 
@@ -309,13 +258,13 @@ def work_estimate(grid: GridSpec, pair: Optional[GeneratedPairData] = None,
     return min(work, _WORK_CAP + 1)
 
 
-def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumerics] = None,
-                   pair: Optional[GeneratedPairData] = None,
+def cross_validate(curve: ChainCurve, grid: GridSpec,
+                   subject: SheafNumerics | GeneratedPairData,
                    line: Optional[LineBundleTwist] = None,
                    twist_range: int = 3) -> ValidationReport:
     """Compare the sweep's verdict with grid enumeration, and sweep destabilizers.
 
-    The subject is ``sheaf``, or the kernel of ``pair``, twisted by ``line``;
+    The subject is a sheaf, or the kernel of a pair, twisted by ``line``;
     its weight system (with a pair's declared subsheaf bounds) is decided
     both by the sweep and on the grid.  Agreement rules: a non-empty grid
     requires a feasible region; a feasible region whose witness denominator
@@ -325,8 +274,7 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
     every sampled twist.  A run whose ``work_estimate`` exceeds
     ``ORACLE_WORK_LIMIT`` is refused before it starts.
     """
-    if (sheaf is None) == (pair is None):
-        raise ValidationError("provide exactly one of sheaf or pair")
+    pair = subject if isinstance(subject, GeneratedPairData) else None
     if twist_range < 0:
         raise ValidationError(f"twist range must be non-negative, got {twist_range}")
     if grid.n != curve.n:
@@ -338,8 +286,7 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
             f"oracle work estimate {shown} units (grid points plus destabilizer checks) "
             f"exceeds the limit {ORACLE_WORK_LIMIT}; lower the grid denominator or "
             "the twist range")
-    untwisted = sheaf if sheaf is not None else kernel_numerics(curve, pair)
-    system = weight_system(curve, untwisted, line, pair)
+    system = weight_system(curve, subject, line)
     region = simplex_intersect(system.intervals, system.declared)
     grid_points = brute_force_region(system.subject, grid, system.declared)
     notes = []
@@ -362,8 +309,8 @@ def cross_validate(curve: ChainCurve, grid: GridSpec, sheaf: Optional[SheafNumer
     witness_checks = 0
     failures = []
     if _sweeps_twists(pair):
-        witness_checks, failures = _destabilizer_failures(curve, pair, untwisted.chi, grid,
-                                                          twist_range)
+        chi = kernel_numerics(curve, pair).chi
+        witness_checks, failures = _destabilizer_failures(curve, pair, chi, grid, twist_range)
         if failures:
             discrepancies.append(
                 f"{len(failures)} grid/twist pairs admit no destabilizer")

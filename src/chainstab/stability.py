@@ -24,13 +24,16 @@ vanishing everywhere and p_a * r > (n - 2)(k - r).  Genus data without the
 degree ratio declares more sections than h1 vanishing leaves (see
 ``_genus_condition``) and is refused as contradictory.
 
-A subject has one weight system, built by ``feasibility.weight_system``:
-the slope-inequality intervals of the (possibly twisted) kernel and the
-weight bound of every declared destabilizing subsheaf.  The rules are
-predicates over that system that report whether they fire and which bounds
-they add; ``analyze`` builds the system once, adds the firing rules'
-bounds and decides it with one sweep, so the certificate or witness of a
-verdict always comes from the region printed beside it.
+A subject has one weight system, built by ``feasibility.weight_system``
+from the pair itself: the slope-inequality intervals of the (possibly
+twisted) kernel and the weight bound of every declared destabilizing
+subsheaf.  The same module tests those subsheaves under a polarization
+(``destabilizer_witness``), which the all-twists rule reports for a
+supplied twist.  The rules are predicates over that system that report
+whether they fire and which bounds they add; ``analyze`` builds the
+system once, adds the firing rules' bounds and decides it with one sweep,
+so the certificate or witness of a verdict always comes from the region
+printed beside it.
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          arithmetic_genus, kernel_numerics, validate_pair)
+                          arithmetic_genus, validate_pair)
 from .errors import (ContradictoryHypotheses, InternalInvariantError, RuleNotApplicable,
                      ValidationError)
 from .feasibility import (FEASIBLE, FeasibleRegion, InfeasibilityCertificate, Polarization,
-                          WeightBound, WeightSystem, simplex_intersect, subsheaf_weight_bound,
-                          weight_system)
-from .oracle import destabilizer_witness
+                          WeightBound, WeightSystem, destabilizer_witness, simplex_intersect,
+                          subsheaf_weight_bound, weight_system)
 
 W_SEMISTABLE = "w_semistable"
 W_STABLE = "w_stable"
@@ -205,7 +207,7 @@ def _all_twists(system: WeightSystem) -> _Rule:
                      (f"degree ratio {pair.total_degree}/{m} does not exceed {curve.n - 1}",))
     notes = [_EVERY_TWIST]
     if not system.line.is_trivial():
-        w = Polarization.from_parts((1,) * curve.n, curve.n)
+        w = Polarization((1,) * curve.n, curve.n)
         witness = destabilizer_witness(system, w)
         if witness is not None:
             notes.append(
@@ -282,8 +284,7 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
     witness when every kernel restriction is declared semistable.  The
     certificate or witness is that of the printed region.
     """
-    kernel = kernel_numerics(curve, pair)
-    system = weight_system(curve, kernel, line, pair)
+    system = weight_system(curve, pair, line)
     problems = []
     obstructed = tuple(ts and ss for ts, ss in
                        zip(pair.twisted_sections_nonzero, pair.restriction_semistable))
@@ -320,7 +321,7 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
             # declared bounds only, and without a twist it is the subject's own.
             untwisted = system
             if not system.line.is_trivial():
-                untwisted = weight_system(curve, kernel, pair=pair)
+                untwisted = weight_system(curve, pair)
             screen = simplex_intersect(untwisted.intervals, untwisted.declared)
             if screen.status != FEASIBLE:
                 problems.append(_SCREEN_CONFLICT)

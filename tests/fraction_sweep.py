@@ -13,6 +13,7 @@ bounds carry the reach, so use it on short and moderate chains only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -197,7 +198,8 @@ def _weights_from_sums(sums: Sequence[Fraction]) -> Polarization:
         weights.append(s - prev)
         prev = s
     weights.append(1 - prev)
-    return Polarization(tuple(weights))
+    den = math.lcm(*(w.denominator for w in weights))
+    return Polarization(tuple(w.numerator * (den // w.denominator) for w in weights), den)
 
 
 def _certificate(res: _SweepResult) -> InfeasibilityCertificate:

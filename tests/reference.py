@@ -38,13 +38,12 @@ def slope(sheaf: SheafNumerics, w: Polarization, chi: Optional[int] = None) -> F
 def enumerate_polarizations(spec: GridSpec) -> Iterator[Polarization]:
     """Every composition of the denominator into n positive parts, as weights.
 
-    Lexicographic order by cut positions; fractions reduce automatically, so
+    Lexicographic order by cut positions; weights reduce to lowest terms, so
     the count is exactly C(D-1, n-1).
     """
     d = spec.denominator
     for cuts in itertools.combinations(range(1, d), spec.n - 1):
-        yield Polarization(tuple(Fraction(hi - lo, d)
-                                 for lo, hi in zip((0,) + cuts, cuts + (d,))))
+        yield Polarization(tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,))), d)
 
 
 UNBOUNDED = (None, None, True, True)

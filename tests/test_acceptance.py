@@ -145,8 +145,8 @@ def test_criterion_5_endpoint_infeasibility(capsys):
     assert cert.upper == F(4, 18)
     assert cert.verify()
 
-    kernel = kernel_numerics(curve, pair)
-    system = weight_system(curve, kernel, pair=pair)
+    system = weight_system(curve, pair)
+    kernel = system.subject
     bounds = system.declared
     assert bounds == [WeightBound(1, F(2, 9), label="subsheaf slope bound")]
     engine_cert = simplex_intersect(system.intervals, bounds).certificate
@@ -164,7 +164,7 @@ def test_criterion_6_all_twists_sweep(capsys):
     curve = ChainCurve((2, 2, 2))
     pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                              ker_rho_nonzero=(True, True, True))
-    report = cross_validate(curve, GridSpec(24, 3), pair=pair, twist_range=3)
+    report = cross_validate(curve, GridSpec(24, 3), pair, twist_range=3)
     elapsed = time.perf_counter() - start
     assert report.witness_checks == 343 * 253 == 86779
     assert report.witness_failures == ()

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -45,30 +44,55 @@ def status_at(iv, x):
     return simplex_intersect(chain([iv]), pin).status
 
 
+# The refusal texts of a polarization built from integers, which are those
+# the Fraction-input constructor gave for the same weights.
+REFUSALS = {
+    ((2,), 2): "a polarization needs at least two weights",
+    ((0, 2), 2): "every weight must lie strictly between 0 and 1, "
+                 "got (Fraction(0, 1), Fraction(1, 1))",
+    ((3, -1), 2): "every weight must lie strictly between 0 and 1, "
+                  "got (Fraction(3, 2), Fraction(-1, 2))",
+    ((1, 1), 3): "weights must sum to exactly 1, got 2/3",
+    ((2, 2, 1), 4): "weights must sum to exactly 1, got 5/4",
+}
+
+
 class TestPolarization:
     def test_valid(self):
-        w = Polarization((F(1, 3), F(2, 3)))
+        w = Polarization((1, 2), 3)
         assert w.n == 2 and w.weights == (F(1, 3), F(2, 3))
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ValidationError):
-            Polarization((F(0), F(1)))
+            Polarization((0, 1), 1)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError):
-            Polarization((F(1, 3), F(1, 3)))
+            Polarization((1, 1), 3)
 
     def test_rejects_floats(self):
         with pytest.raises(ValidationError):
-            Polarization((0.5, 0.5))
+            Polarization((0.5, 0.5), 1)
 
-    @pytest.mark.parametrize("parts,d", [((2,), 2), ((0, 2), 2), ((3, -1), 2), ((1, 1), 3),
-                                         ((2, 2, 1), 4)])
+    @pytest.mark.parametrize("nums,den,text", [
+        ((True, True), 2, "polarization parts must be integers, got True"),
+        ((1, 1), True, "polarization parts must be integers, got True"),
+        ((0.5, 1), 2, "polarization parts must be integers, got 0.5"),
+        ((1, 1), 2.0, "polarization parts must be integers, got 2.0"),
+        ((F(1), F(1)), 2, "polarization parts must be integers, got Fraction(1, 1)"),
+        ((1, 1), 0, "polarization denominator must be positive, got 0"),
+        ((-1, -1), -2, "polarization denominator must be positive, got -2"),
+    ])
+    def test_rejects_non_integer_parts_and_non_positive_denominator(self, nums, den, text):
+        with pytest.raises(ValidationError) as exc:
+            Polarization(nums, den)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("parts,d", list(REFUSALS))
     def test_integer_refusals_match_fraction_ones(self, parts, d):
-        with pytest.raises(ValidationError) as from_fractions:
-            Polarization(tuple(F(a, d) for a in parts))
-        with pytest.raises(ValidationError, match=re.escape(str(from_fractions.value))):
-            Polarization.from_parts(parts, d)
+        with pytest.raises(ValidationError) as exc:
+            Polarization(parts, d)
+        assert str(exc.value) == REFUSALS[parts, d]
 
 
 @settings(max_examples=200, deadline=None)
@@ -76,16 +100,15 @@ class TestPolarization:
 def test_integer_polarization_is_the_fraction_one(parts, k):
     d = sum(parts)
     fracs = tuple(F(a, d) for a in parts)
-    from_fractions = Polarization(fracs)
-    built = Polarization.from_parts([a * k for a in parts], d * k)
-    assert built == from_fractions and hash(built) == hash(from_fractions)
-    assert built.den == from_fractions.den == math.lcm(*(x.denominator for x in fracs))
-    assert built.nums == from_fractions.nums
-    assert repr(built) == repr(from_fractions) and str(built) == str(from_fractions)
+    built = Polarization([a * k for a in parts], d * k)
+    reduced = Polarization(tuple(parts), d)
+    assert built == reduced and hash(built) == hash(reduced)
+    assert built.den == math.lcm(*(x.denominator for x in fracs))
+    assert built.nums == tuple(x.numerator * (built.den // x.denominator) for x in fracs)
+    assert repr(built) == str(built) == f"Polarization(nums={built.nums}, den={built.den})"
     assert built.weights == fracs and all(type(x) is Fraction for x in built.weights)
-    assert cli._witness_json(built) == cli._witness_json(from_fractions) == \
-        [cli.frac_str(x) for x in fracs]
-    barycentric = Polarization.from_parts([1] * len(parts), len(parts))
+    assert cli._witness_json(built) == [cli.frac_str(x) for x in fracs]
+    barycentric = Polarization([1] * len(parts), len(parts))
     assert (built == barycentric) == (len(set(parts)) == 1)
 
 
@@ -133,14 +156,13 @@ class TestSlope:
         s = SheafNumerics(curve, (2, 2), (-6, -6))
         assert (s.chi_components, s.chi) == ((-8, -8), -18)
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
-        assert slope(s, Polarization((F(1, 2), F(1, 2)))) == -9 == \
-            weight_system(curve, s, pair=pair).target
+        assert slope(s, Polarization((1, 1), 2)) == -9 == weight_system(curve, pair).target
 
     def test_trivial_bundle_slope_is_chi_structure_sheaf(self):
         curve = ChainCurve((2, 2))
         for t in (1, 2, 3):
             s = SheafNumerics(curve, (t, t), (0, 0))
-            for w in (Polarization((F(1, 4), F(3, 4))), Polarization((F(2, 5), F(3, 5)))):
+            for w in (Polarization((1, 3), 4), Polarization((2, 3), 5)):
                 assert slope(s, w) == -3 == 1 - arithmetic_genus(curve)
 
     def test_component_supported_sheaf(self):
@@ -152,7 +174,7 @@ class TestSlope:
         s = SheafNumerics(curve, (t, 0), (-t, 0))
         assert s.chi_components == (-t * 2, 0)
         assert s.chi is None
-        w = Polarization((F(1, 3), F(2, 3)))
+        w = Polarization((1, 2), 3)
         assert slope(s, w, chi=-t * 2) == F(-2) / F(1, 3) == -6
 
     def test_zero_rank_rejected(self):
@@ -217,13 +239,13 @@ class TestBigasIntervals:
 
 class TestCheckBigas:
     def test_trivial_accepts_midpoint(self):
-        assert check_bigas(trivial_sheaf(), Polarization((F(1, 2), F(1, 2))))
+        assert check_bigas(trivial_sheaf(), Polarization((1, 1), 2))
 
     def test_trivial_rejects_skewed(self):
-        assert not check_bigas(trivial_sheaf(), Polarization((F(1, 5), F(4, 5))))
+        assert not check_bigas(trivial_sheaf(), Polarization((1, 4), 5))
 
     def test_boundary_is_allowed(self):
-        assert check_bigas(trivial_sheaf(), Polarization((F(1, 3), F(2, 3))))
+        assert check_bigas(trivial_sheaf(), Polarization((1, 2), 3))
 
 
 class TestSimplexIntersect:
@@ -341,9 +363,33 @@ class TestFindPolarization:
                 assert w_j >= F(chi_j, s.chi) > 0
 
 
+class TestWeightSystem:
+    def test_pair_of_another_length_refused(self):
+        pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
+        with pytest.raises(ValidationError,
+                           match="pair data covers 2 components but the curve has 3"):
+            weight_system(ChainCurve((2, 2, 2)), pair)
+
+    def test_sheaf_on_another_curve_refused(self):
+        # the same number of components, other genera: the sheaf's chi is not
+        # the one the curve's Riemann-Roch would give
+        s = SheafNumerics(ChainCurve((5, 5)), (2, 2), (-6, -6))
+        with pytest.raises(ValidationError, match="another curve"):
+            weight_system(ChainCurve((2, 2)), s)
+        assert weight_system(ChainCurve((5, 5)), s).subject == s
+
+    def test_pair_subject_is_its_kernel(self):
+        curve = ChainCurve((2, 2))
+        pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
+                                 ker_rho_nonzero=(True, False))
+        system = weight_system(curve, pair)
+        assert system.pair is pair and system.subject == kernel_numerics(curve, pair)
+        assert system.intervals == weight_system(curve, system.subject).intervals
+
+
 def declared(curve, pair, line):
     """Target slope and declared subsheaf bounds of the pair's kernel twisted by ``line``."""
-    system = weight_system(curve, kernel_numerics(curve, pair), line, pair)
+    system = weight_system(curve, pair, line)
     return system.target, system.declared
 
 
@@ -452,9 +498,9 @@ def test_two_component_feasible_set_matches_closed_form():
             continue
         lo = F(s.chi_components[0], s.chi)
         hi = F(s.chi_components[0] - m, s.chi)
-        for q in [F(a, 24) for a in range(1, 24)]:
-            member = lo <= q <= hi
-            assert member == check_bigas(s, Polarization((q, 1 - q)))
+        for a in range(1, 24):
+            member = lo <= F(a, 24) <= hi
+            assert member == check_bigas(s, Polarization((a, 24 - a), 24))
         region = simplex_intersect(bigas_intervals(s))
         strict_nonempty = hi > 0 and lo < 1 and lo <= hi
         assert (region.status == FEASIBLE) == strict_nonempty

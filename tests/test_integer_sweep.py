@@ -193,7 +193,7 @@ def test_acceptance_5_certificate_rebuilds_from_the_system():
                              twisted_sections_nonzero=(True, False),
                              restriction_semistable=(True, False),
                              ker_rho_nonzero=(True, False))
-    system = weight_system(curve, kernel_numerics(curve, pair), pair=pair)
+    system = weight_system(curve, pair)
     check_certificate(analyze(curve, pair).verdict.certificate,
                       system.intervals, system.declared)
 
@@ -207,8 +207,7 @@ def test_readme_certificate_rebuilds_from_the_system():
     quantity, lo_rel, lo, lo_reason, hi_rel, hi, hi_reason = match.groups()
     cert = InfeasibilityCertificate(quantity, F(lo), lo_rel == ">", lo_reason,
                                     F(hi), hi_rel == "<", hi_reason)
-    pair = scenario.pair
-    system = weight_system(scenario.curve, kernel_numerics(scenario.curve, pair), pair=pair)
+    system = weight_system(scenario.curve, scenario.subject)
     check_certificate(cert, system.intervals, system.declared)
     assert line in cli.render_text(cli.cmd_check(scenario)).splitlines()
 
@@ -240,21 +239,22 @@ class TestBoundaryFractions:
         assert {*map(type, [ivs.den, *ivs.lower, *ivs.upper])} == {int}
         third = F(1, 3)
         assert WeightBound(1, third).upper is third
-        w = Polarization((third, F(2, 3)))
-        assert w.weights[0] is third
+        w = Polarization((1, 2), 3)
+        assert w.weights[0] == third and type(w.weights[0]) is Fraction
 
     def test_subclass_is_copied(self):
         class Sub(Fraction):
             pass
 
-        w = Polarization((Sub(1, 3), Sub(2, 3)))
-        assert type(w.weights[0]) is Fraction and type(w.weights[1]) is Fraction
+        # a polarization takes integer parts only, so it refuses the subclass
+        with pytest.raises(ValidationError, match="must be integers"):
+            Polarization((Sub(1, 3), Sub(2, 3)), 1)
         assert WeightBound(1, Sub(1, 3)).upper == F(1, 3)
 
     def test_bool_and_float_refused(self):
         for bad in (True, 0.5):
-            with pytest.raises(ValidationError, match="exact rational"):
-                Polarization((bad, F(1, 2)))
+            with pytest.raises(ValidationError, match="must be integers"):
+                Polarization((bad, 1), 2)
             with pytest.raises(ValidationError, match="exact rational"):
                 WeightBound(1, bad)
 
@@ -264,7 +264,7 @@ class TestBoundaryFractions:
 
     def test_polarization_sum_message(self):
         with pytest.raises(ValidationError, match=r"sum to exactly 1, got 5/6"):
-            Polarization((F(1, 2), F(1, 3)))
+            Polarization((3, 2), 6)
 
 
 def test_ties_on_a_small_grid_equal_fraction_reference():

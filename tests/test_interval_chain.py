@@ -110,7 +110,7 @@ def test_long_chain_builds_no_fraction_per_index(fractions_made):
     curve, pair, kernel = _long_kernel(n)
     system = weight_system(curve, kernel)
     assert fractions_made() == 0
-    weight_system(curve, kernel, pair=pair)
+    weight_system(curve, pair)
     assert fractions_made() == 1          # the kernel's target slope, whatever n is
     region = simplex_intersect(system.intervals)
     assert region.status == FEASIBLE

@@ -11,11 +11,10 @@ from chainstab import cli, oracle
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
-from chainstab.feasibility import (FEASIBLE, INFEASIBLE, Polarization, WeightBound,
-                                   bigas_intervals, check_bigas, simplex_intersect,
-                                   weight_system)
-from chainstab.oracle import (DestabilizerWitness, GridSpec, brute_force_region,
-                              cross_validate, destabilizer_witness)
+from chainstab.feasibility import (FEASIBLE, INFEASIBLE, DestabilizerWitness, Polarization,
+                                   WeightBound, bigas_intervals, check_bigas,
+                                   destabilizer_witness, simplex_intersect, weight_system)
+from chainstab.oracle import GridSpec, brute_force_region, cross_validate
 from reference import enumerate_polarizations
 
 F = Fraction
@@ -57,11 +56,11 @@ class TestEnumeratePolarizations:
 
     def test_two_parts_of_three(self):
         got = brute_force_region(vacuous(2), GridSpec(3, 2))
-        assert got == [Polarization((F(1, 3), F(2, 3))), Polarization((F(2, 3), F(1, 3)))]
+        assert got == [Polarization((1, 2), 3), Polarization((2, 1), 3)]
 
     def test_single_composition(self):
         assert brute_force_region(vacuous(2), GridSpec(2, 2)) == \
-            [Polarization((F(1, 2), F(1, 2)))]
+            [Polarization((1, 1), 2)]
 
     def test_three_parts_of_four(self):
         got = brute_force_region(vacuous(3), GridSpec(4, 3))
@@ -212,7 +211,7 @@ def test_grid_walk_matches_reference_filter(case):
 
 def kernel_system(curve, pair, line):
     """The weight system of ``pair``'s kernel twisted by ``line``."""
-    return weight_system(curve, kernel_numerics(curve, pair), line, pair)
+    return weight_system(curve, pair, line)
 
 
 class TestDestabilizerWitness:
@@ -220,7 +219,7 @@ class TestDestabilizerWitness:
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True))
-        w = Polarization((F(1, 3), F(1, 3), F(1, 3)))
+        w = Polarization((1, 1, 1), 3)
         got = destabilizer_witness(kernel_system(curve, pair, LineBundleTwist.trivial(3)), w)
         assert got == DestabilizerWitness(1, F(-6), F(-19, 2))
 
@@ -228,7 +227,7 @@ class TestDestabilizerWitness:
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True))
-        w = Polarization((F(1, 6), F(1, 6), F(4, 6)))
+        w = Polarization((1, 1, 4), 6)
         system = kernel_system(curve, pair, LineBundleTwist.trivial(3))
         assert destabilizer_witness(system, w) is not None
 
@@ -238,7 +237,7 @@ class TestDestabilizerWitness:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=4, multidegree=(1, 1),
                                  ker_rho_nonzero=(True, True))
-        w = Polarization((F(1, 2), F(1, 2)))
+        w = Polarization((1, 1), 2)
         system = kernel_system(curve, pair, LineBundleTwist.trivial(2))
         assert destabilizer_witness(system, w) is None
 
@@ -246,7 +245,7 @@ class TestDestabilizerWitness:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(False, True))
-        w = Polarization((F(1, 2), F(1, 2)))
+        w = Polarization((1, 1), 2)
         got = destabilizer_witness(kernel_system(curve, pair, LineBundleTwist.trivial(2)), w)
         assert got is not None and got.component == 2
 
@@ -260,14 +259,14 @@ class TestDestabilizerWitness:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=2, multidegree=(1, 0),
                                  ker_rho_nonzero=(True, True))
-        half = Polarization((F(1, 2), F(1, 2)))
+        half = Polarization((1, 1), 2)
         trivial = LineBundleTwist.trivial(2)
         system = kernel_system(curve, pair, trivial)
         assert destabilizer_witness(system, half) is None
         chi = kernel_numerics(curve, pair).chi
         assert oracle._destabilizer_failures(curve, pair, chi, GridSpec(2, 2), 0) == \
             (1, [(half, trivial)])
-        skewed = Polarization((F(1, 3), F(2, 3)))
+        skewed = Polarization((1, 2), 3)
         assert destabilizer_witness(system, skewed) == \
             DestabilizerWitness(2, F(-3), F(-4))
 
@@ -370,9 +369,9 @@ def test_destabilizer_sweep_does_not_walk_the_grid(monkeypatch):
                              ker_rho_nonzero=(True, True, True))
     grid = GridSpec(24, 3)
     built, inside, walked = [], [], []
-    from_parts, grid_parts = Polarization.from_parts, oracle._grid_parts
-    monkeypatch.setattr(Polarization, "from_parts", staticmethod(
-        lambda parts, d: built.append(bool(inside)) or from_parts(parts, d)))
+    post_init, grid_parts = Polarization.__post_init__, oracle._grid_parts
+    monkeypatch.setattr(Polarization, "__post_init__",
+                        lambda w: built.append(bool(inside)) or post_init(w))
     monkeypatch.setattr(oracle, "_grid_parts",
                         lambda spec: walked.append(spec) or grid_parts(spec))
     sweep = oracle._destabilizer_failures
@@ -384,7 +383,7 @@ def test_destabilizer_sweep_does_not_walk_the_grid(monkeypatch):
         finally:
             inside.pop()
     monkeypatch.setattr(oracle, "_destabilizer_failures", counted)
-    report = cross_validate(curve, grid, pair=pair, twist_range=3)
+    report = cross_validate(curve, grid, pair, twist_range=3)
     assert report.witness_checks == 86779 and report.witness_failures == ()
     # every twist is decided from its bounds: the grid's points are never read
     assert walked == [] and built.count(True) == 0
@@ -404,7 +403,7 @@ class TestCrossValidate:
     def test_trivial_bundle_agreement(self):
         curve = ChainCurve((2, 2))
         s = SheafNumerics(curve, (1, 1), (0, 0))
-        report = cross_validate(curve, GridSpec(12, 2), sheaf=s)
+        report = cross_validate(curve, GridSpec(12, 2), s)
         assert report.agreement
         assert report.region_status == FEASIBLE
         assert report.grid_count == 5
@@ -412,7 +411,7 @@ class TestCrossValidate:
     def test_infeasible_sheaf_agreement(self):
         curve = ChainCurve((2, 2))
         s = SheafNumerics(curve, (1, 1), (0, 4))
-        report = cross_validate(curve, GridSpec(60, 2), sheaf=s)
+        report = cross_validate(curve, GridSpec(60, 2), s)
         assert report.agreement
         assert report.region_status == INFEASIBLE
         assert report.grid_count == 0
@@ -423,7 +422,7 @@ class TestCrossValidate:
                                  twisted_sections_nonzero=(True, False),
                                  restriction_semistable=(True, False),
                                  ker_rho_nonzero=(True, False))
-        report = cross_validate(curve, GridSpec(60, 2), pair=pair)
+        report = cross_validate(curve, GridSpec(60, 2), pair)
         assert report.agreement
         assert report.grid_count == 0
         assert report.region_status == INFEASIBLE
@@ -432,7 +431,7 @@ class TestCrossValidate:
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True))
-        report = cross_validate(curve, GridSpec(8, 3), pair=pair, twist_range=1)
+        report = cross_validate(curve, GridSpec(8, 3), pair, twist_range=1)
         assert report.witness_checks == math.comb(7, 2) * 27
         assert report.witness_failures == ()
         assert report.agreement
@@ -445,16 +444,19 @@ class TestCrossValidate:
         for grid, twist_range in ((GridSpec(10**10, 3), 3), (GridSpec(24, 3), 10**100)):
             assert oracle.work_estimate(grid, pair, twist_range) == 10**18 + 1
             with pytest.raises(ValidationError, match=f"more than {10**18} units"):
-                cross_validate(curve, grid, pair=pair, twist_range=twist_range)
+                cross_validate(curve, grid, pair, twist_range=twist_range)
 
-    def test_requires_exactly_one_subject(self):
-        curve = ChainCurve((2, 2))
-        s = SheafNumerics(curve, (1, 1), (0, 0))
+    def test_pair_of_another_length_refused(self):
+        curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
-        with pytest.raises(ValidationError):
-            cross_validate(curve, GridSpec(6, 2))
-        with pytest.raises(ValidationError):
-            cross_validate(curve, GridSpec(6, 2), sheaf=s, pair=pair)
+        with pytest.raises(ValidationError,
+                           match="pair data covers 2 components but the curve has 3"):
+            cross_validate(curve, GridSpec(6, 3), pair)
+
+    def test_sheaf_on_another_curve_refused(self):
+        s = SheafNumerics(ChainCurve((2, 3)), (1, 1), (0, 0))
+        with pytest.raises(ValidationError, match="another curve"):
+            cross_validate(ChainCurve((2, 2)), GridSpec(6, 2), s)
 
 
 def test_completeness_at_matching_denominators():

@@ -155,6 +155,13 @@ class TestKBoundCheck:
                                      restriction_semistable=(True,) * n)
             assert k_bound_check(curve, pair).holds
 
+    def test_pair_of_another_length_refused(self):
+        pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
+                                 restriction_semistable=(True, True))
+        with pytest.raises(ValidationError,
+                           match="pair data covers 2 components but the curve has 3"):
+            k_bound_check(ChainCurve((2, 2, 2)), pair)
+
 
 class TestH0GlobalBound:
     def test_total_formula(self):
@@ -223,7 +230,7 @@ class TestMiddleRule:
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
         assert analyze(curve, pair).verdict.kind == INCONCLUSIVE
         # a rule that did not fire leaves its reason only in its own record
-        record = stability._middle(weight_system(curve, kernel_numerics(curve, pair), pair=pair))
+        record = stability._middle(weight_system(curve, pair))
         assert not record.fired
         assert "two-component" in record.notes[0]
 
@@ -447,6 +454,11 @@ def test_genus_without_ratio_declares_more_sections_than_chi(n, r, m, data):
         analyze(curve, pair)
 
 class TestAnalyze:
+    def test_pair_of_another_length_refused(self):
+        with pytest.raises(ValidationError,
+                           match="pair data covers 2 components but the curve has 3"):
+            analyze(ChainCurve((2, 2, 2)), endpoint_pair())
+
     def test_endpoint_scenario(self):
         curve = ChainCurve((2, 2))
         report = analyze(curve, endpoint_pair())
