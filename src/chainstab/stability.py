@@ -198,6 +198,20 @@ def _middle(system: WeightSystem) -> _Rule:
 
 
 def _all_twists(system: WeightSystem) -> _Rule:
+    """Fires when every restriction kernel is declared non-zero and d/m > n - 1
+    (d the total degree, m = k - r the kernel rank): then some component
+    subsheaf destabilizes the kernel for every twist L and polarization w.
+
+    With numer_k = deg L_k - delta_k + 1 - g_k the chi of the component-k
+    subsheaf twisted by L, and chi_L the twisted kernel's chi,
+    m * sum_k numer_k - chi_L = d - (n - 1)m.  Proof: chi_L =
+    -d + m(1 - p_a) + m deg L and sum_k delta_k = 2(n - 1) give
+    m * sum_k numer_k = m deg L - m(n - 2) - m p_a, so the twist cancels.
+    As sum_k w_k = 1, sum_k w_k (numer_k / w_k - chi_L / m) =
+    (d - (n - 1)m) / m > 0, and some subsheaf slope numer_k / w_k exceeds
+    the kernel's chi_L / m.  ``oracle.cross_validate`` checks the identity
+    on the subject's own numbers.
+    """
     curve, pair, m = system.curve, system.pair, system.pair.kernel_rank
     if not all(pair.ker_rho_nonzero):
         return _Rule(CRITERION_ALL_TWISTS, False,

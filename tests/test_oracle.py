@@ -5,9 +5,9 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from chainstab import cli, oracle
+from chainstab import cli, feasibility, oracle
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
@@ -263,16 +263,13 @@ class TestDestabilizerWitness:
         trivial = LineBundleTwist.trivial(2)
         system = kernel_system(curve, pair, trivial)
         assert destabilizer_witness(system, half) is None
-        chi = kernel_numerics(curve, pair).chi
-        assert oracle._destabilizer_failures(curve, pair, chi, GridSpec(2, 2), 0) == \
-            (1, [(half, trivial)])
         skewed = Polarization((1, 2), 3)
         assert destabilizer_witness(system, skewed) == \
             DestabilizerWitness(2, F(-3), F(-4))
 
 
 def _reference_destabilizers(curve, pair, grid, twist_range):
-    """Checks, failures and first witnesses of the destabilizer sweep, in rationals."""
+    """Checks, failures and first witnesses over every grid point and twist, in rationals."""
     n, m = curve.n, pair.kernel_rank
     checks, failures, witnesses = 0, [], []
     for degs in itertools.product(range(-twist_range, twist_range + 1), repeat=n):
@@ -294,30 +291,58 @@ def _reference_destabilizers(curve, pair, grid, twist_range):
 
 
 @st.composite
-def pairs_and_grids(draw):
-    """Pairs with any restriction-kernel flags, most not meeting the all-twists
-    condition, so the sweep also finds grid/twist pairs without a destabilizer.
-    Twists up to degree 2 reach twisted chi of every sign.  Four-component
-    grids stop at D = 7 to keep the rational reference small."""
+def pairs_and_twists(draw):
+    """Pairs with any restriction-kernel flags and degrees, and twists of
+    either sign, on chains of 2 to 6 components."""
+    n = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, 3))
+    pair = GeneratedPairData(
+        rank=rank, sections=rank + draw(st.integers(1, 4)),
+        multidegree=tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))),
+        ker_rho_nonzero=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    curve = ChainCurve(tuple(draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))))
+    line = LineBundleTwist(tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))))
+    return curve, pair, line
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_and_twists())
+def test_destabilizer_identity(case):
+    # m * sum_k chi(component-k subsheaf) - chi_L = d - (n-1)m for every twist L
+    curve, pair, line = case
+    n, m = curve.n, pair.kernel_rank
+    chi_l = twist(kernel_numerics(curve, pair), line).chi
+    subsheaves = sum(feasibility._subsheaf_chi(curve, k, line.multidegree[k - 1])
+                     for k in range(1, n + 1))
+    assert m * subsheaves - chi_l == pair.total_degree - (n - 1) * m
+
+
+@st.composite
+def gated_pairs_and_grids(draw):
+    """Pairs meeting the all-twists condition (every restriction kernel
+    non-zero, d/m > n - 1), small grids and twist ranges 0 or 1, kept small
+    for the rational reference."""
     n = draw(st.integers(2, 4))
     rank = draw(st.integers(1, 2))
     pair = GeneratedPairData(
         rank=rank, sections=rank + draw(st.integers(1, 3)),
         multidegree=tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))),
-        ker_rho_nonzero=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        ker_rho_nonzero=(True,) * n)
+    assume(pair.degree_ratio_exceeds())
     curve = ChainCurve(tuple(draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))))
-    grid = GridSpec(draw(st.integers(n, 9 if n < 4 else 7)), n)
-    return curve, pair, grid, draw(st.integers(0, 2))
+    grid = GridSpec(draw(st.integers(n, 8 if n < 4 else 6)), n)
+    return curve, pair, grid, draw(st.integers(0, 1))
 
 
-@settings(max_examples=120, deadline=None)
-@given(pairs_and_grids())
-def test_destabilizer_sweep_matches_rational_reference(case):
+@settings(max_examples=60, deadline=None)
+@given(gated_pairs_and_grids())
+def test_gated_pairs_have_a_destabilizer_everywhere(case):
     curve, pair, grid, twist_range = case
     checks, failures, witnesses = _reference_destabilizers(curve, pair, grid, twist_range)
-    chi = kernel_numerics(curve, pair).chi
-    assert oracle._destabilizer_failures(curve, pair, chi, grid, twist_range) == \
-        (checks, failures)
+    assert failures == []
+    report = cross_validate(curve, grid, pair, twist_range=twist_range)
+    assert report.witness_checks == checks
+    assert report.witness_failures == () and report.agreement
     systems = [kernel_system(curve, pair, LineBundleTwist(degs))
                for degs in itertools.product(range(-twist_range, twist_range + 1),
                                              repeat=curve.n)]
@@ -325,78 +350,31 @@ def test_destabilizer_sweep_matches_rational_reference(case):
             for system in systems for w in enumerate_polarizations(grid)] == witnesses
 
 
-def test_destabilizer_sweep_reports_failures():
-    # degree ratio 2/3 does not exceed n - 1 = 1: some weights admit no destabilizer
-    curve = ChainCurve((2, 2))
-    pair = GeneratedPairData(rank=1, sections=4, multidegree=(1, 1),
-                             ker_rho_nonzero=(True, True))
-    grid = GridSpec(6, 2)
-    checks, failures, _ = _reference_destabilizers(curve, pair, grid, 1)
-    assert failures
-    chi = kernel_numerics(curve, pair).chi
-    assert oracle._destabilizer_failures(curve, pair, chi, grid, 1) == (checks, failures)
-
-
-@pytest.mark.parametrize("sign, sections, multidegree, denominator, twist_range", [
-    # chi = -15, m = 4: twist (2, 3) gives chi_L = 5 and the second subsheaf
-    # numerator 1, so only a_2 >= ceil(28/5) = 6 fails
-    (1, 5, (0, 3), 7, 3),
-    # chi = -4, m = 1: twist (2, 2) gives chi_L = 0 and numerators 0, 0, so
-    # every point fails there
-    (0, 2, (0, 1), 6, 2),
-    # the same pair: every twist of range 1 has chi_L < 0
-    (-1, 2, (0, 1), 6, 1),
-])
-def test_destabilizer_sweep_failures_by_twisted_chi_sign(sign, sections, multidegree,
-                                                         denominator, twist_range):
-    curve = ChainCurve((2, 2))
-    pair = GeneratedPairData(rank=1, sections=sections, multidegree=multidegree,
-                             ker_rho_nonzero=(True, True))
-    grid = GridSpec(denominator, 2)
-    chi, m = kernel_numerics(curve, pair).chi, pair.kernel_rank
-    checks, failures, _ = _reference_destabilizers(curve, pair, grid, twist_range)
-    assert oracle._destabilizer_failures(curve, pair, chi, grid, twist_range) == \
-        (checks, failures)
-    signs = [(chi_l > 0) - (chi_l < 0)
-             for chi_l in (chi + m * sum(line.multidegree) for _, line in failures)]
-    assert sign in signs
-
-
-def test_destabilizer_sweep_does_not_walk_the_grid(monkeypatch):
+def test_all_twists_check_is_one_identity(monkeypatch):
     # acceptance-6: 343 twists of a 253-point grid, every pair destabilized
     curve = ChainCurve((2, 2, 2))
     pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                              ker_rho_nonzero=(True, True, True))
     grid = GridSpec(24, 3)
-    built, inside, walked = [], [], []
-    post_init, grid_parts = Polarization.__post_init__, oracle._grid_parts
-    monkeypatch.setattr(Polarization, "__post_init__",
-                        lambda w: built.append(bool(inside)) or post_init(w))
-    monkeypatch.setattr(oracle, "_grid_parts",
-                        lambda spec: walked.append(spec) or grid_parts(spec))
-    sweep = oracle._destabilizer_failures
-
-    def counted(*args):
-        inside.append(True)
-        try:
-            return sweep(*args)
-        finally:
-            inside.pop()
-    monkeypatch.setattr(oracle, "_destabilizer_failures", counted)
+    kernels, built = [], []
+    kernel, post_init = feasibility.kernel_numerics, Polarization.__post_init__
+    # every binding of kernel_numerics that cross_validate could reach
+    for module in (feasibility, oracle):
+        monkeypatch.setattr(module, "kernel_numerics",
+                            lambda *args: kernels.append(args) or kernel(*args), raising=False)
+    monkeypatch.setattr(Polarization, "__post_init__", lambda w: built.append(w) or post_init(w))
     report = cross_validate(curve, grid, pair, twist_range=3)
     assert report.witness_checks == 86779 and report.witness_failures == ()
-    # every twist is decided from its bounds: the grid's points are never read
-    assert walked == [] and built.count(True) == 0
-    assert built.count(False) == report.grid_count
-    # a sweep with failures reads the grid once and builds each failing point
-    # once, and no other
-    weak = GeneratedPairData(rank=1, sections=4, multidegree=(1, 1, 1),
-                             ker_rho_nonzero=(True, True, True))
-    chi = kernel_numerics(curve, weak).chi
-    built.clear()
-    _, failures = oracle._destabilizer_failures(curve, weak, chi, GridSpec(12, 3), 1)
-    assert len({line for _, line in failures}) > 1
-    assert walked == [GridSpec(12, 3)] and built == [True] * len(failures)
+    assert report.agreement
+    assert len(kernels) == 1 and len(built) == report.grid_count
+    # d - (n-1)m = 9 - 2*2 = 5; one more per subsheaf chi adds m*n = 6 to the left side
+    subsheaf_chi = feasibility._subsheaf_chi
+    monkeypatch.setattr(feasibility, "_subsheaf_chi",
+                        lambda c, j, deg: subsheaf_chi(c, j, deg) + 1)
+    report = cross_validate(curve, grid, pair, twist_range=3)
+    assert not report.agreement
+    assert report.discrepancies[-1] == ("destabilizer identity fails: m * sum of subsheaf "
+                                        "chi - chi = 11, but d - (n-1)m = 5")
 
 
 class TestCrossValidate:
@@ -445,6 +423,16 @@ class TestCrossValidate:
             assert oracle.work_estimate(grid, pair, twist_range) == 10**18 + 1
             with pytest.raises(ValidationError, match=f"more than {10**18} units"):
                 cross_validate(curve, grid, pair, twist_range=twist_range)
+
+    @pytest.mark.parametrize("twist_range, message", [
+        (True, "must be an integer"), (1.5, "must be an integer"), (-1, "non-negative")])
+    def test_bad_twist_range_refused(self, twist_range, message):
+        curve = ChainCurve((2, 2, 2))
+        gated = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
+                                  ker_rho_nonzero=(True, True, True))
+        for subject in (gated, SheafNumerics(curve, (1, 1, 1), (0, 0, 0))):
+            with pytest.raises(ValidationError, match=message):
+                cross_validate(curve, GridSpec(6, 3), subject, twist_range=twist_range)
 
     def test_pair_of_another_length_refused(self):
         curve = ChainCurve((2, 2, 2))

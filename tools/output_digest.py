@@ -11,13 +11,6 @@ of ok, refused and crashed ops, a blake2b digest of every op's
 ``render_text`` output of every ok op's payload.  Two trees print the same
 lines exactly when every op gives the same status, the same canonical JSON
 or refusal text, and the same text report.
-
-No benchmark op finds a grid/twist pair without a destabilizer, so the tool
-also runs the destabilizer sweep (``oracle._destabilizer_failures``) on a
-pair below the degree-ratio condition, which ``oracle`` never sweeps itself,
-for each grid denominator in FAILURE_DENOMINATORS and twist range in
-FAILURE_TWIST_RANGES.  It prints one line per run: the checks, the number
-of failures and a digest of every failure's weights and twist, in order.
 Reads ``bench/`` without writing to it.  Standard library only.
 """
 
@@ -31,8 +24,6 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WORKLOADS = ("corpus", "long_chain", "oracle")
 SEEDS = (11, 12)
-FAILURE_DENOMINATORS = (6, 12)
-FAILURE_TWIST_RANGES = (1, 2)
 
 
 def load(src: Path):
@@ -53,28 +44,6 @@ def text_report(cli, op) -> str:
     if op.command == "polarize":
         return cli.render_text(cli.cmd_polarize(scn))
     return cli.render_text(cli.cmd_oracle(scn, op.denominator, op.twist_range))
-
-
-def failure_lines() -> list[str]:
-    """One line per destabilizer sweep of a pair whose degree ratio 2/3 does
-    not exceed n - 1 = 1, so some grid/twist pairs admit no destabilizer."""
-    from chainstab import oracle
-    from chainstab.curve_model import ChainCurve, GeneratedPairData, kernel_numerics
-    curve = ChainCurve((2, 2))
-    pair = GeneratedPairData(rank=1, sections=4, multidegree=(1, 1),
-                             ker_rho_nonzero=(True, True))
-    chi = kernel_numerics(curve, pair).chi
-    lines = []
-    for d in FAILURE_DENOMINATORS:
-        for twist_range in FAILURE_TWIST_RANGES:
-            checks, failures = oracle._destabilizer_failures(
-                curve, pair, chi, oracle.GridSpec(d, curve.n), twist_range)
-            digest = hashlib.blake2b(digest_size=16)
-            for w, line in failures:
-                digest.update(f"{' '.join(map(str, w.weights))} {line.multidegree}\n".encode())
-            lines.append(f"failures D={d} B={twist_range} checks={checks} "
-                         f"failures={len(failures)} blake2b={digest.hexdigest()}")
-    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -100,8 +69,6 @@ def main(argv: list[str]) -> int:
             print(f"{workload} {seed} ok={counts['ok']} refused={counts['refused']} "
                   f"crashed={counts['crashed']} blake2b={digest.hexdigest()} "
                   f"text_blake2b={text_digest.hexdigest()}")
-    for line in failure_lines():
-        print(line)
     return 0
 
 
