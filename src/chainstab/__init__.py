@@ -9,9 +9,12 @@ and the error classes.  Everything else is reached through its module.
 A weight system's slope-inequality intervals are integers throughout: a
 ``feasibility.IntervalChain`` of numerators over |chi| (1 when chi = 0),
 held by ``WeightSystem.intervals`` and ``FeasibleRegion.s_intervals`` and
-printed as reduced "p/q" strings.  ``Fraction``s appear only in the
-witness ``Polarization``, the ``InfeasibilityCertificate`` and the one
-slope endpoint a certificate's reason cites.
+printed as reduced "p/q" strings.  A ``WeightBound`` is an integer ratio
+too, built by ``feasibility.declared_bounds`` only for the ``check`` and
+``oracle`` sweeps.  ``Fraction``s appear only in a ``Polarization``'s
+``weights`` when read, in the ``InfeasibilityCertificate`` with the slope
+endpoint and bound values its reasons cite, and in the slopes of a
+``feasibility.DestabilizerWitness``.
 """
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,

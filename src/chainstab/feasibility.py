@@ -19,8 +19,10 @@ A subject's slope inequalities stay integers from construction to output:
 ``bigas_intervals`` returns an ``IntervalChain``, whose endpoints are
 numerators over |chi| (the inequalities read X_i - m*i <= S_i * chi <=
 X_i - m*(i-1)).  ``simplex_intersect`` rescales the chain only when a
-``WeightBound``'s denominator does not divide it, and propagates per-index
-``(numerator, open)`` reach bounds over that one denominator.  Each reach
+``WeightBound``'s integer denominator does not divide it, and propagates
+per-index ``(numerator, open)`` reach bounds over that one denominator.  A
+subject's own subsheaf bounds are already over |chi| (1 when chi = 0), so
+only a bound built with another denominator rescales the chain.  Each reach
 bound keeps only a source tag: shifted from S_{i-1} by the step w_i, the
 simplex's S_i < 1, the slope-inequality interval, S_0 = 0, or S_n = 1
 shifted back by w_n; each step bound keeps the position of the
@@ -36,10 +38,12 @@ from infeasible, stops after its forward pass.
 
 ``weight_system`` is the one place that decides what a subject's system is:
 given a sheaf, or a pair whose kernel it builds, it twists the subject and
-builds its intervals and, for a pair, the declared subsheaf bounds.  Beside
-those bounds sits their pointwise test, ``destabilizer_witness``: the first
-component subsheaf whose slope under a given polarization exceeds the
-twisted kernel's.
+builds its intervals.  A pair's declared subsheaf bounds are built from
+that system by ``declared_bounds``, only where a command reads them
+(``check`` and ``oracle``), as integer ratios over the twisted kernel's
+|chi|.  Beside them sits their pointwise test, ``destabilizer_witness``:
+the first component subsheaf whose slope under a given polarization
+exceeds the twisted kernel's.
 """
 
 from __future__ import annotations
@@ -64,17 +68,6 @@ def _clash(lower: Fraction | int, lower_open: bool,
            upper: Fraction | int, upper_open: bool) -> bool:
     """A lower bound excludes an upper one: it exceeds it, or they meet with an open side."""
     return lower > upper or (lower == upper and (lower_open or upper_open))
-
-
-def _as_fraction(name: str, value) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValidationError(f"{name} must be an exact rational, got {value!r}")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be an exact rational, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -135,24 +128,26 @@ class IntervalChain(NamedTuple):
 
 @dataclass(frozen=True)
 class WeightBound:
-    """Upper bound on one weight: w_index <= upper (strict when ``open``).
+    """A bound on one weight as an integer ratio: w_index <= num / den, or
+    w_index >= num / den when ``lower`` is set; strict when ``open``.
 
-    With ``complement=True`` the bound constrains the sum of the other
-    weights instead, 1 - w_index <= upper, i.e. a lower bound
-    w_index >= 1 - upper; this is how lower bounds are folded into the
-    forward sweep as step constraints.
+    ``num`` and ``den`` are kept as given, not reduced.
     """
 
     index: int
-    upper: Fraction
+    num: int
+    den: int
+    lower: bool = False
     open: bool = False
-    complement: bool = False
     label: str = "weight bound"
 
     def __post_init__(self):
-        if isinstance(self.index, bool) or not isinstance(self.index, int) or self.index < 1:
+        if type(self.index) is not int or self.index < 1:  # bool is refused too
             raise ValidationError(f"bound index must be a positive integer, got {self.index!r}")
-        object.__setattr__(self, "upper", _as_fraction("bound", self.upper))
+        if type(self.num) is not int:
+            raise ValidationError(f"bound numerator must be an integer, got {self.num!r}")
+        if type(self.den) is not int or self.den < 1:
+            raise ValidationError(f"bound denominator must be a positive integer, got {self.den!r}")
 
 
 @dataclass(frozen=True)
@@ -263,18 +258,19 @@ _SHIFT, _SIMPLEX, _SLOPE, _ORIGIN, _FINAL = range(5)
 def _scale(chain: IntervalChain, bounds: Sequence[WeightBound]) -> tuple[IntervalChain, list]:
     """The chain over the lcm of its denominator and the bounds', and the
     bounds' values as numerators over that lcm.  The chain is rebuilt only
-    when the lcm is not its own denominator, which a kernel's own subsheaf
-    bounds (values over a divisor of |chi|) never cause."""
+    when some bound's ``den`` does not divide its own, which a subject's
+    own subsheaf bounds, over its |chi| (1 when chi = 0) like the chain,
+    never cause."""
     n = len(chain.lower) + 1
     for b in bounds:
         if not 1 <= b.index <= n:
             raise ValidationError(f"bound index {b.index} out of range 1..{n}")
-    den = math.lcm(chain.den, *(b.upper.denominator for b in bounds))
+    den = math.lcm(chain.den, *(b.den for b in bounds))
     if den != chain.den:
         k = den // chain.den
         chain = chain._replace(den=den, lower=[None if v is None else v * k for v in chain.lower],
                                upper=[None if v is None else v * k for v in chain.upper])
-    return chain, [b.upper.numerator * (den // b.upper.denominator) for b in bounds]
+    return chain, [b.num * (den // b.den) for b in bounds]
 
 
 class _Edges(NamedTuple):
@@ -293,14 +289,13 @@ class _Edges(NamedTuple):
     upper_src: list
 
 
-def _edges(n: int, den: int, values: Sequence[int], bounds: Sequence[WeightBound],
+def _edges(n: int, values: Sequence[int], bounds: Sequence[WeightBound],
            strict: bool) -> _Edges:
     lo, lo_open, lo_src = [0] * n, [strict] * n, [None] * n
     up, up_open, up_src = [None] * n, [False] * n, [None] * n
     for k, (b, v) in enumerate(zip(bounds, values)):
         i = b.index - 1
-        if b.complement:
-            v = den - v
+        if b.lower:
             if v > lo[i] or (v == lo[i] and b.open and not lo_open[i]):
                 lo[i], lo_open[i], lo_src[i] = v, b.open, k
         elif up[i] is None or v < up[i] or (v == up[i] and b.open and not up_open[i]):
@@ -438,9 +433,8 @@ def _step_term(bounds: Sequence[WeightBound], edges: _Edges, j: int, upper: bool
     if src is None:
         return f"w_{j} > 0"
     b = bounds[src]
-    if b.complement:
-        return f"w_{j} {'>' if b.open else '>='} {1 - b.upper} ({b.label})"
-    return f"w_{j} {'<' if b.open else '<='} {b.upper} ({b.label})"
+    rel = ("<" if upper else ">") + ("" if b.open else "=")
+    return f"w_{j} {rel} {Fraction(b.num, b.den)} ({b.label})"
 
 
 def _reach_reason(system: IntervalChain, bounds: Sequence[WeightBound],
@@ -508,11 +502,11 @@ def simplex_intersect(intervals: IntervalChain,
     bounds = tuple(bounds)
     n = len(intervals.lower) + 1
     system, values = _scale(intervals, bounds)
-    edges = _edges(n, system.den, values, bounds, True)
+    edges = _edges(n, values, bounds, True)
     res = _sweep(system, edges, True)
     if not isinstance(res, _Dry):
         return FeasibleRegion(intervals, FEASIBLE, _witness(system, edges, res))
-    relaxed = _sweep(system, _edges(n, system.den, values, bounds, False), False)
+    relaxed = _sweep(system, _edges(n, values, bounds, False), False)
     status = INFEASIBLE if isinstance(relaxed, _Dry) else BOUNDARY_ONLY
     return FeasibleRegion(intervals, status, None, _certificate(system, bounds, edges, res))
 
@@ -526,25 +520,37 @@ def _subsheaf_chi(curve: ChainCurve, j: int, deg: int) -> int:
     return deg - curve.node_count(j) + 1 - curve.genera[j - 1]
 
 
-def subsheaf_weight_bound(curve, line, target: Fraction, j: int) -> Optional[WeightBound]:
+def subsheaf_weight_bound(system: WeightSystem, j: int) -> Optional[WeightBound]:
     """The weight bound forced by component j's kernel subsheaf, if any.
 
-    The twisted subsheaf's slope (deg L_j - delta_j + 1 - g_j) / w_j must
-    stay at or below ``target`` (the subject's own slope); ``None`` when that
-    holds for every weight.  A negative target gives a closed upper bound on
-    w_j; for a zero target the constraint is weight-free (an unsatisfiable
-    marker bound when violated); a positive target gives a lower bound,
-    encoded as a bound on the complementary sum.
+    ``system`` is a pair's weight system.  The twisted subsheaf's slope
+    numer / w_j, numer = deg L_j - delta_j + 1 - g_j, must stay at or below
+    the twisted kernel's chi / m: numer * m <= chi * w_j.  ``None`` when
+    that holds for every weight.  Over |chi|, chi < 0 gives the closed upper
+    bound w_j <= -numer*m / |chi| and chi > 0 the closed lower bound
+    w_j >= numer*m / chi; for chi = 0 the constraint is weight-free, and
+    the open bound w_j < 0 (0 over 1) marks it violated.
     """
     label = "subsheaf slope bound"
-    numer = _subsheaf_chi(curve, j, line.multidegree[j - 1])
-    if target < 0:
-        return WeightBound(j, Fraction(numer) / target, label=label)
+    chi, m = system.subject.chi, system.pair.kernel_rank
+    numer = _subsheaf_chi(system.curve, j, system.line.multidegree[j - 1])
+    if chi < 0:
+        return WeightBound(j, -numer * m, -chi, label=label)
     if numer <= 0:
         return None
-    if target == 0:
-        return WeightBound(j, Fraction(0), open=True, label=label + " (unsatisfiable)")
-    return WeightBound(j, 1 - Fraction(numer) / target, complement=True, label=label)
+    if chi == 0:
+        return WeightBound(j, 0, 1, open=True, label=label + " (unsatisfiable)")
+    return WeightBound(j, numer * m, chi, lower=True, label=label)
+
+
+def declared_bounds(system: WeightSystem) -> list[WeightBound]:
+    """The ``subsheaf_weight_bound`` of every component of a pair's system
+    whose restriction kernel is declared non-zero; none for a sheaf's."""
+    if system.pair is None:
+        return []
+    bounds = (subsheaf_weight_bound(system, j) for j in range(1, system.curve.n + 1)
+              if system.pair.ker_rho_nonzero[j - 1])
+    return [b for b in bounds if b is not None]
 
 
 @dataclass(frozen=True)
@@ -593,7 +599,7 @@ def destabilizer_witness(system: WeightSystem, w: Polarization
     for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
         p = w.nums[j - 1]
         if numer * q * m > chi * p:
-            return DestabilizerWitness(j, Fraction(numer * q, p), system.target)
+            return DestabilizerWitness(j, Fraction(numer * q, p), Fraction(chi, m))
     return None
 
 
@@ -601,18 +607,15 @@ class WeightSystem(NamedTuple):
     """A subject's weight system before any rule contributes to it.
 
     ``subject`` is the twisted sheaf whose slope inequalities give
-    ``intervals``; ``pair``, ``target`` (the subject's slope per kernel
-    rank) and the ``declared`` subsheaf bounds exist only for a pair's
-    kernel.
+    ``intervals``; ``pair`` is set only for a pair's kernel, whose declared
+    subsheaf bounds ``declared_bounds`` builds.
     """
 
     curve: ChainCurve
     pair: Optional[GeneratedPairData]
     line: LineBundleTwist
     subject: SheafNumerics
-    target: Optional[Fraction]
     intervals: IntervalChain
-    declared: list[WeightBound]
 
 
 def weight_system(curve: ChainCurve, subject: SheafNumerics | GeneratedPairData,
@@ -622,9 +625,7 @@ def weight_system(curve: ChainCurve, subject: SheafNumerics | GeneratedPairData,
     ``subject`` is sheaf numerics on ``curve``, or a generated pair, whose
     kernel ``kernel_numerics(curve, pair)`` is then built here; a sheaf on
     another curve, or a pair of another length, is refused.  Without
-    ``line`` the subject is not twisted.  A pair's system also holds the
-    kernel's target slope and the ``subsheaf_weight_bound`` of every
-    component whose restriction kernel is declared non-zero.
+    ``line`` the subject is not twisted.  It builds no weight bound.
     """
     pair = subject if isinstance(subject, GeneratedPairData) else None
     if pair is not None:
@@ -633,11 +634,4 @@ def weight_system(curve: ChainCurve, subject: SheafNumerics | GeneratedPairData,
         raise ValidationError("the sheaf lies on another curve than the one given")
     subject = subject if line is None else twist(subject, line)
     line = line if line is not None else LineBundleTwist.trivial(curve.n)
-    intervals = bigas_intervals(subject)
-    if pair is None:
-        return WeightSystem(curve, None, line, subject, None, intervals, [])
-    target = Fraction(subject.chi, pair.kernel_rank)
-    bounds = (subsheaf_weight_bound(curve, line, target, j)
-              for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1])
-    return WeightSystem(curve, pair, line, subject, target, intervals,
-                        [b for b in bounds if b is not None])
+    return WeightSystem(curve, pair, line, subject, bigas_intervals(subject))

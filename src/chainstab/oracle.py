@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .curve_model import ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
 from .feasibility import (FEASIBLE, Polarization, WeightBound, _destabilizer_terms, check_bigas,
-                          simplex_intersect, weight_system)
+                          declared_bounds, simplex_intersect, weight_system)
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
 # may do.  Units count every point of the grid, C(D-1, n-1), and every point
@@ -60,14 +60,10 @@ class GridSpec:
 
 
 def _admits(bound: WeightBound, a: int, d: int) -> bool:
-    """Whether the weight a/d meets ``bound``, by integer cross-multiplication."""
-    num, den = bound.upper.numerator, bound.upper.denominator
-    if bound.complement:
-        # a/d >= 1 - num/den
-        lhs, rhs = (den - num) * d, a * den
-    else:
-        # a/d <= num/den
-        lhs, rhs = a * den, num * d
+    """Whether the weight a/d meets ``bound``, by one integer cross-multiplication."""
+    lhs, rhs = a * bound.den, bound.num * d
+    if bound.lower:
+        lhs, rhs = rhs, lhs
     return lhs < rhs if bound.open else lhs <= rhs
 
 
@@ -151,7 +147,7 @@ class ValidationReport:
     """Outcome of one cross-validation run; discrepancies are data, not errors.
 
     ``witness_checks`` counts the grid/twist pairs the destabilizer identity
-    decides; none of them can fail, so ``witness_failures`` is empty.
+    decides; none of them can fail.
     """
 
     region_status: str
@@ -159,7 +155,6 @@ class ValidationReport:
     agreement: bool
     discrepancies: tuple[str, ...]
     witness_checks: int
-    witness_failures: tuple[tuple[Polarization, LineBundleTwist], ...]
     notes: tuple[str, ...] = ()
 
 
@@ -245,8 +240,9 @@ def cross_validate(curve: ChainCurve, grid: GridSpec,
             f"exceeds the limit {ORACLE_WORK_LIMIT}; lower the grid denominator or "
             "the twist range")
     system = weight_system(curve, subject, line)
-    region = simplex_intersect(system.intervals, system.declared)
-    grid_points = brute_force_region(system.subject, grid, system.declared)
+    declared = declared_bounds(system)
+    region = simplex_intersect(system.intervals, declared)
+    grid_points = brute_force_region(system.subject, grid, declared)
     notes = []
     discrepancies = []
     if grid_points and region.status != FEASIBLE:
@@ -281,5 +277,4 @@ def cross_validate(curve: ChainCurve, grid: GridSpec,
                             agreement=not discrepancies,
                             discrepancies=tuple(discrepancies),
                             witness_checks=witness_checks,
-                            witness_failures=(),
                             notes=tuple(notes))

@@ -26,10 +26,12 @@ degree ratio declares more sections than h1 vanishing leaves (see
 
 A subject has one weight system, built by ``feasibility.weight_system``
 from the pair itself: the slope-inequality intervals of the (possibly
-twisted) kernel and the weight bound of every declared destabilizing
-subsheaf.  The same module tests those subsheaves under a polarization
-(``destabilizer_witness``), which the all-twists rule reports for a
-supplied twist.  The rules are predicates over that system that report
+twisted) kernel.  ``feasibility.declared_bounds`` adds the weight bound of
+every declared destabilizing subsheaf, an integer ratio over the twisted
+kernel's |chi|, and ``analyze`` builds those bounds only for the sweeps
+that read them.  The same module tests those subsheaves under a
+polarization (``destabilizer_witness``), which the all-twists rule reports
+for a supplied twist.  The rules are predicates over that system that report
 whether they fire and which bounds they add; ``analyze`` builds the
 system once, adds the firing rules' bounds and decides it with one sweep,
 so the certificate or witness of a verdict always comes from the region
@@ -46,8 +48,8 @@ from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafN
 from .errors import (ContradictoryHypotheses, InternalInvariantError, RuleNotApplicable,
                      ValidationError)
 from .feasibility import (FEASIBLE, FeasibleRegion, InfeasibilityCertificate, Polarization,
-                          WeightBound, WeightSystem, destabilizer_witness, simplex_intersect,
-                          subsheaf_weight_bound, weight_system)
+                          WeightBound, WeightSystem, declared_bounds, destabilizer_witness,
+                          simplex_intersect, subsheaf_weight_bound, weight_system)
 
 W_SEMISTABLE = "w_semistable"
 W_STABLE = "w_stable"
@@ -168,7 +170,7 @@ def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
 
 
 def _component_bound(system: WeightSystem, j: int) -> tuple[WeightBound, ...]:
-    bound = subsheaf_weight_bound(system.curve, system.line, system.target, j)
+    bound = subsheaf_weight_bound(system, j)
     return () if bound is None else (bound,)
 
 
@@ -336,7 +338,7 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
             untwisted = system
             if not system.line.is_trivial():
                 untwisted = weight_system(curve, pair)
-            screen = simplex_intersect(untwisted.intervals, untwisted.declared)
+            screen = simplex_intersect(untwisted.intervals, declared_bounds(untwisted))
             if screen.status != FEASIBLE:
                 problems.append(_SCREEN_CONFLICT)
             if untwisted is system:
@@ -345,7 +347,7 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
         raise ContradictoryHypotheses("; ".join(problems))
     if region is None:
         region = simplex_intersect(system.intervals,
-                                   system.declared + [b for r in rules for b in r.bounds])
+                                   declared_bounds(system) + [b for r in rules for b in r.bounds])
 
     notes = []
     if fired:

@@ -9,7 +9,7 @@ term names one constraint of the system:
 * ``S_k > 0``, ``S_k < 1`` or ``w_j > 0``, the open simplex;
 * ``S_k <rel> ... (slope inequalities)``, an endpoint of the k-th interval;
 * ``w_j <rel> ... (label)``, the tightest ``WeightBound`` on w_j of that
-  kind (``complement`` for a lower bound), strictness and label.
+  side (``lower`` or not), strictness and label.
 
 The checker takes each named constraint's value and strictness from the
 system, recombines the terms into the bound they claim on the certificate's
@@ -68,7 +68,7 @@ def _resolve(text: str, intervals: Sequence[tuple], by_key: dict) -> _Term:
         return _Term(var, index, side, value, is_open)
     matches = by_key.get((index, side == "lower", strict, label))
     assert matches, f"no weight bound of the system matches {text!r}"
-    values = [1 - b.upper if b.complement else b.upper for b in matches]
+    values = [Fraction(b.num, b.den) for b in matches]
     return _Term(var, index, side, max(values) if side == "lower" else min(values), strict)
 
 
@@ -104,7 +104,7 @@ def check_certificate(cert: InfeasibilityCertificate, intervals: IntervalChain,
     """Assert that ``cert``'s two bounds follow from the system, and clash."""
     by_key: dict = {}
     for b in bounds:
-        by_key.setdefault((b.index, b.complement, b.open, b.label), []).append(b)
+        by_key.setdefault((b.index, b.lower, b.open, b.label), []).append(b)
     intervals = fractions_of(intervals)
     lower = _combine(cert.lower_reason, cert.quantity, "lower", intervals, by_key)
     upper = _combine(cert.upper_reason, cert.quantity, "upper", intervals, by_key)

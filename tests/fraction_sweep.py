@@ -104,14 +104,14 @@ def _build_edges(n: int, bounds: Sequence[WeightBound], strict: bool) -> list[_E
         if not 1 <= b.index <= n:
             raise ValidationError(f"bound index {b.index} out of range 1..{n}")
         i = b.index - 1
-        if b.complement:
-            val = 1 - b.upper
+        val = Fraction(b.num, b.den)
+        if b.lower:
             rel = ">" if b.open else ">="
             cand = _Bound(val, b.open, (f"w_{b.index} {rel} {val} ({b.label})",))
             lows[i] = _tightest_lower(lows[i], cand)
         else:
             rel = "<" if b.open else "<="
-            cand = _Bound(b.upper, b.open, (f"w_{b.index} {rel} {b.upper} ({b.label})",))
+            cand = _Bound(val, b.open, (f"w_{b.index} {rel} {val} ({b.label})",))
             ups[i] = _tightest_upper(ups[i], cand)
     return [_Edge(lo, up) for lo, up in zip(lows, ups)]
 

@@ -11,6 +11,7 @@ The library keeps partial-sum intervals as an integer ``IntervalChain``.
 back, and ``bigas_fractions`` is the Fraction formula that
 ``bigas_intervals`` used before it returned chains, kept as its oracle;
 ``twisted_sheaf`` draws a subject of every kind of chain.
+``weight_bound`` builds the integer ``WeightBound`` of a rational value.
 An interval here is a tuple ``(lower, upper, lower_open, upper_open)``
 with ``None`` for an unbounded end; the two flags default to closed, and
 an unbounded end is always open, as in the library.
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from chainstab.curve_model import ChainCurve, LineBundleTwist, SheafNumerics, twist
-from chainstab.feasibility import IntervalChain, Polarization
+from chainstab.feasibility import IntervalChain, Polarization, WeightBound
 from chainstab.oracle import GridSpec
 
 
@@ -33,6 +34,13 @@ def slope(sheaf: SheafNumerics, w: Polarization, chi: Optional[int] = None) -> F
     """Polarized slope: global chi (``sheaf.chi`` unless given) over the weighted total rank."""
     chi = sheaf.chi if chi is None else chi
     return chi / sum(wj * rj for wj, rj in zip(w.weights, sheaf.multirank))
+
+
+def weight_bound(index: int, value, lower: bool = False, **kwargs) -> WeightBound:
+    """The bound w_index <= value, or w_index >= value when ``lower``, for a
+    rational ``value``, as the library's integer ratio in lowest terms."""
+    value = Fraction(value)
+    return WeightBound(index, value.numerator, value.denominator, lower, **kwargs)
 
 
 def enumerate_polarizations(spec: GridSpec) -> Iterator[Polarization]:

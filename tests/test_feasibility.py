@@ -10,10 +10,11 @@ from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwis
                                    SheafNumerics, arithmetic_genus, kernel_numerics)
 from chainstab.errors import UnsupportedData, ValidationError
 from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, Polarization,
-                                   WeightBound, bigas_intervals, check_bigas, simplex_intersect,
-                                   weight_system)
-from chainstab.oracle import GridSpec
-from reference import EMPTY, UNBOUNDED, chain, enumerate_polarizations, fractions_of, slope
+                                   WeightBound, bigas_intervals, check_bigas, declared_bounds,
+                                   simplex_intersect, subsheaf_weight_bound, weight_system)
+from chainstab.oracle import GridSpec, _admits
+from reference import (EMPTY, UNBOUNDED, chain, enumerate_polarizations, fractions_of, slope,
+                       weight_bound)
 
 F = Fraction
 
@@ -30,7 +31,7 @@ def pinned(w):
     lies in its interval, and its witness is then ``w`` itself.
     """
     return [b for j, x in enumerate(w.weights, start=1)
-            for b in (WeightBound(j, x), WeightBound(j, 1 - x, complement=True))]
+            for b in (weight_bound(j, x), weight_bound(j, x, lower=True))]
 
 
 def status_at(iv, x):
@@ -40,7 +41,7 @@ def status_at(iv, x):
     so only the interval's own ends and their openness can make it infeasible.
     """
     x = F(x)
-    pin = [WeightBound(1, x), WeightBound(1, 1 - x, complement=True)]
+    pin = [weight_bound(1, x), weight_bound(1, x, lower=True)]
     return simplex_intersect(chain([iv]), pin).status
 
 
@@ -156,7 +157,10 @@ class TestSlope:
         s = SheafNumerics(curve, (2, 2), (-6, -6))
         assert (s.chi_components, s.chi) == ((-8, -8), -18)
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
-        assert slope(s, Polarization((1, 1), 2)) == -9 == weight_system(curve, pair).target
+        system = weight_system(curve, pair)
+        assert system.subject == s
+        assert slope(s, Polarization((1, 1), 2)) == -9 == F(system.subject.chi,
+                                                             pair.kernel_rank)
 
     def test_trivial_bundle_slope_is_chi_structure_sheaf(self):
         curve = ChainCurve((2, 2))
@@ -261,12 +265,12 @@ class TestSimplexIntersect:
 
     def test_weight_bound_makes_infeasible(self):
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
-                                   [WeightBound(1, F(1, 4))])
+                                   [WeightBound(1, 1, 4)])
         assert region.status == INFEASIBLE
 
     def test_weight_bound_at_endpoint_still_feasible(self):
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
-                                   [WeightBound(1, F(1, 3))])
+                                   [WeightBound(1, 1, 3)])
         assert region.status == FEASIBLE
         assert region.witness.weights[0] == F(1, 3)
 
@@ -279,31 +283,31 @@ class TestSimplexIntersect:
         assert region.status == BOUNDARY_ONLY
         assert region.witness is None
 
-    def test_complement_bound_is_lower_bound(self):
+    def test_lower_bound(self):
         # w_1 >= 3/4 forces S_1 out of [1/3, 2/3]
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
-                                   [WeightBound(1, F(1, 4), complement=True)])
+                                   [WeightBound(1, 3, 4, lower=True)])
         assert region.status == INFEASIBLE
         # w_1 >= 1/2 is compatible
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
-                                   [WeightBound(1, F(1, 2), complement=True)])
+                                   [WeightBound(1, 1, 2, lower=True)])
         assert region.status == FEASIBLE
         assert region.witness.weights[0] >= F(1, 2)
 
     def test_clashing_step_bounds(self):
         region = simplex_intersect(chain([UNBOUNDED]),
-                                   [WeightBound(2, F(1, 3)),
-                                    WeightBound(2, F(1, 2), complement=True)])
+                                   [WeightBound(2, 1, 3),
+                                    WeightBound(2, 1, 2, lower=True)])
         assert region.status == INFEASIBLE
 
     def test_unsatisfiable_marker_bound(self):
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
-                                   [WeightBound(1, F(0), open=True)])
+                                   [WeightBound(1, 0, 1, open=True)])
         assert region.status == INFEASIBLE
 
     def test_closed_zero_bound_is_boundary_only(self):
         region = simplex_intersect(chain([(F(0), F(2, 3))]),
-                                   [WeightBound(1, F(0))])
+                                   [WeightBound(1, 0, 1)])
         assert region.status == BOUNDARY_ONLY
 
     def test_witness_respects_intervals_and_simplex(self):
@@ -388,9 +392,13 @@ class TestWeightSystem:
 
 
 def declared(curve, pair, line):
-    """Target slope and declared subsheaf bounds of the pair's kernel twisted by ``line``."""
+    """Slope chi / m and declared subsheaf bounds of the pair's kernel twisted by ``line``."""
     system = weight_system(curve, pair, line)
-    return system.target, system.declared
+    return F(system.subject.chi, pair.kernel_rank), declared_bounds(system)
+
+
+def bound_value(bound):
+    return F(bound.num, bound.den)
 
 
 class TestSubsheafSlopeConstraints:
@@ -402,8 +410,8 @@ class TestSubsheafSlopeConstraints:
         assert target == F(-9)
         assert len(bounds) == 1
         assert bounds[0].index == 1
-        assert bounds[0].upper == F(2, 9)
-        assert not bounds[0].open and not bounds[0].complement
+        assert bound_value(bounds[0]) == F(2, 9)
+        assert not bounds[0].open and not bounds[0].lower
 
     def test_middle_component_bound(self):
         curve = ChainCurve((2, 2, 2))
@@ -412,7 +420,7 @@ class TestSubsheafSlopeConstraints:
         target, bounds = declared(curve, pair, LineBundleTwist.trivial(3))
         assert target == F(-19, 2)
         assert bounds[0].index == 2
-        assert bounds[0].upper == F(6, 19)
+        assert bound_value(bounds[0]) == F(6, 19)
 
     def test_zero_numerator_gives_zero_bound(self):
         curve = ChainCurve((2, 2))
@@ -421,7 +429,7 @@ class TestSubsheafSlopeConstraints:
         # deg L_1 = delta_1 - 1 + g_1 = 2 makes the numerator vanish
         target, bounds = declared(curve, pair, LineBundleTwist((2, 0)))
         assert target == F(-7)
-        assert bounds[0].upper == 0 and not bounds[0].open
+        assert bound_value(bounds[0]) == 0 and not bounds[0].open
         region = simplex_intersect(
             bigas_intervals(SheafNumerics(curve, (1, 1), (0, 0))), bounds)
         assert region.status != FEASIBLE
@@ -435,9 +443,9 @@ class TestSubsheafSlopeConstraints:
         target, bounds = declared(curve, pair, LineBundleTwist((9, 0)))
         assert target == 0
         assert len(bounds) == 1
-        assert bounds[0].index == 1 and bounds[0].open and bounds[0].upper == 0
+        assert bounds[0].index == 1 and bounds[0].open and bound_value(bounds[0]) == 0
 
-    def test_positive_target_becomes_complement_bound(self):
+    def test_positive_target_becomes_lower_bound(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(True, False))
@@ -445,8 +453,67 @@ class TestSubsheafSlopeConstraints:
         target, bounds = declared(curve, pair, LineBundleTwist((6, 5)))
         assert target == F(2)
         # numer = 6 - 1 + 1 - 2 = 4, lower bound w_1 >= 2
-        assert bounds[0].complement
-        assert bounds[0].upper == 1 - F(4, 2)
+        assert bounds[0].lower
+        assert bound_value(bounds[0]) == F(4, 2)
+
+
+@st.composite
+def twisted_pairs(draw, sign):
+    """A pair on 2..6 components and a twist that gives its kernel a chi of
+    the sign of ``sign``, with the component flags the bounds are read for."""
+    n = draw(st.integers(2, 6))
+    genera = tuple(draw(st.integers(2, 4)) for _ in range(n))
+    rank = draw(st.integers(1, 3))
+    sections = rank + draw(st.integers(1, 3))
+    m = sections - rank
+    degs = [draw(st.integers(0, 8)) for _ in range(n)]
+    if sign == 0:
+        degs[0] += -sum(degs) % m        # the kernel's chi is -d mod m
+    flags = tuple(draw(st.booleans()) for _ in range(n))
+    pair = GeneratedPairData(rank=rank, sections=sections, multidegree=tuple(degs),
+                             ker_rho_nonzero=flags)
+    curve = ChainCurve(genera)
+    # twists that give subsheaf chi -2..3, so that bounds often fall inside (0, 1)
+    tw = [draw(st.integers(-2, 3)) + curve.node_count(j) - 1 + genera[j - 1]
+          for j in range(1, n + 1)]
+    chi = kernel_numerics(curve, pair).chi + m * sum(tw)
+    shift = draw(st.integers(0, 3))
+    if sign < 0:
+        tw[-1] += (-1 - chi) // m - shift          # chi + m*step <= -1
+    elif sign > 0:
+        tw[-1] += -((chi - 1) // m) + shift        # chi + m*step >= 1
+    else:
+        tw[-1] -= chi // m
+    return curve, pair, LineBundleTwist(tuple(tw))
+
+
+@pytest.mark.parametrize("sign", (-1, 0, 1))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subsheaf_bound_admits_exactly_the_unbroken_slopes(sign, data):
+    # a bound admits the weight a/D exactly when the subsheaf slope, from the
+    # Fraction reference, stays at or below chi/m; no bound admits every weight
+    curve, pair, line = data.draw(twisted_pairs(sign))
+    system = weight_system(curve, pair, line)
+    kernel, n, m = system.subject, curve.n, pair.kernel_rank
+    assert (kernel.chi > 0) - (kernel.chi < 0) == sign
+    declared = declared_bounds(system)
+    for j in range(1, n + 1):
+        # the component-j subsheaf, a line bundle of degree t_j - delta_j on
+        # a curve of genus g_j
+        nodes = 1 if j in (1, n) else 2
+        sub_chi = line.multidegree[j - 1] - nodes + 1 - curve.genera[j - 1]
+        sub = SheafNumerics(curve, tuple(int(k == j) for k in range(1, n + 1)), (0,) * n)
+        bound = subsheaf_weight_bound(system, j)
+        if pair.ker_rho_nonzero[j - 1] and bound is not None:
+            declared.remove(bound)
+        for d in range(2, 13):
+            for a in range(1, d):
+                w = Polarization(tuple(a * (n - 1) if k == j else d - a
+                                       for k in range(1, n + 1)), d * (n - 1))
+                unbroken = slope(sub, w, sub_chi) <= slope(kernel, w)
+                assert unbroken == (bound is None or _admits(bound, a, d)), (j, a, d, bound)
+    assert declared == []     # the flagged components' bounds, and no others
 
 
 class TestInfeasibilityCertificate:
@@ -454,7 +521,7 @@ class TestInfeasibilityCertificate:
         curve = ChainCurve((2, 2))
         s = SheafNumerics(curve, (2, 2), (-6, -6))
         assert (s.chi_components, s.chi) == ((-8, -8), -18)
-        cert = simplex_intersect(bigas_intervals(s), [WeightBound(1, F(2, 9))]).certificate
+        cert = simplex_intersect(bigas_intervals(s), [WeightBound(1, 2, 9)]).certificate
         assert cert is not None
         assert cert.quantity == "S_1"
         assert cert.lower == F(8, 18)
@@ -477,7 +544,7 @@ class TestInfeasibilityCertificate:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(1, 6))
         k = kernel_numerics(curve, pair)
-        cert = simplex_intersect(bigas_intervals(k), [WeightBound(2, F(4, 13))]).certificate
+        cert = simplex_intersect(bigas_intervals(k), [WeightBound(2, 4, 13)]).certificate
         assert cert is not None
         assert cert.quantity == "S_1"
         assert cert.lower == F(9, 13)   # S_1 >= 1 - 4/13
@@ -522,13 +589,12 @@ _RANK = {FEASIBLE: 2, BOUNDARY_ONLY: 1, INFEASIBLE: 0}
 @given(uniform_sheaves(), st.integers(1, 4), st.fractions(min_value=-1, max_value=2,
                                                           max_denominator=12),
        st.booleans(), st.booleans())
-def test_adding_bounds_is_monotone(sheaf, index, value, is_open, complement):
+def test_adding_bounds_is_monotone(sheaf, index, value, is_open, lower):
     if index > sheaf.n:
         index = sheaf.n
     ivs = bigas_intervals(sheaf)
     before = simplex_intersect(ivs)
-    after = simplex_intersect(ivs, [WeightBound(index, value, open=is_open,
-                                                complement=complement)])
+    after = simplex_intersect(ivs, [weight_bound(index, value, lower, open=is_open)])
     assert _RANK[after.status] <= _RANK[before.status]
 
 

@@ -25,10 +25,10 @@ from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwis
                                    SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
 from chainstab.feasibility import (FEASIBLE, INFEASIBLE, InfeasibilityCertificate, Polarization,
-                                   WeightBound, bigas_intervals, simplex_intersect,
-                                   weight_system)
+                                   WeightBound, bigas_intervals, declared_bounds,
+                                   simplex_intersect, weight_system)
 from chainstab.stability import analyze
-from reference import UNBOUNDED, chain
+from reference import UNBOUNDED, chain, weight_bound
 
 F = Fraction
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -87,8 +87,8 @@ def systems(draw):
     else:
         centres = [draw(VALUES) for _ in range(n - 1)]
     ivs = [draw(intervals(c)) for c in centres]
-    bounds = [WeightBound(draw(st.integers(1, n)), draw(VALUES), open=draw(st.booleans()),
-                          complement=draw(st.booleans()), label=draw(LABELS))
+    bounds = [weight_bound(draw(st.integers(1, n)), draw(VALUES), draw(st.booleans()),
+                           open=draw(st.booleans()), label=draw(LABELS))
               for _ in range(draw(st.integers(0, 4)))]
     return chain(ivs), bounds
 
@@ -109,8 +109,8 @@ def test_seeded_systems_of_every_status_equal_fraction_reference():
         lo = [F(rng.randint(-2, 14), rng.randint(1, 12)) for _ in range(n - 1)]
         ivs = chain([(a, a + F(rng.randint(0, 6), rng.randint(1, 12)),
                       rng.random() < 0.3, rng.random() < 0.3) for a in lo])
-        bounds = [WeightBound(rng.randint(1, n), F(rng.randint(-1, 12), rng.randint(1, 12)),
-                              open=rng.random() < 0.5, complement=rng.random() < 0.5)
+        bounds = [WeightBound(rng.randint(1, n), rng.randint(-1, 12), rng.randint(1, 12),
+                              open=rng.random() < 0.5, lower=rng.random() < 0.5)
                   for _ in range(rng.randint(0, 3))]
         seen.add(assert_same_as_reference(ivs, bounds).status)
     assert seen == {"feasible", "boundary-only", "infeasible"}
@@ -119,7 +119,7 @@ def test_seeded_systems_of_every_status_equal_fraction_reference():
 def test_midpoints_halve_past_the_common_denominator():
     # The common denominator is 315 and S_2's midpoint is 153/630.
     ivs = chain([(F(0), F(1, 3)), (F(1, 5), F(2, 7))])
-    region = assert_same_as_reference(ivs, [WeightBound(2, F(1, 9), open=True)])
+    region = assert_same_as_reference(ivs, [WeightBound(2, 1, 9, open=True)])
     assert region.witness.weights == (F(59, 315), F(1, 18), F(53, 70))
     # Only the simplex bounds each S_i: S_{n-1} = 1/2 and every earlier
     # S_i halves the next, so w_1 = 2**-(n-1) over a common denominator of 1.
@@ -131,7 +131,7 @@ def test_midpoints_halve_past_the_common_denominator():
 
 def test_out_of_range_bound_index_is_refused():
     with pytest.raises(ValidationError, match="bound index 3 out of range 1..2"):
-        simplex_intersect(chain([UNBOUNDED]), [WeightBound(3, F(1, 2))])
+        simplex_intersect(chain([UNBOUNDED]), [WeightBound(3, 1, 2)])
 
 
 def _long_kernel(n, dry):
@@ -172,8 +172,8 @@ def test_accumulated_bounds_are_rendered_once():
     # per index, as the Fraction sweep did, is quadratic in n.
     n = 20000
     ivs = chain([UNBOUNDED] * (n - 1))
-    bounds = [WeightBound(j, 1 - F(1, n), complement=True) for j in range(1, n + 1)]
-    bounds.append(WeightBound(n, 1 - F(2, n), complement=True))
+    bounds = [WeightBound(j, 1, n, lower=True) for j in range(1, n + 1)]
+    bounds.append(WeightBound(n, 2, n, lower=True))
     start = time.perf_counter()
     region = simplex_intersect(ivs, bounds)
     elapsed = time.perf_counter() - start
@@ -195,7 +195,7 @@ def test_acceptance_5_certificate_rebuilds_from_the_system():
                              ker_rho_nonzero=(True, False))
     system = weight_system(curve, pair)
     check_certificate(analyze(curve, pair).verdict.certificate,
-                      system.intervals, system.declared)
+                      system.intervals, declared_bounds(system))
 
 
 def test_readme_certificate_rebuilds_from_the_system():
@@ -208,13 +208,13 @@ def test_readme_certificate_rebuilds_from_the_system():
     cert = InfeasibilityCertificate(quantity, F(lo), lo_rel == ">", lo_reason,
                                     F(hi), hi_rel == "<", hi_reason)
     system = weight_system(scenario.curve, scenario.subject)
-    check_certificate(cert, system.intervals, system.declared)
+    check_certificate(cert, system.intervals, declared_bounds(system))
     assert line in cli.render_text(cli.cmd_check(scenario)).splitlines()
 
 
 def test_checker_rejects_a_wrong_reason():
     ivs = chain([(F(4, 9), F(5, 9))])
-    bounds = [WeightBound(1, F(2, 9), label="subsheaf slope bound")]
+    bounds = [WeightBound(1, 2, 9, label="subsheaf slope bound")]
     cert = simplex_intersect(ivs, bounds).certificate
     check_certificate(cert, ivs, bounds)
     forgeries = [
@@ -233,30 +233,50 @@ def test_checker_rejects_a_wrong_reason():
 
 
 class TestBoundaryFractions:
-    def test_exact_fraction_is_not_copied(self):
-        # the slope intervals hold plain ints, so there is no Fraction to copy
+    def test_intervals_and_bounds_hold_plain_ints(self):
+        # the slope intervals and weight bounds hold plain ints, so there is no Fraction to copy
         ivs = bigas_intervals(SheafNumerics(ChainCurve((2, 3, 2)), (2, 2, 2), (1, -3, 5)))
         assert {*map(type, [ivs.den, *ivs.lower, *ivs.upper])} == {int}
+        bound = WeightBound(1, 2, 6)
+        assert (bound.num, bound.den) == (2, 6)   # kept as given, not reduced
         third = F(1, 3)
-        assert WeightBound(1, third).upper is third
         w = Polarization((1, 2), 3)
         assert w.weights[0] == third and type(w.weights[0]) is Fraction
 
-    def test_subclass_is_copied(self):
+    def test_subclass_is_refused(self):
         class Sub(Fraction):
             pass
 
-        # a polarization takes integer parts only, so it refuses the subclass
+        # a polarization and a weight bound take integer parts only, so they
+        # refuse the subclass
         with pytest.raises(ValidationError, match="must be integers"):
             Polarization((Sub(1, 3), Sub(2, 3)), 1)
-        assert WeightBound(1, Sub(1, 3)).upper == F(1, 3)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            WeightBound(1, Sub(1, 3), 1)
 
     def test_bool_and_float_refused(self):
         for bad in (True, 0.5):
             with pytest.raises(ValidationError, match="must be integers"):
                 Polarization((bad, 1), 2)
-            with pytest.raises(ValidationError, match="exact rational"):
-                WeightBound(1, bad)
+            with pytest.raises(ValidationError, match="must be an integer"):
+                WeightBound(1, bad, 1)
+
+    @pytest.mark.parametrize("args, text", [
+        ((True, 1, 2), "bound index must be a positive integer, got True"),
+        ((0, 1, 2), "bound index must be a positive integer, got 0"),
+        ((1, True, 2), "bound numerator must be an integer, got True"),
+        ((1, 0.5, 2), "bound numerator must be an integer, got 0.5"),
+        ((1, F(1, 2), 2), "bound numerator must be an integer, got Fraction(1, 2)"),
+        ((1, 1, True), "bound denominator must be a positive integer, got True"),
+        ((1, 1, 2.0), "bound denominator must be a positive integer, got 2.0"),
+        ((1, 1, F(2)), "bound denominator must be a positive integer, got Fraction(2, 1)"),
+        ((1, 1, 0), "bound denominator must be a positive integer, got 0"),
+        ((1, 1, -3), "bound denominator must be a positive integer, got -3"),
+    ])
+    def test_weight_bound_refusals(self, args, text):
+        with pytest.raises(ValidationError) as exc:
+            WeightBound(*args)
+        assert str(exc.value) == text
 
     def test_witness_weights_are_exact_fractions(self):
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]))
@@ -285,5 +305,5 @@ def test_ties_on_a_small_grid_equal_fraction_reference():
     for (lo, lo_open), (hi, hi_open) in itertools.product(ends, ends):
         ivs = chain([(lo, hi, lo_open, hi_open)])
         for chosen in bound_sets:
-            bounds = [WeightBound(j, v, open=o, complement=c) for j, v, o, c in chosen]
+            bounds = [weight_bound(j, v, c, open=o) for j, v, o, c in chosen]
             assert_same_as_reference(ivs, bounds)

@@ -111,7 +111,7 @@ def test_long_chain_builds_no_fraction_per_index(fractions_made):
     system = weight_system(curve, kernel)
     assert fractions_made() == 0
     weight_system(curve, pair)
-    assert fractions_made() == 1          # the kernel's target slope, whatever n is
+    assert fractions_made() == 0          # a pair's system builds no bound and no slope
     region = simplex_intersect(system.intervals)
     assert region.status == FEASIBLE
     assert fractions_made() == 0          # the witness is integer numerators

@@ -15,7 +15,7 @@ from chainstab.feasibility import (FEASIBLE, INFEASIBLE, DestabilizerWitness, Po
                                    WeightBound, bigas_intervals, check_bigas,
                                    destabilizer_witness, simplex_intersect, weight_system)
 from chainstab.oracle import GridSpec, brute_force_region, cross_validate
-from reference import enumerate_polarizations
+from reference import enumerate_polarizations, weight_bound
 
 F = Fraction
 
@@ -108,12 +108,12 @@ class TestBruteForceRegion:
 
     def test_bounds_filtering(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
-        got = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, F(5, 12))])
+        got = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, 5, 12)])
         assert [w.weights[0] for w in got] == [F(4, 12), F(5, 12)]
-        got_open = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, F(5, 12), open=True)])
+        got_open = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, 5, 12, open=True)])
         assert [w.weights[0] for w in got_open] == [F(4, 12)]
         got_comp = brute_force_region(s, GridSpec(12, 2),
-                                      [WeightBound(1, F(1, 2), complement=True)])
+                                      [WeightBound(1, 1, 2, lower=True)])
         assert all(w.weights[0] >= F(1, 2) for w in got_comp)
         assert got_comp != []
 
@@ -142,26 +142,26 @@ class TestBruteForceRegion:
     def test_bounds_on_last_weight(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         spec = GridSpec(12, 2)
-        closed = brute_force_region(s, spec, [WeightBound(2, F(1, 2))])
+        closed = brute_force_region(s, spec, [WeightBound(2, 1, 2)])
         # w_1 rises along the grid, so w_2 falls
         assert [w.weights[1] for w in closed] == [F(6, 12), F(5, 12), F(4, 12)]
-        opened = brute_force_region(s, spec, [WeightBound(2, F(1, 2), open=True)])
+        opened = brute_force_region(s, spec, [WeightBound(2, 1, 2, open=True)])
         assert [w.weights[1] for w in opened] == [F(5, 12), F(4, 12)]
-        lower = brute_force_region(s, spec, [WeightBound(2, F(1, 2), complement=True)])
+        lower = brute_force_region(s, spec, [WeightBound(2, 1, 2, lower=True)])
         assert [w.weights[1] for w in lower] == [F(8, 12), F(7, 12), F(6, 12)]
 
     def test_bound_index_beyond_chain_rejected(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         with pytest.raises(ValidationError):
-            brute_force_region(s, GridSpec(6, 2), [WeightBound(3, F(1, 2))])
+            brute_force_region(s, GridSpec(6, 2), [WeightBound(3, 1, 2)])
 
 
 def _meets(bound, w):
     """Reference test of one weight bound in rationals."""
-    x = w.weights[bound.index - 1]
-    if bound.complement:
-        return x > 1 - bound.upper if bound.open else x >= 1 - bound.upper
-    return x < bound.upper if bound.open else x <= bound.upper
+    x, value = w.weights[bound.index - 1], F(bound.num, bound.den)
+    if bound.lower:
+        return x > value if bound.open else x >= value
+    return x < value if bound.open else x <= value
 
 
 @st.composite
@@ -194,9 +194,7 @@ def sheaves_with_bounds(draw):
         scale = draw(st.integers(1, 2))
         at = min(max(F(scale * center[j - 1] + draw(st.integers(-1, 1)), scale * d), F(0)),
                  F(1))
-        complement = draw(st.booleans())
-        bounds.append(WeightBound(j, 1 - at if complement else at, open=draw(st.booleans()),
-                                  complement=complement))
+        bounds.append(weight_bound(j, at, draw(st.booleans()), open=draw(st.booleans())))
     return sheaf, GridSpec(d, n), bounds
 
 
@@ -342,7 +340,9 @@ def test_gated_pairs_have_a_destabilizer_everywhere(case):
     assert failures == []
     report = cross_validate(curve, grid, pair, twist_range=twist_range)
     assert report.witness_checks == checks
-    assert report.witness_failures == () and report.agreement
+    assert report.agreement
+    assert cli.cmd_oracle(cli.Scenario(curve, pair, None), grid.denominator,
+                          twist_range)["witness_failures"] == []
     systems = [kernel_system(curve, pair, LineBundleTwist(degs))
                for degs in itertools.product(range(-twist_range, twist_range + 1),
                                              repeat=curve.n)]
@@ -364,9 +364,9 @@ def test_all_twists_check_is_one_identity(monkeypatch):
                             lambda *args: kernels.append(args) or kernel(*args), raising=False)
     monkeypatch.setattr(Polarization, "__post_init__", lambda w: built.append(w) or post_init(w))
     report = cross_validate(curve, grid, pair, twist_range=3)
-    assert report.witness_checks == 86779 and report.witness_failures == ()
-    assert report.agreement
+    assert report.witness_checks == 86779 and report.agreement
     assert len(kernels) == 1 and len(built) == report.grid_count
+    assert cli.cmd_oracle(cli.Scenario(curve, pair, None), 24, 3)["witness_failures"] == []
     # d - (n-1)m = 9 - 2*2 = 5; one more per subsheaf chi adds m*n = 6 to the left side
     subsheaf_chi = feasibility._subsheaf_chi
     monkeypatch.setattr(feasibility, "_subsheaf_chi",
@@ -411,8 +411,8 @@ class TestCrossValidate:
                                  ker_rho_nonzero=(True, True, True))
         report = cross_validate(curve, GridSpec(8, 3), pair, twist_range=1)
         assert report.witness_checks == math.comb(7, 2) * 27
-        assert report.witness_failures == ()
         assert report.agreement
+        assert cli.cmd_oracle(cli.Scenario(curve, pair, None), 8, 1)["witness_failures"] == []
 
     def test_oversized_runs_refused_before_any_work(self):
         curve = ChainCurve((2, 2, 2))
