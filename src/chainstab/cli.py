@@ -16,10 +16,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curve_model import PAIR_FLAGS, ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, ValidationError
@@ -70,8 +69,7 @@ rationals appear only in output, as reduced "p/q" strings.  Exit codes:
 """.replace("{limit}", f"{ORACLE_WORK_LIMIT:,}").replace("{chain}", f"{CHAIN_LENGTH_LIMIT:,}")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     curve: ChainCurve
     subject: SheafNumerics | GeneratedPairData
     twist: Optional[LineBundleTwist]

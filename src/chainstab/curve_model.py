@@ -21,10 +21,10 @@ alone, so the global value is left undefined (``None``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import UnsupportedData, ValidationError
+from .record import Record
 
 
 def _int_tuple(name: str, values: Sequence[int]) -> tuple[int, ...]:
@@ -50,19 +50,19 @@ def _bool_tuple(name: str, values, n: int) -> tuple[bool, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChainCurve:
+class ChainCurve(Record):
     """Chain of n >= 2 smooth components; ``genera[j-1]`` is the genus of component j."""
 
-    genera: tuple[int, ...]
+    __slots__ = ("genera",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "genera", _int_tuple("genera", self.genera))
-        if len(self.genera) < 2:
+    def __init__(self, genera: Sequence[int]):
+        genera = _int_tuple("genera", genera)
+        if len(genera) < 2:
             raise ValidationError("a chain-like curve needs at least two components")
-        bad = [g for g in self.genera if g < 2]
+        bad = [g for g in genera if g < 2]
         if bad:
             raise ValidationError(f"every component genus must be at least 2, got {bad}")
+        object.__setattr__(self, "genera", genera)
 
     @property
     def n(self) -> int:
@@ -83,8 +83,7 @@ def arithmetic_genus(curve: ChainCurve) -> int:
     return sum(curve.genera)
 
 
-@dataclass(frozen=True)
-class SheafNumerics:
+class SheafNumerics(Record):
     """Multirank, multidegree and Euler characteristics of a pure dimension-one sheaf.
 
     Built from ``(curve, multirank, multidegree)`` alone: ``chi_components``
@@ -93,25 +92,23 @@ class SheafNumerics:
     ``None``.
     """
 
-    curve: ChainCurve
-    multirank: tuple[int, ...]
-    multidegree: tuple[int, ...]
-    chi_components: tuple[int, ...] = field(init=False)
-    chi: Optional[int] = field(init=False)
+    __slots__ = ("curve", "multirank", "multidegree", "chi_components", "chi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "multirank", _int_tuple("multirank", self.multirank))
-        object.__setattr__(self, "multidegree", _int_tuple("multidegree", self.multidegree))
-        n = self.curve.n
-        for name, seq in (("multirank", self.multirank), ("multidegree", self.multidegree)):
+    def __init__(self, curve: ChainCurve, multirank: Sequence[int], multidegree: Sequence[int]):
+        multirank = _int_tuple("multirank", multirank)
+        multidegree = _int_tuple("multidegree", multidegree)
+        n = curve.n
+        for name, seq in (("multirank", multirank), ("multidegree", multidegree)):
             if len(seq) != n:
                 raise ValidationError(f"{name} must have length {n}, got {len(seq)}")
-        if any(r < 0 for r in self.multirank):
+        if any(r < 0 for r in multirank):
             raise ValidationError("multirank entries must be non-negative")
-        chis = tuple(d + r * (1 - g)
-                     for r, d, g in zip(self.multirank, self.multidegree, self.curve.genera))
-        r = self.uniform_rank()
+        chis = tuple(d + r * (1 - g) for r, d, g in zip(multirank, multidegree, curve.genera))
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "multirank", multirank)
+        object.__setattr__(self, "multidegree", multidegree)
         object.__setattr__(self, "chi_components", chis)
+        r = self.uniform_rank()
         object.__setattr__(self, "chi", None if r is None else sum(chis) - r * (n - 1))
 
     @property
@@ -124,16 +121,16 @@ class SheafNumerics:
         return r if all(rj == r for rj in self.multirank) else None
 
 
-@dataclass(frozen=True)
-class LineBundleTwist:
+class LineBundleTwist(Record):
     """Per-component degrees of a line bundle used to twist a sheaf."""
 
-    multidegree: tuple[int, ...]
+    __slots__ = ("multidegree",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "multidegree", _int_tuple("multidegree", self.multidegree))
-        if not self.multidegree:
+    def __init__(self, multidegree: Sequence[int]):
+        multidegree = _int_tuple("multidegree", multidegree)
+        if not multidegree:
             raise ValidationError("twist multidegree must be non-empty")
+        object.__setattr__(self, "multidegree", multidegree)
 
     @property
     def n(self) -> int:
@@ -157,8 +154,7 @@ PAIR_FLAGS = ("restriction_semistable", "restriction_stable",
               "ker_rho_nonzero", "twisted_sections_nonzero", "h1_vanishes")
 
 
-@dataclass(frozen=True)
-class GeneratedPairData:
+class GeneratedPairData(Record):
     """Numerical type (rank, multidegree, section count) of a generated pair,
     plus the geometric hypothesis flags the criteria consume.
 
@@ -168,33 +164,37 @@ class GeneratedPairData:
     flag lists default to all-false.
     """
 
-    rank: int
-    sections: int
-    multidegree: tuple[int, ...]
-    restriction_semistable: Optional[tuple[bool, ...]] = None
-    restriction_stable: Optional[tuple[bool, ...]] = None
-    kernel_restriction_semistable: Optional[tuple[bool, ...]] = None
-    kernel_restriction_stable: Optional[tuple[bool, ...]] = None
-    ker_rho_nonzero: Optional[tuple[bool, ...]] = None
-    twisted_sections_nonzero: Optional[tuple[bool, ...]] = None
-    h1_vanishes: Optional[tuple[bool, ...]] = None
+    __slots__ = ("rank", "sections", "multidegree", *PAIR_FLAGS)
 
-    def __post_init__(self):
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
-            raise ValidationError(f"rank must be a positive integer, got {self.rank!r}")
-        if isinstance(self.sections, bool) or not isinstance(self.sections, int):
-            raise ValidationError(f"sections must be an integer, got {self.sections!r}")
-        if self.sections <= self.rank:
+    def __init__(self, rank: int, sections: int, multidegree: Sequence[int],
+                 restriction_semistable: Optional[Sequence[bool]] = None,
+                 restriction_stable: Optional[Sequence[bool]] = None,
+                 kernel_restriction_semistable: Optional[Sequence[bool]] = None,
+                 kernel_restriction_stable: Optional[Sequence[bool]] = None,
+                 ker_rho_nonzero: Optional[Sequence[bool]] = None,
+                 twisted_sections_nonzero: Optional[Sequence[bool]] = None,
+                 h1_vanishes: Optional[Sequence[bool]] = None):
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+            raise ValidationError(f"rank must be a positive integer, got {rank!r}")
+        if isinstance(sections, bool) or not isinstance(sections, int):
+            raise ValidationError(f"sections must be an integer, got {sections!r}")
+        if sections <= rank:
             raise ValidationError(
-                f"a generated pair needs more sections than rank, got {self.sections} <= {self.rank}")
-        object.__setattr__(self, "multidegree", _int_tuple("multidegree", self.multidegree))
-        n = len(self.multidegree)
+                f"a generated pair needs more sections than rank, got {sections} <= {rank}")
+        multidegree = _int_tuple("multidegree", multidegree)
+        n = len(multidegree)
         if n < 2:
             raise ValidationError("multidegree must cover at least two components")
-        if any(d < 0 for d in self.multidegree):
+        if any(d < 0 for d in multidegree):
             raise ValidationError("a globally generated restriction has non-negative degree")
-        for name in PAIR_FLAGS:
-            object.__setattr__(self, name, _bool_tuple(name, getattr(self, name), n))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "multidegree", multidegree)
+        for name, values in zip(PAIR_FLAGS, (
+                restriction_semistable, restriction_stable, kernel_restriction_semistable,
+                kernel_restriction_stable, ker_rho_nonzero, twisted_sections_nonzero,
+                h1_vanishes)):
+            object.__setattr__(self, name, _bool_tuple(name, values, n))
         for j in range(n):
             if self.restriction_stable[j] and not self.restriction_semistable[j]:
                 raise ValidationError(

@@ -49,15 +49,14 @@ exceeds the twisted kernel's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
                           kernel_numerics, twist)
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
+from .record import Record
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -70,8 +69,7 @@ def _clash(lower: Fraction | int, lower_open: bool,
     return lower > upper or (lower == upper and (lower_open or upper_open))
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(Record):
     """Strictly positive rational weights summing to 1, one per component:
     the weights nums[i] / den, for integers ``nums`` and a positive integer
     ``den``.
@@ -80,11 +78,10 @@ class Polarization:
     ``weights`` is built only when read.
     """
 
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("nums", "den")
 
-    def __post_init__(self):
-        nums, den = tuple(self.nums), self.den
+    def __init__(self, nums: Sequence[int], den: int):
+        nums = tuple(nums)
         if {*map(type, nums), type(den)} != {int}:  # bool is refused too
             bad = next(v for v in (*nums, den) if type(v) is not int)
             raise ValidationError(f"polarization parts must be integers, got {bad!r}")
@@ -101,7 +98,7 @@ class Polarization:
         if sum(nums) != den:
             raise ValidationError(f"weights must sum to exactly 1, got {Fraction(sum(nums), den)}")
 
-    @cached_property
+    @property
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(a, self.den) for a in self.nums)
 
@@ -126,32 +123,32 @@ class IntervalChain(NamedTuple):
     upper_open: list
 
 
-@dataclass(frozen=True)
-class WeightBound:
+class WeightBound(Record):
     """A bound on one weight as an integer ratio: w_index <= num / den, or
     w_index >= num / den when ``lower`` is set; strict when ``open``.
 
     ``num`` and ``den`` are kept as given, not reduced.
     """
 
-    index: int
-    num: int
-    den: int
-    lower: bool = False
-    open: bool = False
-    label: str = "weight bound"
+    __slots__ = ("index", "num", "den", "lower", "open", "label")
 
-    def __post_init__(self):
-        if type(self.index) is not int or self.index < 1:  # bool is refused too
-            raise ValidationError(f"bound index must be a positive integer, got {self.index!r}")
-        if type(self.num) is not int:
-            raise ValidationError(f"bound numerator must be an integer, got {self.num!r}")
-        if type(self.den) is not int or self.den < 1:
-            raise ValidationError(f"bound denominator must be a positive integer, got {self.den!r}")
+    def __init__(self, index: int, num: int, den: int, lower: bool = False, open: bool = False,
+                 label: str = "weight bound"):
+        if type(index) is not int or index < 1:  # bool is refused too
+            raise ValidationError(f"bound index must be a positive integer, got {index!r}")
+        if type(num) is not int:
+            raise ValidationError(f"bound numerator must be an integer, got {num!r}")
+        if type(den) is not int or den < 1:
+            raise ValidationError(f"bound denominator must be a positive integer, got {den!r}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "open", open)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
+class InfeasibilityCertificate(NamedTuple):
     """A clashing pair of one-sided bounds on a single quantity.
 
     The contradiction re-verifies by a single rational comparison: the lower
@@ -170,8 +167,7 @@ class InfeasibilityCertificate:
         return _clash(self.lower, self.lower_open, self.upper, self.upper_open)
 
 
-@dataclass(frozen=True)
-class FeasibleRegion:
+class FeasibleRegion(Record):
     """Outcome of a weight-system feasibility check.
 
     ``s_intervals`` is the integer chain of partial-sum intervals the system
@@ -181,19 +177,25 @@ class FeasibleRegion:
     interval of the chain and the strict simplex chain
     0 < S_1 < ... < S_{n-1} < 1.  ``certificate`` is the clash at which the
     strict sweep ran dry; it is evidence for a verdict and is not part of
-    the region's serialized form.
+    the region's serialized form or of its equality.
     """
 
-    s_intervals: IntervalChain
-    status: str
-    witness: Optional[Polarization] = None
-    certificate: Optional[InfeasibilityCertificate] = field(default=None, compare=False)
+    __slots__ = ("s_intervals", "status", "witness", "certificate")
 
-    def __post_init__(self):
-        if self.status not in (FEASIBLE, INFEASIBLE, BOUNDARY_ONLY):
-            raise ValidationError(f"unknown status {self.status!r}")
-        if (self.status == FEASIBLE) != (self.witness is not None):
+    def __init__(self, s_intervals: IntervalChain, status: str,
+                 witness: Optional[Polarization] = None,
+                 certificate: Optional[InfeasibilityCertificate] = None):
+        if status not in (FEASIBLE, INFEASIBLE, BOUNDARY_ONLY):
+            raise ValidationError(f"unknown status {status!r}")
+        if (status == FEASIBLE) != (witness is not None):
             raise ValidationError("witness must be present exactly for feasible regions")
+        object.__setattr__(self, "s_intervals", s_intervals)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
+
+    def _key(self) -> tuple:
+        return self.s_intervals, self.status, self.witness
 
 
 def bigas_intervals(sheaf: SheafNumerics) -> IntervalChain:
@@ -553,17 +555,17 @@ def declared_bounds(system: WeightSystem) -> list[WeightBound]:
     return [b for b in bounds if b is not None]
 
 
-@dataclass(frozen=True)
-class DestabilizerWitness:
+class DestabilizerWitness(Record):
     """A component subsheaf whose slope strictly exceeds the subject's slope."""
 
-    component: int
-    subsheaf_slope: Fraction
-    target_slope: Fraction
+    __slots__ = ("component", "subsheaf_slope", "target_slope")
 
-    def __post_init__(self):
-        if not self.subsheaf_slope > self.target_slope:
+    def __init__(self, component: int, subsheaf_slope: Fraction, target_slope: Fraction):
+        if not subsheaf_slope > target_slope:
             raise ValidationError("a destabilizer must strictly exceed the target slope")
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "subsheaf_slope", subsheaf_slope)
+        object.__setattr__(self, "target_slope", target_slope)
 
 
 def _destabilizer_terms(curve: ChainCurve, pair: GeneratedPairData,

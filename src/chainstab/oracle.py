@@ -22,13 +22,13 @@ estimated up front, exactly up to a cap, and refused above
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
 from .feasibility import (FEASIBLE, Polarization, WeightBound, _destabilizer_terms, check_bigas,
                           declared_bounds, simplex_intersect, weight_system)
+from .record import Record
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
 # may do.  Units count every point of the grid, C(D-1, n-1), and every point
@@ -41,22 +41,21 @@ ORACLE_WORK_LIMIT = 10**7
 _WORK_CAP = 10**18
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """All polarizations with weights a_j / denominator, a_j >= 1 integers."""
 
-    denominator: int
-    n: int
+    __slots__ = ("denominator", "n")
 
-    def __post_init__(self):
-        if isinstance(self.denominator, bool) or not isinstance(self.denominator, int):
+    def __init__(self, denominator: int, n: int):
+        if isinstance(denominator, bool) or not isinstance(denominator, int):
             raise ValidationError("denominator must be an integer")
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 2:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
             raise ValidationError("grid needs at least two components")
-        if self.denominator < self.n:
+        if denominator < n:
             raise ValidationError(
-                f"denominator {self.denominator} < {self.n}: no strictly positive "
-                "composition exists")
+                f"denominator {denominator} < {n}: no strictly positive composition exists")
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "n", n)
 
 
 def _admits(bound: WeightBound, a: int, d: int) -> bool:
@@ -142,8 +141,7 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
     return survivors
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of one cross-validation run; discrepancies are data, not errors.
 
     ``witness_checks`` counts the grid/twist pairs the destabilizer identity

@@ -40,8 +40,7 @@ printed beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
                           arithmetic_genus, validate_pair)
@@ -50,6 +49,7 @@ from .errors import (ContradictoryHypotheses, InternalInvariantError, RuleNotApp
 from .feasibility import (FEASIBLE, FeasibleRegion, InfeasibilityCertificate, Polarization,
                           WeightBound, WeightSystem, declared_bounds, destabilizer_witness,
                           simplex_intersect, subsheaf_weight_bound, weight_system)
+from .record import Record
 
 W_SEMISTABLE = "w_semistable"
 W_STABLE = "w_stable"
@@ -76,26 +76,26 @@ METHOD_CLIFFORD = "clifford"
 METHOD_RIEMANN_ROCH = "riemann_roch_h1_zero"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one rule: what it certifies, and the evidence."""
 
-    kind: str
-    criterion: str
-    witness: Optional[Polarization] = None
-    certificate: Optional[InfeasibilityCertificate] = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ("kind", "criterion", "witness", "certificate", "notes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "notes", tuple(self.notes))
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown verdict kind {self.kind!r}")
-        if self.kind in (W_SEMISTABLE, W_STABLE) and self.witness is None:
+    def __init__(self, kind: str, criterion: str, witness: Optional[Polarization] = None,
+                 certificate: Optional[InfeasibilityCertificate] = None,
+                 notes: Sequence[str] = ()):
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown verdict kind {kind!r}")
+        if kind in (W_SEMISTABLE, W_STABLE) and witness is None:
             raise ValidationError("a semistability verdict requires a witness polarization")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "notes", tuple(notes))
 
 
-@dataclass(frozen=True)
-class KBoundResult:
+class KBoundResult(NamedTuple):
     """Result of the global section-count bound check.
 
     ``bound`` is sum(per_component) - (n-1)*rank, from the per-component
@@ -112,8 +112,7 @@ class KBoundResult:
     methods: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Aggregated analysis: strongest verdict plus all diagnostics."""
 
     verdict: Verdict
@@ -170,6 +169,9 @@ def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
 
 
 def _component_bound(system: WeightSystem, j: int) -> tuple[WeightBound, ...]:
+    """Component j's subsheaf bound, unless ``declared_bounds`` already adds it."""
+    if system.pair.ker_rho_nonzero[j - 1]:
+        return ()
     bound = subsheaf_weight_bound(system, j)
     return () if bound is None else (bound,)
 

@@ -11,7 +11,6 @@ import json
 import random
 import re
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,12 +218,12 @@ def test_checker_rejects_a_wrong_reason():
     check_certificate(cert, ivs, bounds)
     forgeries = [
         # the printed number agrees with the bound, but the system says 2/9
-        replace(cert, upper=F(1, 9),
-                upper_reason="S_0 = 0; w_1 <= 1/9 (subsheaf slope bound)"),
+        cert._replace(upper=F(1, 9),
+                      upper_reason="S_0 = 0; w_1 <= 1/9 (subsheaf slope bound)"),
         # a bound the system does not have
-        replace(cert, upper_reason="S_0 = 0; w_1 <= 2/9 (other)"),
+        cert._replace(upper_reason="S_0 = 0; w_1 <= 2/9 (other)"),
         # the anchor of the shifted bound left out
-        replace(cert, upper_reason="w_1 <= 2/9 (subsheaf slope bound)"),
+        cert._replace(upper_reason="w_1 <= 2/9 (subsheaf slope bound)"),
     ]
     for forged in forgeries:
         assert forged.verify()

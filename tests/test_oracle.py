@@ -357,12 +357,13 @@ def test_all_twists_check_is_one_identity(monkeypatch):
                              ker_rho_nonzero=(True, True, True))
     grid = GridSpec(24, 3)
     kernels, built = [], []
-    kernel, post_init = feasibility.kernel_numerics, Polarization.__post_init__
+    kernel, init = feasibility.kernel_numerics, Polarization.__init__
     # every binding of kernel_numerics that cross_validate could reach
     for module in (feasibility, oracle):
         monkeypatch.setattr(module, "kernel_numerics",
                             lambda *args: kernels.append(args) or kernel(*args), raising=False)
-    monkeypatch.setattr(Polarization, "__post_init__", lambda w: built.append(w) or post_init(w))
+    monkeypatch.setattr(Polarization, "__init__",
+                        lambda w, *args: built.append(w) or init(w, *args))
     report = cross_validate(curve, grid, pair, twist_range=3)
     assert report.witness_checks == 86779 and report.agreement
     assert len(kernels) == 1 and len(built) == report.grid_count

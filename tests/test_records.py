@@ -1,0 +1,135 @@
+"""Value-record semantics of the exported types, and what importing the CLI loads.
+
+The validated types are ``__slots__`` records and the plain field bags are
+``NamedTuple``s; both must behave as immutable values: equal and equally
+hashed after ``copy``, ``deepcopy`` and ``pickle``, with the same ``repr``,
+and refusing assignment.
+"""
+
+import copy
+import json
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import chainstab
+from chainstab import (FeasibleRegion, GridSpec, Polarization, analyze, cli,
+                       cross_validate, feasibility, simplex_intersect, weight_system)
+from chainstab.curve_model import ChainCurve, GeneratedPairData
+from chainstab.feasibility import INFEASIBLE, declared_bounds, destabilizer_witness
+from chainstab.stability import k_bound_check
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+README_PAIR = {"curve": {"genera": [2, 2]},
+               "subject": {"pair": {"rank": 1, "sections": 3, "multidegree": [6, 6],
+                                    "twisted_sections_nonzero": [True, False],
+                                    "restriction_semistable": [True, False],
+                                    "ker_rho_nonzero": [True, False]}}}
+
+
+def readme_records() -> dict:
+    """One instance of every record type, from a ``check`` and an ``oracle``
+    run of the README pair and the objects those runs build."""
+    scn = cli.parse_scenario(README_PAIR)
+    report = analyze(scn.curve, scn.subject)
+    system = weight_system(scn.curve, scn.subject)
+    witness = simplex_intersect(system.intervals).witness
+    return {
+        "Scenario": scn, "ChainCurve": scn.curve, "GeneratedPairData": scn.subject,
+        "Report": report, "Verdict": report.verdict, "FeasibleRegion": report.region,
+        "InfeasibilityCertificate": report.region.certificate, "SheafNumerics": report.sheaf,
+        "WeightSystem": system, "LineBundleTwist": system.line,
+        "IntervalChain": system.intervals, "WeightBound": declared_bounds(system)[0],
+        "Polarization": witness, "DestabilizerWitness": destabilizer_witness(system, witness),
+        "GridSpec": GridSpec(60, 2),
+        "ValidationReport": cross_validate(scn.curve, GridSpec(60, 2), scn.subject),
+        "KBoundResult": k_bound_check(scn.curve, GeneratedPairData(
+            1, 3, (6, 6), restriction_semistable=(True, True))),
+    }
+
+
+RECORDS = readme_records()
+
+
+def first_field(record) -> str:
+    return repr(record).partition("(")[2].partition("=")[0]
+
+
+def hash_or_error(record):
+    try:
+        return hash(record)
+    except TypeError as exc:  # a record holding an interval chain's lists
+        return str(exc)
+
+
+def test_every_exported_record_type_is_taken():
+    assert all(type(record).__name__ == name for name, record in RECORDS.items())
+    exported = {name for name in chainstab.__all__ if isinstance(getattr(chainstab, name), type)
+                and not issubclass(getattr(chainstab, name), Exception)}
+    assert exported <= set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_copies_and_pickles_are_equal_values(name):
+    record = RECORDS[name]
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is type(record)
+        assert other == record and repr(other) == repr(record)
+        assert hash_or_error(other) == hash_or_error(record)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_assignment_is_refused(name):
+    record = RECORDS[name]
+    before = repr(record)
+    for field in (first_field(record), "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, first_field(record))
+    assert repr(record) == before
+
+
+def test_repr_names_every_field():
+    assert repr(Polarization((1, 2), 3)) == "Polarization(nums=(1, 2), den=3)"
+    assert repr(ChainCurve((2, 3))) == "ChainCurve(genera=(2, 3))"
+    assert repr(RECORDS["WeightBound"]) == (
+        "WeightBound(index=1, num=4, den=18, lower=False, open=False, "
+        "label='subsheaf slope bound')")
+    assert repr(RECORDS["SheafNumerics"]) == (
+        "SheafNumerics(curve=ChainCurve(genera=(2, 2)), multirank=(2, 2), "
+        "multidegree=(-6, -6), chi_components=(-8, -8), chi=-18)")
+
+
+def test_region_equality_ignores_the_certificate():
+    region = RECORDS["FeasibleRegion"]
+    bare = FeasibleRegion(region.s_intervals, INFEASIBLE)
+    assert region.certificate is not None and bare.certificate is None
+    assert bare == region and hash_or_error(bare) == hash_or_error(region)
+    assert repr(bare) != repr(region)
+
+
+def test_weights_are_built_only_when_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(feasibility, "Fraction", lambda *a: built.append(a) or Fraction(*a))
+    w = Polarization((2, 4), 6)
+    assert built == []
+    assert w.weights == (Fraction(1, 3), Fraction(2, 3)) and built == [(1, 3), (2, 3)]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import chainstab.cli; print(json.dumps(sorted(set(sys.modules) - before)))")
+    res = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], capture_output=True,
+                         text=True, check=True, timeout=60)
+    added = json.loads(res.stdout)
+    assert "chainstab.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)

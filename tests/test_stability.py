@@ -1,15 +1,15 @@
-import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainstab import stability
-from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
+from chainstab import cli, stability
+from chainstab.curve_model import (PAIR_FLAGS, ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, arithmetic_genus, kernel_numerics)
 from chainstab.errors import ContradictoryHypotheses, RuleNotApplicable, ValidationError
-from chainstab.feasibility import FEASIBLE, INFEASIBLE, check_bigas, weight_system
+from chainstab.feasibility import FEASIBLE, INFEASIBLE, WeightBound, check_bigas, weight_system
 from chainstab.stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE,
                                  analyze, analyze_sheaf, clifford_h0_bound, k_bound_check)
 
@@ -426,7 +426,9 @@ def test_folded_reasons_never_name_a_verdict(case):
                            and not pair.total_degree > (curve.n - 1) * m)
     # h1 vanishing enters only the genus route, so the same pair without it
     # meets every other contradiction and nothing else
-    other = refusal(curve, dataclasses.replace(pair, h1_vanishes=None), line)
+    flags = {name: getattr(pair, name) for name in PAIR_FLAGS if name != "h1_vanishes"}
+    other = refusal(curve, GeneratedPairData(pair.rank, pair.sections, pair.multidegree, **flags),
+                    line)
     error = refusal(curve, pair, line)
     assert (error is not None) == (genus_without_ratio or other is not None)
     assert genus_without_ratio == (error is not None and "genus condition" in error)
@@ -630,3 +632,23 @@ class TestAnalyzeSheaf:
         report = analyze_sheaf(s)
         assert report.verdict.kind == INCONCLUSIVE
         assert report.region.status == FEASIBLE
+
+
+def test_no_bound_reaches_the_sweep_twice(monkeypatch):
+    # The endpoint and middle rules add their component's subsheaf bound only
+    # when ``declared_bounds`` does not already hold it; checked on the
+    # benchmark's corpus recipes, whose first op is the README pair.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    sweep, swept = stability.simplex_intersect, []
+    monkeypatch.setattr(stability, "simplex_intersect",
+                        lambda ivs, bounds=(): swept.append(list(bounds)) or sweep(ivs, bounds))
+    for op in workloads.corpus_ops(11):
+        if op.command == "check":
+            try:
+                cli.cmd_check(cli.parse_scenario(op.data))
+            except ValidationError:
+                continue
+    assert swept[0] == [WeightBound(1, 4, 18, label="subsheaf slope bound")]
+    assert sum(map(bool, swept)) > 100
+    assert all(len(set(bounds)) == len(bounds) for bounds in swept)
