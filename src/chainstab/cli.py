@@ -27,9 +27,10 @@ from .feasibility import (FeasibleRegion, InfeasibilityCertificate, IntervalChai
 from .oracle import ORACLE_WORK_LIMIT, GridSpec, cross_validate
 from .stability import Report, Verdict, analyze, analyze_sheaf
 
-# Longest chain a scenario may describe: 10x the longest benchmark chain,
-# about 1.5 s per command at the ~15 us per component measured on the
-# benchmark's long chains (2-core x86 machine).
+# Longest chain a scenario may describe: 10x the longest benchmark chain.
+# The benchmark's n = 10^4 ``check`` op takes ~4.5 us per component from
+# parsing to canonical JSON (in-process, 2-core x86 machine); a whole
+# ``chainstab check`` at the limit takes about 0.8 s.
 CHAIN_LENGTH_LIMIT = 100_000
 
 SCHEMA_TEXT = """\
@@ -191,14 +192,11 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _ratio(num: int, den: int) -> str:
-    """num / den as a reduced "p/q" string."""
-    g = math.gcd(num, den)
-    return f"{num // g}/{den // g}"
-
-
 def _witness_json(w: Optional[Polarization]):
-    return None if w is None else [_ratio(a, w.den) for a in w.nums]
+    if w is None:
+        return None
+    den, gcd = w.den, math.gcd
+    return [f"{a // (g := gcd(a, den))}/{den // g}" for a in w.nums]
 
 
 def _region_json(region: FeasibleRegion) -> dict:
@@ -274,7 +272,7 @@ _SCALAR_JSON = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
+    type(None): {None: "null"}.__getitem__,
 }
 
 
@@ -302,6 +300,11 @@ def _emit(value, append, newline: str) -> None:
         if not value:
             append("[]")
             return
+        # items of one scalar type are joined at C speed, mixed ones go one by one
+        scalar = _SCALAR_JSON.get(type(value[0]))
+        if scalar is not None and (len(value) == 1 or len({*map(type, value)}) == 1):
+            append(f"[{sep}{comma.join(map(scalar, value))}{newline}]")
+            return
         append("[")
         for item in value:
             scalar = _SCALAR_JSON.get(type(item))
@@ -320,20 +323,25 @@ def _emit(value, append, newline: str) -> None:
 
 def _emit_chain(chain: IntervalChain, append, newline: str) -> None:
     """Append the JSON of ``chain``: the list of its intervals, each the dict
-    of "lower", "lower_open", "upper" and "upper_open", with "p/q" or null
-    ends, written through one template, as the keys never change."""
-    den, inner = chain.den, newline + "  "
-    fields = ",".join(f'{inner}  "{k}": %s' for k in ("lower", "lower_open", "upper", "upper_open"))
-    template = inner + "{" + fields + inner + "}"
-    flag = ("false", "true")
-
-    def end(num):
-        return "null" if num is None else f'"{_ratio(num, den)}"'
-
-    body = ",".join([template % (end(lo), flag[lo_open], end(hi), flag[hi_open])
-                     for lo, lo_open, hi, hi_open in zip(chain.lower, chain.lower_open,
-                                                         chain.upper, chain.upper_open)])
-    append(f"[{body}{newline}]" if body else "[]")
+    of "lower", "lower_open", "upper" and "upper_open", with reduced "p/q"
+    or null ends, written by one f-string per interval, as the keys never
+    change."""
+    if not chain.lower:
+        append("[]")
+        return
+    den, gcd, q, flag = chain.den, math.gcd, '"', ("false", "true")
+    inner = newline + "  "
+    key = inner + '  "'
+    append("[")
+    append(",".join([
+        f'{inner}{{{key}lower": '
+        f'{"null" if lo is None else f"{q}{lo // (g := gcd(lo, den))}/{den // g}{q}"}'
+        f',{key}lower_open": {flag[lo_open]},{key}upper": '
+        f'{"null" if hi is None else f"{q}{hi // (g := gcd(hi, den))}/{den // g}{q}"}'
+        f',{key}upper_open": {flag[hi_open]}{inner}}}'
+        for lo, lo_open, hi, hi_open in zip(chain.lower, chain.lower_open,
+                                            chain.upper, chain.upper_open)]))
+    append(newline + "]")
 
 
 def canonical_json(payload: dict) -> str:
@@ -373,11 +381,12 @@ def render_text(payload: dict) -> str:
     if payload.get("region") is not None:
         region = payload["region"]
         lines.append(f"region: {region['status']}")
-        chain = region["s_intervals"]
+        chain, gcd = region["s_intervals"], math.gcd
+        den = chain.den
         for i, (lo, lo_open, hi, hi_open) in enumerate(
                 zip(chain.lower, chain.lower_open, chain.upper, chain.upper_open), start=1):
-            lo = "-inf" if lo is None else _ratio(lo, chain.den)
-            hi = "+inf" if hi is None else _ratio(hi, chain.den)
+            lo = "-inf" if lo is None else f"{lo // (g := gcd(lo, den))}/{den // g}"
+            hi = "+inf" if hi is None else f"{hi // (g := gcd(hi, den))}/{den // g}"
             lines.append(f"  S_{i} in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
         if region["witness"] is not None:
             lines.append(f"  witness: ({', '.join(region['witness'])})")

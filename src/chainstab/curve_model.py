@@ -21,6 +21,8 @@ alone, so the global value is left undefined (``None``).
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
 from .errors import UnsupportedData, ValidationError
@@ -59,9 +61,9 @@ class ChainCurve(Record):
         genera = _int_tuple("genera", genera)
         if len(genera) < 2:
             raise ValidationError("a chain-like curve needs at least two components")
-        bad = [g for g in genera if g < 2]
-        if bad:
-            raise ValidationError(f"every component genus must be at least 2, got {bad}")
+        if min(genera) < 2:
+            raise ValidationError("every component genus must be at least 2, "
+                                  f"got {[g for g in genera if g < 2]}")
         object.__setattr__(self, "genera", genera)
 
     @property
@@ -101,9 +103,10 @@ class SheafNumerics(Record):
         for name, seq in (("multirank", multirank), ("multidegree", multidegree)):
             if len(seq) != n:
                 raise ValidationError(f"{name} must have length {n}, got {len(seq)}")
-        if any(r < 0 for r in multirank):
+        if min(multirank) < 0:
             raise ValidationError("multirank entries must be non-negative")
-        chis = tuple(d + r * (1 - g) for r, d, g in zip(multirank, multidegree, curve.genera))
+        # chi_j = d_j + r_j * (1 - g_j)
+        chis = tuple(map(add, multidegree, map(mul, multirank, map(sub, repeat(1), curve.genera))))
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "multirank", multirank)
         object.__setattr__(self, "multidegree", multidegree)
@@ -118,7 +121,7 @@ class SheafNumerics(Record):
     def uniform_rank(self) -> Optional[int]:
         """The common rank when the multirank is constant, else ``None``."""
         r = self.multirank[0]
-        return r if all(rj == r for rj in self.multirank) else None
+        return r if self.multirank.count(r) == len(self.multirank) else None
 
 
 class LineBundleTwist(Record):
@@ -141,7 +144,7 @@ class LineBundleTwist(Record):
         return sum(self.multidegree)
 
     def is_trivial(self) -> bool:
-        return all(d == 0 for d in self.multidegree)
+        return not any(self.multidegree)
 
     @classmethod
     def trivial(cls, n: int) -> "LineBundleTwist":
@@ -185,7 +188,7 @@ class GeneratedPairData(Record):
         n = len(multidegree)
         if n < 2:
             raise ValidationError("multidegree must cover at least two components")
-        if any(d < 0 for d in multidegree):
+        if min(multidegree) < 0:
             raise ValidationError("a globally generated restriction has non-negative degree")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "sections", sections)
@@ -237,8 +240,7 @@ def kernel_numerics(curve: ChainCurve, pair: GeneratedPairData) -> SheafNumerics
     """Numerics of the kernel of the evaluation map onto the generated bundle:
     uniform rank k - r and component degrees -d_j."""
     validate_pair(curve, pair)
-    return SheafNumerics(curve, (pair.kernel_rank,) * curve.n,
-                         tuple(-d for d in pair.multidegree))
+    return SheafNumerics(curve, (pair.kernel_rank,) * curve.n, tuple(map(neg, pair.multidegree)))
 
 
 def twist(sheaf: SheafNumerics, line: LineBundleTwist) -> SheafNumerics:
@@ -249,4 +251,4 @@ def twist(sheaf: SheafNumerics, line: LineBundleTwist) -> SheafNumerics:
     if line.n != sheaf.n:
         raise ValidationError(f"twist multidegree must have length {sheaf.n}, got {line.n}")
     return SheafNumerics(sheaf.curve, sheaf.multirank,
-                         tuple(d + r * t for d, t in zip(sheaf.multidegree, line.multidegree)))
+                         tuple(map(add, sheaf.multidegree, map(mul, repeat(r), line.multidegree))))

@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
+from operator import add, floordiv, neg, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
@@ -88,7 +89,7 @@ class Polarization(Record):
         if den < 1:
             raise ValidationError(f"polarization denominator must be positive, got {den}")
         g = math.gcd(den, *nums)
-        object.__setattr__(self, "nums", nums if g == 1 else tuple(a // g for a in nums))
+        object.__setattr__(self, "nums", nums if g == 1 else tuple(map(floordiv, nums, repeat(g))))
         object.__setattr__(self, "den", den // g)
         if len(nums) < 2:
             raise ValidationError("a polarization needs at least two weights")
@@ -108,7 +109,7 @@ class Polarization(Record):
 
 
 class IntervalChain(NamedTuple):
-    """Intervals on S_1..S_{n-1}, at list index i - 1, as integer numerators
+    """Intervals on S_1..S_{n-1}, at tuple index i - 1, as integer numerators
     over the one positive denominator ``den``.
 
     An endpoint is ``None`` where unbounded, and an unbounded endpoint is
@@ -117,10 +118,10 @@ class IntervalChain(NamedTuple):
     """
 
     den: int
-    lower: list
-    lower_open: list
-    upper: list
-    upper_open: list
+    lower: tuple
+    lower_open: tuple
+    upper: tuple
+    upper_open: tuple
 
 
 class WeightBound(Record):
@@ -220,14 +221,15 @@ def bigas_intervals(sheaf: SheafNumerics) -> IntervalChain:
         raise ValidationError("partial-sum intervals require positive rank")
     chi = sheaf.chi
     # X_i - m*i, the lower constant; the upper one is m more
-    lo = list(accumulate(c - m for c in sheaf.chi_components[:-1]))
+    lo = tuple(accumulate(map(sub, sheaf.chi_components[:-1], repeat(m))))
+    closed = (False,) * len(lo)
     if chi > 0:
-        return IntervalChain(chi, lo, [False] * len(lo), [v + m for v in lo], [False] * len(lo))
+        return IntervalChain(chi, lo, closed, tuple(map(add, lo, repeat(m))), closed)
     if chi < 0:
-        return IntervalChain(-chi, [-v - m for v in lo], [False] * len(lo),
-                             [-v for v in lo], [False] * len(lo))
-    ends = [None if -m <= v <= 0 else 0 for v in lo]
-    return IntervalChain(1, ends, [True] * len(lo), list(ends), [True] * len(lo))
+        return IntervalChain(-chi, tuple(map(sub, repeat(-m), lo)), closed,
+                             tuple(map(neg, lo)), closed)
+    ends = tuple([None if -m <= v <= 0 else 0 for v in lo])
+    return IntervalChain(1, ends, (True,) * len(lo), ends, (True,) * len(lo))
 
 
 def check_bigas(sheaf: SheafNumerics, w: Polarization) -> bool:
@@ -267,11 +269,12 @@ def _scale(chain: IntervalChain, bounds: Sequence[WeightBound]) -> tuple[Interva
     for b in bounds:
         if not 1 <= b.index <= n:
             raise ValidationError(f"bound index {b.index} out of range 1..{n}")
-    den = math.lcm(chain.den, *(b.den for b in bounds))
+    den = math.lcm(chain.den, *[b.den for b in bounds])
     if den != chain.den:
         k = den // chain.den
-        chain = chain._replace(den=den, lower=[None if v is None else v * k for v in chain.lower],
-                               upper=[None if v is None else v * k for v in chain.upper])
+        chain = chain._replace(
+            den=den, lower=tuple([None if v is None else v * k for v in chain.lower]),
+            upper=tuple([None if v is None else v * k for v in chain.upper]))
     return chain, [b.num * (den // b.den) for b in bounds]
 
 
@@ -317,14 +320,6 @@ class _Dry(NamedTuple):
     reach: list
 
 
-def _halve(num: int, e: int) -> tuple[int, int]:
-    """num / 2**e with the power of two cancelled as far as it goes."""
-    if num == 0:
-        return 0, 0
-    k = min(e, (num & -num).bit_length() - 1)
-    return num >> k, e - k
-
-
 def _sweep(system: IntervalChain, edges: _Edges, strict: bool):
     """Forward sweep of the reach of every S_i.
 
@@ -336,55 +331,49 @@ def _sweep(system: IntervalChain, edges: _Edges, strict: bool):
     lower bound: that bound is at least 0, and when it is 0 in the strict
     sweep it is open, since the step bound w_i > 0 yields only to a greater
     one.  Returns a ``_Dry`` record, or the reach of S_0..S_{n-1} when the
-    system is solvable.
+    system is solvable.  Each step tests ``_clash`` written out inline.
     """
     one = system.den
-    ilo, ilo_open = system.lower, system.lower_open
-    ihi, ihi_open = system.upper, system.upper_open
-    elo, elo_open = edges.lower, edges.lower_open
-    eup, eup_open = edges.upper, edges.upper_open
-    n = len(ilo) + 1
+    n = len(system.lower) + 1
     lo = hi = 0
     lo_open = hi_open = False
     reach = [(0, False, _ORIGIN, 0, False, _ORIGIN)]
-    for i in range(1, n):
-        j = i - 1
-        el, eu = elo[j], eup[j]
-        if eu is not None and _clash(el, elo_open[j], eu, eup_open[j]):
+    for i, el, el_open, eu, eu_open, vlo, vlo_open, vhi, vhi_open in zip(
+            range(1, n), edges.lower, edges.lower_open, edges.upper, edges.upper_open,
+            system.lower, system.lower_open, system.upper, system.upper_open):
+        if eu is not None and (el > eu or (el == eu and (el_open or eu_open))):
             return _Dry(True, i, reach)
         lo += el
-        lo_open = lo_open or elo_open[j]
+        lo_open = lo_open or el_open
         lo_tag = _SHIFT
-        v = ilo[j]
-        if v is not None and (v > lo or (v == lo and ilo_open[j] and not lo_open)):
-            lo, lo_open, lo_tag = v, ilo_open[j], _SLOPE
+        if vlo is not None and (vlo > lo or (vlo == lo and vlo_open and not lo_open)):
+            lo, lo_open, lo_tag = vlo, vlo_open, _SLOPE
         if eu is None:
             hi, hi_open, hi_tag = one, strict, _SIMPLEX
         else:
             hi += eu
-            hi_open = hi_open or eup_open[j]
+            hi_open = hi_open or eu_open
             hi_tag = _SHIFT
             if hi > one or (hi == one and strict and not hi_open):
                 hi, hi_open, hi_tag = one, strict, _SIMPLEX
-        v = ihi[j]
-        if v is not None and (v < hi or (v == hi and ihi_open[j] and not hi_open)):
-            hi, hi_open, hi_tag = v, ihi_open[j], _SLOPE
+        if vhi is not None and (vhi < hi or (vhi == hi and vhi_open and not hi_open)):
+            hi, hi_open, hi_tag = vhi, vhi_open, _SLOPE
         reach.append((lo, lo_open, lo_tag, hi, hi_open, hi_tag))
-        if _clash(lo, lo_open, hi, hi_open):
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
             return _Dry(False, i, reach)
 
     # S_{n-1} = 1 - w_n: the step bounds on w_n, read from S_n = 1.
-    j = n - 1
-    el, eu = elo[j], eup[j]
-    if eu is not None and _clash(el, elo_open[j], eu, eup_open[j]):
+    el, el_open = edges.lower[-1], edges.lower_open[-1]
+    eu, eu_open = edges.upper[-1], edges.upper_open[-1]
+    if eu is not None and _clash(el, el_open, eu, eu_open):
         return _Dry(True, n, reach)
     if eu is not None:
         v = one - eu
-        if v > lo or (v == lo and eup_open[j] and not lo_open):
-            lo, lo_open, lo_tag = v, eup_open[j], _FINAL
+        if v > lo or (v == lo and eu_open and not lo_open):
+            lo, lo_open, lo_tag = v, eu_open, _FINAL
     v = one - el
-    if v < hi or (v == hi and elo_open[j] and not hi_open):
-        hi, hi_open, hi_tag = v, elo_open[j], _FINAL
+    if v < hi or (v == hi and el_open and not hi_open):
+        hi, hi_open, hi_tag = v, el_open, _FINAL
     reach[n - 1] = (lo, lo_open, lo_tag, hi, hi_open, hi_tag)
     if _clash(lo, lo_open, hi, hi_open):
         return _Dry(False, n - 1, reach)
@@ -398,32 +387,33 @@ def _witness(system: IntervalChain, edges: _Edges, reach: list) -> Polarization:
     From S_n = 1 down, restrict each reach interval by the step out of it,
     fix S_i at the midpoint and read off w_{i+1} as the difference of two
     partial sums.  S_{i+1} is num / (den * 2**e) here, and w_{i+1} is kept
-    as a numerator over den * 2**(e+1); restricting S_{n-1} again by the
-    step w_n changes nothing.
+    as a numerator over den * 2**(e+1); the midpoint's power of two is then
+    cancelled as far as it goes.  Restricting S_{n-1} again by the step w_n
+    changes nothing.
     """
     one = system.den
-    elo, elo_open = edges.lower, edges.lower_open
-    eup, eup_open = edges.upper, edges.upper_open
     n = len(reach)
     nums, exps = [0] * n, [0] * n
     num, e = one, 0
-    for i in range(n - 1, 0, -1):
-        lo, lo_open, _, hi, hi_open, _ = reach[i]
+    for i, (lo, lo_open, _, hi, hi_open, _), el, el_open, eu, eu_open in zip(
+            range(n - 1, 0, -1), reach[:0:-1], edges.lower[:0:-1], edges.lower_open[:0:-1],
+            edges.upper[:0:-1], edges.upper_open[:0:-1]):
         lo <<= e
         hi <<= e
-        el, eu = elo[i], eup[i]
         if eu is not None:
             v = num - (eu << e)
-            if v > lo or (v == lo and eup_open[i] and not lo_open):
-                lo, lo_open = v, eup_open[i]
+            if v > lo or (v == lo and eu_open and not lo_open):
+                lo, lo_open = v, eu_open
         v = num - (el << e)
-        if v < hi or (v == hi and elo_open[i] and not hi_open):
-            hi, hi_open = v, elo_open[i]
-        if _clash(lo, lo_open, hi, hi_open):
+        if v < hi or (v == hi and el_open and not hi_open):
+            hi, hi_open = v, el_open
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
             raise InternalInvariantError("backward witness extraction hit an empty interval")
         mid = lo + hi
-        nums[i], exps[i] = (num << 1) - mid, e + 1
-        num, e = _halve(mid, e + 1)
+        e += 1
+        nums[i], exps[i] = (num << 1) - mid, e
+        k = min(e, (mid & -mid).bit_length() - 1) if mid else e
+        num, e = mid >> k, e - k
     nums[0], exps[0] = num, e
     top = max(exps)
     return Polarization([a << (top - k) for a, k in zip(nums, exps)], one << top)
@@ -550,8 +540,8 @@ def declared_bounds(system: WeightSystem) -> list[WeightBound]:
     whose restriction kernel is declared non-zero; none for a sheaf's."""
     if system.pair is None:
         return []
-    bounds = (subsheaf_weight_bound(system, j) for j in range(1, system.curve.n + 1)
-              if system.pair.ker_rho_nonzero[j - 1])
+    bounds = [subsheaf_weight_bound(system, j)
+              for j in compress(range(1, system.curve.n + 1), system.pair.ker_rho_nonzero)]
     return [b for b in bounds if b is not None]
 
 

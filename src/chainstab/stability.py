@@ -40,6 +40,8 @@ printed beside it.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import and_
 from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
@@ -304,10 +306,8 @@ def analyze(curve: ChainCurve, pair: GeneratedPairData,
     """
     system = weight_system(curve, pair, line)
     problems = []
-    obstructed = tuple(ts and ss for ts, ss in
-                       zip(pair.twisted_sections_nonzero, pair.restriction_semistable))
-    conflicts = [j + 1 for j, (o, ks) in
-                 enumerate(zip(obstructed, pair.kernel_restriction_semistable)) if o and ks]
+    obstructed = tuple(map(and_, pair.twisted_sections_nonzero, pair.restriction_semistable))
+    conflicts = list(compress(count(1), map(and_, obstructed, pair.kernel_restriction_semistable)))
     if conflicts:
         problems.append(
             f"components {conflicts}: kernel restriction declared semistable but "

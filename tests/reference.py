@@ -73,8 +73,8 @@ def chain(intervals: Sequence[tuple]) -> IntervalChain:
     def num(v):
         return None if v is None else v.numerator * (den // v.denominator)
 
-    return IntervalChain(den, [num(iv[0]) for iv in ivs], [iv[2] for iv in ivs],
-                         [num(iv[1]) for iv in ivs], [iv[3] for iv in ivs])
+    return IntervalChain(den, tuple(num(iv[0]) for iv in ivs), tuple(iv[2] for iv in ivs),
+                         tuple(num(iv[1]) for iv in ivs), tuple(iv[3] for iv in ivs))
 
 
 def fractions_of(c: IntervalChain) -> list[tuple]:

@@ -1,0 +1,86 @@
+"""Python-level work per chain index, counted without a clock.
+
+``sys.setprofile`` reports a ``call`` event each time a Python frame is
+entered or a generator resumed, and none for a function written in C.  So
+a pass that makes a Python call per chain index shows as a count that grows
+with the chain.  Writing a long chain's payload must make as many calls at
+n = 3000 as at n = 1000, and parsing and deciding one must resume no
+generator expression and make far fewer calls than the chain has indices.
+"""
+
+import random
+import sys
+from collections import Counter
+
+import pytest
+
+from chainstab import cli
+
+
+def scenarios(n: int) -> dict:
+    """Long-chain scenarios of ``n`` components: a pair whose kernel system
+    is feasible, the same pair twisted so that its sweep runs dry in the last
+    tenth of the chain, and a sheaf of negative chi on every component."""
+    rng = random.Random(f"calls:{n}")
+    genera = [rng.randint(2, 6) for _ in range(n)]
+    m = 2
+    degs = [rng.randint(0, 12) for _ in range(n)]
+    pair = {"curve": {"genera": genera},
+            "subject": {"pair": {"rank": 1, "sections": 1 + m, "multidegree": degs}}}
+    k = n - n // 20
+    tw = [0] * n
+    tw[k] = (3 * m - (m * (1 - genera[k]) - degs[k])) // m + 1
+    sheaf = {"curve": {"genera": genera},
+             "subject": {"sheaf": {"multirank": [m] * n,
+                                   "multidegree": [rng.randint(-6, m * (g - 1) - 1)
+                                                   for g in genera]}}}
+    return {"pair": pair, "dry pair": dict(pair, twist={"multidegree": tw}), "sheaf": sheaf}
+
+
+COMMANDS = [("check", "pair"), ("polarize", "pair"), ("check", "dry pair"),
+            ("polarize", "dry pair"), ("check", "sheaf")]
+
+
+def run(command: str, data: dict) -> dict:
+    scn = cli.parse_scenario(data)
+    return cli.cmd_check(scn) if command == "check" else cli.cmd_polarize(scn)
+
+
+def calls(fn, *args) -> Counter:
+    """The ``call`` events of ``fn(*args)``, by code name."""
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen[frame.f_code.co_name] += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(old)
+    return seen
+
+
+def test_the_scenarios_reach_each_status():
+    data = scenarios(1000)
+    assert [run(command, data[kind])["region"]["status"] for command, kind in COMMANDS] == [
+        "feasible", "feasible", "infeasible", "infeasible", "feasible"]
+
+
+@pytest.mark.parametrize("command,kind", COMMANDS)
+def test_writing_a_payload_makes_no_call_per_index(command, kind):
+    short, long = (run(command, scenarios(n)[kind]) for n in (1000, 3000))
+    assert len(long["region"]["s_intervals"].lower) == 2999
+    assert sum(calls(cli.canonical_json, short).values()) == \
+        sum(calls(cli.canonical_json, long).values())
+
+
+@pytest.mark.parametrize("command,kind", COMMANDS)
+def test_parsing_and_deciding_resume_no_generator_expression(command, kind):
+    n = 3000
+    seen = calls(run, command, scenarios(n)[kind])
+    assert seen["run"] == 1
+    assert seen["<genexpr>"] == 0
+    assert sum(seen.values()) < n // 10

@@ -462,15 +462,45 @@ TREES = st.recursive(
     max_leaves=24)
 
 
+def genus_two_chain(degs: list) -> IntervalChain:
+    """The slope-inequality chain of a rank-1 sheaf of multidegree ``degs``
+    on a chain of genus-2 components."""
+    n = len(degs)
+    return bigas_intervals(SheafNumerics(ChainCurve((2,) * n), (1,) * n, degs))
+
+
+# 1000-component chains whose chi is positive, negative and zero; the last
+# mixes vacuous (null) and empty intervals.
+LONG_CHAINS = {"chi > 0": genus_two_chain([j % 7 + 2 for j in range(1000)]),
+               "chi < 0": genus_two_chain([j % 3 for j in range(1000)]),
+               "chi = 0": genus_two_chain([3, 1] * 499 + [2, 1])}
+
+
+def test_long_example_chains_take_every_sign_of_chi():
+    dens = {name: c.den for name, c in LONG_CHAINS.items()}
+    assert dens["chi > 0"] > 1 and dens["chi < 0"] > 1 and dens["chi = 0"] == 1
+    assert len({*LONG_CHAINS["chi = 0"].lower}) == 2       # both None and 0
+    assert all(len(c.lower) == 999 for c in LONG_CHAINS.values())
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.lists(TREES, max_size=4), st.dictionaries(TEXT, TREES, max_size=4)))
 @example({"\ud800": {"\x00": "\\"}, "a": [[], {}, (), [[{"": [None, True, False, -0]}]]]})
 @example([{"region": {"status": "feasible", "s_intervals": bigas_intervals(
     SheafNumerics(ChainCurve((2, 2)), (1, 1), degs)), "witness": None}}
     for degs in ((0, 4), (0, 0), (1, 2), (3, 0))])   # chi > 0, chi < 0, chi = 0 vacuous, empty
-@example({"s_intervals": IntervalChain(1, [], [], [], [])})
+@example({"s_intervals": IntervalChain(1, (), (), (), ())})
+@example([[1, True], [True, 1], [0, False, None], ["a"], [None, None], (1,), (True, None)])
+@example({"ints": list(range(-500, 500)), "bools": [j % 3 == 0 for j in range(1000)],
+          "strs": [f"s{j}\u00e9\"\\" for j in range(1000)], "tuple": tuple(range(1000))})
+@example(LONG_CHAINS)
 def test_canonical_json_matches_json_dumps(tree):
-    assert cli.canonical_json(tree) == json.dumps(as_dicts(tree), sort_keys=True, indent=2)
+    ours, want = cli.canonical_json(tree), json.dumps(as_dicts(tree), sort_keys=True, indent=2)
+    if ours != want:  # report where they part: a full diff of long texts takes minutes
+        at = len(os.path.commonprefix([ours, want]))
+        start = max(at - 60, 0)
+        pytest.fail(f"they differ from offset {at}: {ours[start:at + 60]!r} "
+                    f"!= {want[start:at + 60]!r}")
 
 
 def as_dicts(tree):

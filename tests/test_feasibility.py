@@ -126,7 +126,7 @@ class TestRationalInterval:
         iv = (None, F(1, 3))
         assert status_at(iv, 0) == BOUNDARY_ONLY
         assert status_at(iv, F(1, 2)) == INFEASIBLE
-        assert chain([iv]).lower_open == [True]
+        assert chain([iv]).lower_open == (True,)
 
     def test_midpoint(self):
         def witness(iv):
