@@ -16,14 +16,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from .curve_model import PAIR_FLAGS, ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, ValidationError
 from .feasibility import (FeasibleRegion, InfeasibilityCertificate, IntervalChain, Polarization,
-                          simplex_intersect, weight_system)
+                          _ratio, simplex_intersect, weight_system)
 from .oracle import ORACLE_WORK_LIMIT, GridSpec, cross_validate
 from .stability import Report, Verdict, analyze, analyze_sheaf
 
@@ -139,9 +138,9 @@ def parse_scenario(data: dict) -> Scenario:
         for name in PAIR_FLAGS:
             if name in pr:
                 raw = _as_list(pr[name], f"pair.{name}")
-                for v in raw:
-                    if not isinstance(v, bool):
-                        raise ValidationError(f"pair.{name}: expected booleans, got {v!r}")
+                if not {*map(type, raw)} <= {bool}:  # bool has no subclasses
+                    bad = next(v for v in raw if type(v) is not bool)
+                    raise ValidationError(f"pair.{name}: expected booleans, got {bad!r}")
                 flags[name] = tuple(raw)
         subject = GeneratedPairData(
             rank=_as_int(_expect(pr, "rank", "subject.pair"), "pair.rank"),
@@ -188,10 +187,6 @@ def load_scenario(path: str) -> Scenario:
 # Canonical serialization: rationals as reduced "p/q" strings, sorted keys.
 # --------------------------------------------------------------------------
 
-def frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _witness_json(w: Optional[Polarization]):
     if w is None:
         return None
@@ -210,10 +205,10 @@ def _certificate_json(cert: Optional[InfeasibilityCertificate]):
         return None
     return {
         "quantity": cert.quantity,
-        "lower": frac_str(cert.lower),
+        "lower": _ratio(cert.lower, cert.den, slash=True),
         "lower_open": cert.lower_open,
         "lower_reason": cert.lower_reason,
-        "upper": frac_str(cert.upper),
+        "upper": _ratio(cert.upper, cert.den, slash=True),
         "upper_open": cert.upper_open,
         "upper_reason": cert.upper_reason,
         "verified": cert.verify(),

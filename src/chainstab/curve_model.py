@@ -21,7 +21,7 @@ alone, so the global value is left undefined (``None``).
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, mul, neg, sub
 from typing import Optional, Sequence
 
@@ -42,14 +42,13 @@ def _int_tuple(name: str, values: Sequence[int]) -> tuple[int, ...]:
 def _bool_tuple(name: str, values, n: int) -> tuple[bool, ...]:
     if values is None:
         return (False,) * n
-    out = []
-    for v in values:
-        if not isinstance(v, bool):
-            raise ValidationError(f"{name} must contain booleans, got {v!r}")
-        out.append(v)
+    out = tuple(values)
+    if not {*map(type, out)} <= {bool}:  # bool has no subclasses
+        raise ValidationError(f"{name} must contain booleans, "
+                              f"got {next(v for v in out if type(v) is not bool)!r}")
     if len(out) != n:
         raise ValidationError(f"{name} must have length {n}, got {len(out)}")
-    return tuple(out)
+    return out
 
 
 class ChainCurve(Record):
@@ -198,19 +197,26 @@ class GeneratedPairData(Record):
                 kernel_restriction_stable, ker_rho_nonzero, twisted_sections_nonzero,
                 h1_vanishes)):
             object.__setattr__(self, name, _bool_tuple(name, values, n))
-        for j in range(n):
-            if self.restriction_stable[j] and not self.restriction_semistable[j]:
-                raise ValidationError(
-                    f"component {j + 1}: restriction_stable requires restriction_semistable")
-            if self.kernel_restriction_stable[j] and not self.kernel_restriction_semistable[j]:
-                raise ValidationError(
-                    f"component {j + 1}: kernel_restriction_stable requires "
-                    "kernel_restriction_semistable")
-            if (self.twisted_sections_nonzero[j] and self.restriction_semistable[j]
-                    and self.multidegree[j] < self.rank):
-                raise ValidationError(
-                    f"component {j + 1}: a semistable restriction with a twisted section "
-                    f"forces degree >= rank, got {self.multidegree[j]} < {self.rank}")
+        # The three checks at C speed: a stable restriction (or restriction kernel)
+        # that is not semistable, and a semistable restriction with a twisted section
+        # of degree below the rank.  Only a failure runs the loop, to name the first
+        # failing component.
+        semi, twisted = self.restriction_semistable, self.twisted_sections_nonzero
+        kstable, ksemi = self.kernel_restriction_stable, self.kernel_restriction_semistable
+        if (False in compress(semi, self.restriction_stable) or False in compress(ksemi, kstable)
+                or min(compress(compress(multidegree, twisted), compress(semi, twisted)),
+                       default=rank) < rank):
+            for j in range(n):
+                if self.restriction_stable[j] and not semi[j]:
+                    raise ValidationError(
+                        f"component {j + 1}: restriction_stable requires restriction_semistable")
+                if kstable[j] and not ksemi[j]:
+                    raise ValidationError(f"component {j + 1}: kernel_restriction_stable requires "
+                                          "kernel_restriction_semistable")
+                if twisted[j] and semi[j] and multidegree[j] < rank:
+                    raise ValidationError(
+                        f"component {j + 1}: a semistable restriction with a twisted section "
+                        f"forces degree >= rank, got {multidegree[j]} < {rank}")
 
     @property
     def n(self) -> int:

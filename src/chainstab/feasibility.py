@@ -29,12 +29,13 @@ shifted back by w_n; each step bound keeps the position of the
 ``WeightBound`` it came from.  The witness stays integer too: the
 backward pass, run only after a solvable strict sweep, keeps each weight
 as a numerator over den * 2**e, because midpoints halve, and the
-``Polarization`` holds them over their least common denominator until
-its ``weights`` are read.  The sweep builds ``Fraction``s only for the
-certificate of a failed strict sweep, whose reasons are rendered from the
-tags by one walk back from the failing index and cite the one slope
-endpoint they use.  The relaxed sweep, which only tells boundary-only
-from infeasible, stops after its forward pass.
+``Polarization`` holds them over their least common denominator.  The
+certificate of a failed strict sweep holds the clashing reach numerators
+over the system's denominator; its reasons are rendered from the tags by
+one walk back from the failing index and cite the one slope endpoint they
+use.  Every ratio of a certificate, reason or message is written by
+``_ratio``.  The relaxed sweep, which only tells boundary-only from
+infeasible, runs only after a tie and stops after its forward pass.
 
 ``weight_system`` is the one place that decides what a subject's system is:
 given a sheaf, or a pair whose kernel it builds, it twists the subject and
@@ -49,7 +50,6 @@ exceeds the twisted kernel's.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, floordiv, neg, sub
 from typing import NamedTuple, Optional, Sequence
@@ -64,10 +64,20 @@ INFEASIBLE = "infeasible"
 BOUNDARY_ONLY = "boundary-only"
 
 
-def _clash(lower: Fraction | int, lower_open: bool,
-           upper: Fraction | int, upper_open: bool) -> bool:
+def _clash(lower: int, lower_open: bool, upper: int, upper_open: bool) -> bool:
     """A lower bound excludes an upper one: it exceeds it, or they meet with an open side."""
     return lower > upper or (lower == upper and (lower_open or upper_open))
+
+
+def _ratio(num: int, den: int, slash: bool = False) -> str:
+    """The ratio num / den, for a positive ``den``, reduced, as text.
+
+    Two cases: with ``slash``, as certificate JSON writes it, always "p/q",
+    an integer included ("0/1", "-2/1"); without, as reason and message
+    texts write it, what ``str(Fraction(num, den))`` prints ("0", "2/9").
+    """
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if slash or den != g else str(num // g)
 
 
 class Polarization(Record):
@@ -75,8 +85,7 @@ class Polarization(Record):
     the weights nums[i] / den, for integers ``nums`` and a positive integer
     ``den``.
 
-    Held in lowest terms, so equality, hashing and ``repr`` go by value;
-    ``weights`` is built only when read.
+    Held in lowest terms, so equality, hashing and ``repr`` go by value.
     """
 
     __slots__ = ("nums", "den")
@@ -94,14 +103,10 @@ class Polarization(Record):
         if len(nums) < 2:
             raise ValidationError("a polarization needs at least two weights")
         if min(nums) <= 0 or max(nums) >= den:
-            raise ValidationError(
-                f"every weight must lie strictly between 0 and 1, got {self.weights}")
+            raise ValidationError("every weight must lie strictly between 0 and 1, got "
+                                  f"({', '.join([_ratio(a, den) for a in nums])})")
         if sum(nums) != den:
-            raise ValidationError(f"weights must sum to exactly 1, got {Fraction(sum(nums), den)}")
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.den) for a in self.nums)
+            raise ValidationError(f"weights must sum to exactly 1, got {_ratio(sum(nums), den)}")
 
     @property
     def n(self) -> int:
@@ -150,17 +155,20 @@ class WeightBound(Record):
 
 
 class InfeasibilityCertificate(NamedTuple):
-    """A clashing pair of one-sided bounds on a single quantity.
+    """A clashing pair of one-sided bounds on a single quantity, the values
+    ``lower`` / ``den`` and ``upper`` / ``den`` for integer numerators over
+    the swept system's positive denominator.
 
-    The contradiction re-verifies by a single rational comparison: the lower
+    The contradiction re-verifies by a single integer comparison: the lower
     bound exceeds the upper bound (or they meet with a strict side).
     """
 
     quantity: str
-    lower: Fraction
+    den: int
+    lower: int
     lower_open: bool
     lower_reason: str
-    upper: Fraction
+    upper: int
     upper_open: bool
     upper_reason: str
 
@@ -426,7 +434,7 @@ def _step_term(bounds: Sequence[WeightBound], edges: _Edges, j: int, upper: bool
         return f"w_{j} > 0"
     b = bounds[src]
     rel = ("<" if upper else ">") + ("" if b.open else "=")
-    return f"w_{j} {rel} {Fraction(b.num, b.den)} ({b.label})"
+    return f"w_{j} {rel} {_ratio(b.num, b.den)} ({b.label})"
 
 
 def _reach_reason(system: IntervalChain, bounds: Sequence[WeightBound],
@@ -450,7 +458,7 @@ def _reach_reason(system: IntervalChain, bounds: Sequence[WeightBound],
         ends, opens = ((system.upper, system.upper_open) if upper
                        else (system.lower, system.lower_open))
         rel = ("<" if upper else ">") + ("" if opens[k - 1] else "=")
-        terms.append(f"S_{k} {rel} {Fraction(ends[k - 1], system.den)} (slope inequalities)")
+        terms.append(f"S_{k} {rel} {_ratio(ends[k - 1], system.den)} (slope inequalities)")
     return "; ".join(reversed(terms))
 
 
@@ -469,8 +477,8 @@ def _certificate(system: IntervalChain, bounds: Sequence[WeightBound],
         quantity = f"S_{i}"
         lower_reason = _reach_reason(system, bounds, edges, dry, False)
         upper_reason = _reach_reason(system, bounds, edges, dry, True)
-    cert = InfeasibilityCertificate(quantity, Fraction(lo, system.den), lo_open, lower_reason,
-                                    Fraction(hi, system.den), hi_open, upper_reason)
+    cert = InfeasibilityCertificate(quantity, system.den, lo, lo_open, lower_reason,
+                                    hi, hi_open, upper_reason)
     if not cert.verify():
         raise InternalInvariantError("infeasibility certificate failed self-verification")
     return cert
@@ -486,8 +494,13 @@ def simplex_intersect(intervals: IntervalChain,
     weight to 0 or pins a partial sum to a forbidden open endpoint;
     infeasible means not even the closed relaxation is solvable.  Supplied
     weight bounds keep their own strictness in both systems.  A region that
-    is not feasible carries the certificate of the strict sweep's failure;
-    the relaxed sweep runs only to tell boundary-only from infeasible.
+    is not feasible carries the certificate of the strict sweep's failure.
+
+    The relaxed sweep has the strict one's reach numerators and a subset of
+    its open ends, so where the strict sweep runs dry on a numeric clash
+    (lower > upper), the relaxed one does too, and the region is infeasible.
+    Only a tie (equal numerators with an open side) runs the relaxed sweep,
+    to tell boundary-only from infeasible.
     """
     if not intervals.lower:
         raise ValidationError("at least one partial-sum interval is required")
@@ -498,9 +511,10 @@ def simplex_intersect(intervals: IntervalChain,
     res = _sweep(system, edges, True)
     if not isinstance(res, _Dry):
         return FeasibleRegion(intervals, FEASIBLE, _witness(system, edges, res))
-    relaxed = _sweep(system, _edges(n, values, bounds, False), False)
-    status = INFEASIBLE if isinstance(relaxed, _Dry) else BOUNDARY_ONLY
-    return FeasibleRegion(intervals, status, None, _certificate(system, bounds, edges, res))
+    cert = _certificate(system, bounds, edges, res)
+    infeasible = cert.lower > cert.upper or isinstance(
+        _sweep(system, _edges(n, values, bounds, False), False), _Dry)
+    return FeasibleRegion(intervals, INFEASIBLE if infeasible else BOUNDARY_ONLY, None, cert)
 
 
 def _subsheaf_chi(curve: ChainCurve, j: int, deg: int) -> int:
@@ -546,12 +560,14 @@ def declared_bounds(system: WeightSystem) -> list[WeightBound]:
 
 
 class DestabilizerWitness(Record):
-    """A component subsheaf whose slope strictly exceeds the subject's slope."""
+    """A component subsheaf whose slope strictly exceeds the subject's slope;
+    each slope an integer ratio ``(num, den)`` with ``den`` positive."""
 
     __slots__ = ("component", "subsheaf_slope", "target_slope")
 
-    def __init__(self, component: int, subsheaf_slope: Fraction, target_slope: Fraction):
-        if not subsheaf_slope > target_slope:
+    def __init__(self, component: int, subsheaf_slope: tuple[int, int],
+                 target_slope: tuple[int, int]):
+        if not subsheaf_slope[0] * target_slope[1] > target_slope[0] * subsheaf_slope[1]:
             raise ValidationError("a destabilizer must strictly exceed the target slope")
         object.__setattr__(self, "component", component)
         object.__setattr__(self, "subsheaf_slope", subsheaf_slope)
@@ -591,7 +607,7 @@ def destabilizer_witness(system: WeightSystem, w: Polarization
     for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
         p = w.nums[j - 1]
         if numer * q * m > chi * p:
-            return DestabilizerWitness(j, Fraction(numer * q, p), Fraction(chi, m))
+            return DestabilizerWitness(j, (numer * q, p), (chi, m))
     return None
 
 

@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .curve_model import ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
-from .feasibility import (FEASIBLE, Polarization, WeightBound, _destabilizer_terms, check_bigas,
-                          declared_bounds, simplex_intersect, weight_system)
+from .feasibility import (FEASIBLE, Polarization, WeightBound, _destabilizer_terms, _ratio,
+                          check_bigas, declared_bounds, simplex_intersect, weight_system)
 from .record import Record
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
@@ -246,13 +246,13 @@ def cross_validate(curve: ChainCurve, grid: GridSpec,
     if grid_points and region.status != FEASIBLE:
         discrepancies.append(
             f"sweep reports {region.status} but {len(grid_points)} grid points satisfy "
-            f"the system, first {[str(x) for x in grid_points[0].weights]}")
+            f"the system, first {[_ratio(a, grid_points[0].den) for a in grid_points[0].nums]}")
     if region.status == FEASIBLE:
         wit = region.witness
         if grid.denominator % wit.den == 0:
             if wit not in grid_points:
                 discrepancies.append(
-                    f"feasible witness {[str(x) for x in wit.weights]} has denominator "
+                    f"feasible witness {[_ratio(a, wit.den) for a in wit.nums]} has denominator "
                     f"dividing {grid.denominator} but is missing from the grid")
         elif not grid_points:
             notes.append("region feasible but its witness denominator does not divide "

@@ -50,7 +50,7 @@ from .errors import (ContradictoryHypotheses, InternalInvariantError, RuleNotApp
                      ValidationError)
 from .feasibility import (FEASIBLE, FeasibleRegion, InfeasibilityCertificate, Polarization,
                           WeightBound, WeightSystem, declared_bounds, destabilizer_witness,
-                          simplex_intersect, subsheaf_weight_bound, weight_system)
+                          _ratio, simplex_intersect, subsheaf_weight_bound, weight_system)
 from .record import Record
 
 W_SEMISTABLE = "w_semistable"
@@ -230,9 +230,9 @@ def _all_twists(system: WeightSystem) -> _Rule:
         w = Polarization((1,) * curve.n, curve.n)
         witness = destabilizer_witness(system, w)
         if witness is not None:
-            notes.append(
-                f"supplied twist, barycentric weights: component {witness.component} "
-                f"subsheaf slope {witness.subsheaf_slope} exceeds {witness.target_slope}")
+            notes.append(f"supplied twist, barycentric weights: component {witness.component} "
+                         f"subsheaf slope {_ratio(*witness.subsheaf_slope)} exceeds "
+                         f"{_ratio(*witness.target_slope)}")
     return _Rule(CRITERION_ALL_TWISTS, True, tuple(notes))
 
 

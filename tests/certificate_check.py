@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 from chainstab import InfeasibilityCertificate, WeightBound
 from chainstab.feasibility import IntervalChain
-from reference import fractions_of
+from reference import cert_bound, fractions_of
 
 _TERM = re.compile(r"(S|w)_(\d+) (<=|>=|<|>|=) (\S+)(?: \((.*)\))?")
 _LOWER = (">", ">=")
@@ -108,6 +108,6 @@ def check_certificate(cert: InfeasibilityCertificate, intervals: IntervalChain,
     intervals = fractions_of(intervals)
     lower = _combine(cert.lower_reason, cert.quantity, "lower", intervals, by_key)
     upper = _combine(cert.upper_reason, cert.quantity, "upper", intervals, by_key)
-    assert lower == (cert.lower, cert.lower_open), (cert, lower)
-    assert upper == (cert.upper, cert.upper_open), (cert, upper)
+    assert lower == (cert_bound(cert, "lower"), cert.lower_open), (cert, lower)
+    assert upper == (cert_bound(cert, "upper"), cert.upper_open), (cert, upper)
     assert cert.verify()

@@ -7,8 +7,11 @@ candidate bound carries its reason as a tuple of strings, and ``_shift``
 concatenates them.  ``simplex_intersect`` here must agree with the
 library's in status, witness and every certificate field.  It takes the
 library's integer ``IntervalChain`` and reads its endpoints back as
-Fractions first.  It is quadratic in the chain length when accumulated
-bounds carry the reach, so use it on short and moderate chains only.
+Fractions first.  Its ``Certificate`` is the library's certificate as it
+was before it held integer numerators: the two bounds are Fractions.  The
+relaxed sweep runs after every failed strict sweep, ties or not.  It is
+quadratic in the chain length when accumulated bounds carry the reach, so
+use it on short and moderate chains only.
 """
 
 from __future__ import annotations
@@ -20,14 +23,28 @@ from typing import NamedTuple, Optional, Sequence
 
 from chainstab.errors import InternalInvariantError, ValidationError
 from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, FeasibleRegion,
-                                   InfeasibilityCertificate, IntervalChain, Polarization,
-                                   WeightBound)
+                                   IntervalChain, Polarization, WeightBound)
 from reference import fractions_of
 
 
 def _clash(lower: Fraction, lower_open: bool, upper: Fraction, upper_open: bool) -> bool:
     """A lower bound excludes an upper one: it exceeds it, or they meet with an open side."""
     return lower > upper or (lower == upper and (lower_open or upper_open))
+
+
+class Certificate(NamedTuple):
+    """A clashing pair of one-sided bounds on a single quantity, in Fractions."""
+
+    quantity: str
+    lower: Fraction
+    lower_open: bool
+    lower_reason: str
+    upper: Fraction
+    upper_open: bool
+    upper_reason: str
+
+    def verify(self) -> bool:
+        return _clash(self.lower, self.lower_open, self.upper, self.upper_open)
 
 
 # --------------------------------------------------------------------------
@@ -202,9 +219,9 @@ def _weights_from_sums(sums: Sequence[Fraction]) -> Polarization:
     return Polarization(tuple(w.numerator * (den // w.denominator) for w in weights), den)
 
 
-def _certificate(res: _SweepResult) -> InfeasibilityCertificate:
+def _certificate(res: _SweepResult) -> Certificate:
     """The clashing pair of accumulated bounds where a strict sweep ran dry."""
-    cert = InfeasibilityCertificate(
+    cert = Certificate(
         quantity=res.fail_quantity,
         lower=res.fail_lower.value,
         lower_open=res.fail_lower.open,

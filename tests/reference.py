@@ -12,6 +12,13 @@ back, and ``bigas_fractions`` is the Fraction formula that
 ``bigas_intervals`` used before it returned chains, kept as its oracle;
 ``twisted_sheaf`` draws a subject of every kind of chain.
 ``weight_bound`` builds the integer ``WeightBound`` of a rational value.
+
+The library holds every ratio as integers: a ``Polarization`` its weights
+as ``nums`` over ``den``, an ``InfeasibilityCertificate`` its two bounds
+as numerators over ``den``, a ``DestabilizerWitness`` its slopes as
+``(num, den)`` pairs.  ``weights``, ``cert_bound`` and ``destabilizer`` read
+them back as Fractions, and ``frac_str`` is the "p/q" text that canonical JSON
+prints for a Fraction, so tests state their values as rationals.
 An interval here is a tuple ``(lower, upper, lower_open, upper_open)``
 with ``None`` for an unbounded end; the two flags default to closed, and
 an unbounded end is always open, as in the library.
@@ -26,14 +33,36 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from chainstab.curve_model import ChainCurve, LineBundleTwist, SheafNumerics, twist
-from chainstab.feasibility import IntervalChain, Polarization, WeightBound
+from chainstab.feasibility import (DestabilizerWitness, InfeasibilityCertificate, IntervalChain,
+                                   Polarization, WeightBound)
 from chainstab.oracle import GridSpec
+
+
+def weights(w: Polarization) -> tuple[Fraction, ...]:
+    """The weights of ``w`` as Fractions."""
+    return tuple(Fraction(a, w.den) for a in w.nums)
+
+
+def cert_bound(cert: InfeasibilityCertificate, side: str) -> Fraction:
+    """The ``side`` ("lower" or "upper") bound of ``cert`` as a Fraction."""
+    return Fraction(getattr(cert, side), cert.den)
+
+
+def destabilizer(w: Optional[DestabilizerWitness]) -> Optional[tuple[int, Fraction, Fraction]]:
+    """``(component, subsheaf slope, target slope)`` of ``w`` in Fractions, or ``None``."""
+    return None if w is None else (w.component, Fraction(*w.subsheaf_slope),
+                                   Fraction(*w.target_slope))
+
+
+def frac_str(value: Fraction) -> str:
+    """``value`` as canonical JSON prints a rational: "p/q", "0/1" for zero."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def slope(sheaf: SheafNumerics, w: Polarization, chi: Optional[int] = None) -> Fraction:
     """Polarized slope: global chi (``sheaf.chi`` unless given) over the weighted total rank."""
     chi = sheaf.chi if chi is None else chi
-    return chi / sum(wj * rj for wj, rj in zip(w.weights, sheaf.multirank))
+    return chi / sum(wj * rj for wj, rj in zip(weights(w), sheaf.multirank))
 
 
 def weight_bound(index: int, value, lower: bool = False, **kwargs) -> WeightBound:

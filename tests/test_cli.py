@@ -16,7 +16,7 @@ from chainstab import GeneratedPairData, GridSpec, cli, oracle
 from chainstab.curve_model import ChainCurve, SheafNumerics
 from chainstab.errors import InternalInvariantError, ValidationError
 from chainstab.feasibility import IntervalChain, bigas_intervals
-from reference import twisted_sheaf
+from reference import frac_str, twisted_sheaf
 
 NO_INT_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                                   reason="no limit on integer string conversion")
@@ -362,6 +362,17 @@ class TestValidation:
             cli.parse_scenario(data)
         assert str(exc.value) == f"{where}: expected an integer, got {bad!r}"
 
+    @pytest.mark.parametrize("bad", [1, 0, None, "true"])
+    def test_flag_refusal_names_the_first_non_boolean(self, bad):
+        n = 1000
+        flags = [True] * (n - 2) + [bad, 2.5]
+        data = {"curve": {"genera": [2] * n},
+                "subject": {"pair": {"rank": 1, "sections": 3, "multidegree": [1] * n,
+                                     "h1_vanishes": flags}}}
+        with pytest.raises(ValidationError) as exc:
+            cli.parse_scenario(data)
+        assert str(exc.value) == f"pair.h1_vanishes: expected booleans, got {bad!r}"
+
     def test_chain_length_limit(self, tmp_path, capsys):
         limit = cli.CHAIN_LENGTH_LIMIT
         assert limit == 100_000
@@ -507,7 +518,7 @@ def as_dicts(tree):
     """``tree`` with every interval chain written out as its per-interval dicts."""
     if type(tree) is IntervalChain:
         def end(num):
-            return None if num is None else cli.frac_str(Fraction(num, tree.den))
+            return None if num is None else frac_str(Fraction(num, tree.den))
         return [{"lower": end(lo), "lower_open": lo_open, "upper": end(hi), "upper_open": hi_open}
                 for lo, lo_open, hi, hi_open in zip(tree.lower, tree.lower_open,
                                                     tree.upper, tree.upper_open)]

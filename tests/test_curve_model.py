@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,64 @@ class TestGeneratedPairData:
         assert pair.ker_rho_nonzero == (False, False)
         assert pair.kernel_rank == 1
         assert pair.total_degree == 0
+
+    @pytest.mark.parametrize("flags,text", [
+        # the first failing component is named, whichever check fails there
+        (dict(restriction_stable=(False, False, True), restriction_semistable=(False, True, False),
+              twisted_sections_nonzero=(False, True, False)),
+         "component 2: a semistable restriction with a twisted section forces degree >= rank, "
+         "got 1 < 2"),
+        (dict(restriction_stable=(False, True, False), kernel_restriction_stable=(True, True, True),
+              kernel_restriction_semistable=(True, False, True)),
+         "component 2: restriction_stable requires restriction_semistable"),
+        (dict(kernel_restriction_stable=(False, True, False)),
+         "component 2: kernel_restriction_stable requires kernel_restriction_semistable"),
+        (dict(h1_vanishes=(True, 1, False)), "h1_vanishes must contain booleans, got 1"),
+        (dict(h1_vanishes=[False, None]), "h1_vanishes must contain booleans, got None"),
+        (dict(h1_vanishes=(True, False)), "h1_vanishes must have length 3, got 2"),
+    ])
+    def test_flag_refusal_texts(self, flags, text):
+        with pytest.raises(ValidationError) as exc:
+            GeneratedPairData(rank=2, sections=3, multidegree=(4, 1, 4), **flags)
+        assert str(exc.value) == text
+
+
+def flagged_pair(n: int) -> dict:
+    """A pair scenario of ``n`` components with all seven flags given, mixed and consistent."""
+    rng = random.Random(f"flags:{n}")
+    semi, ksemi = ([rng.random() < 0.7 for _ in range(n)] for _ in range(2))
+    pair = {"rank": 2, "sections": 5, "multidegree": [rng.randint(2, 9) for _ in range(n)],
+            "restriction_semistable": semi, "kernel_restriction_semistable": ksemi,
+            "restriction_stable": [s and rng.random() < 0.5 for s in semi],
+            "kernel_restriction_stable": [s and rng.random() < 0.5 for s in ksemi]}
+    for name in ("ker_rho_nonzero", "twisted_sections_nonzero", "h1_vanishes"):
+        pair[name] = [rng.random() < 0.5 for _ in range(n)]
+    return {"curve": {"genera": [rng.randint(2, 6) for _ in range(n)]},
+            "subject": {"pair": pair}}
+
+
+def line_events(fn, *args) -> int:
+    """The Python ``line`` events of ``fn(*args)``: the same count for any
+    chain length means no Python loop runs over the chain's indices."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def test_parsing_a_flagged_pair_runs_no_line_per_component():
+    short, long = (line_events(cli.parse_scenario, flagged_pair(n)) for n in (1000, 3000))
+    assert short == long
 
 
 class TestKernelNumerics:

@@ -10,11 +10,12 @@ from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwis
                                    SheafNumerics, arithmetic_genus, kernel_numerics)
 from chainstab.errors import UnsupportedData, ValidationError
 from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, Polarization,
-                                   WeightBound, bigas_intervals, check_bigas, declared_bounds,
-                                   simplex_intersect, subsheaf_weight_bound, weight_system)
+                                   WeightBound, _ratio, bigas_intervals, check_bigas,
+                                   declared_bounds, simplex_intersect, subsheaf_weight_bound,
+                                   weight_system)
 from chainstab.oracle import GridSpec, _admits
-from reference import (EMPTY, UNBOUNDED, chain, enumerate_polarizations, fractions_of, slope,
-                       weight_bound)
+from reference import (EMPTY, UNBOUNDED, cert_bound, chain, enumerate_polarizations, frac_str,
+                       fractions_of, slope, weight_bound, weights)
 
 F = Fraction
 
@@ -30,7 +31,7 @@ def pinned(w):
     With them a system is feasible exactly when every partial sum of ``w``
     lies in its interval, and its witness is then ``w`` itself.
     """
-    return [b for j, x in enumerate(w.weights, start=1)
+    return [b for j, x in enumerate(weights(w), start=1)
             for b in (weight_bound(j, x), weight_bound(j, x, lower=True))]
 
 
@@ -45,14 +46,13 @@ def status_at(iv, x):
     return simplex_intersect(chain([iv]), pin).status
 
 
-# The refusal texts of a polarization built from integers, which are those
-# the Fraction-input constructor gave for the same weights.
+# The refusal texts of a polarization built from integers: those the
+# Fraction-input constructor gave for the same weights, with each weight
+# written as ``str`` of its Fraction.
 REFUSALS = {
     ((2,), 2): "a polarization needs at least two weights",
-    ((0, 2), 2): "every weight must lie strictly between 0 and 1, "
-                 "got (Fraction(0, 1), Fraction(1, 1))",
-    ((3, -1), 2): "every weight must lie strictly between 0 and 1, "
-                  "got (Fraction(3, 2), Fraction(-1, 2))",
+    ((0, 2), 2): "every weight must lie strictly between 0 and 1, got (0, 1)",
+    ((3, -1), 2): "every weight must lie strictly between 0 and 1, got (3/2, -1/2)",
     ((1, 1), 3): "weights must sum to exactly 1, got 2/3",
     ((2, 2, 1), 4): "weights must sum to exactly 1, got 5/4",
 }
@@ -61,7 +61,7 @@ REFUSALS = {
 class TestPolarization:
     def test_valid(self):
         w = Polarization((1, 2), 3)
-        assert w.n == 2 and w.weights == (F(1, 3), F(2, 3))
+        assert w.n == 2 and weights(w) == (F(1, 3), F(2, 3))
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ValidationError):
@@ -96,6 +96,24 @@ class TestPolarization:
         assert str(exc.value) == REFUSALS[parts, d]
 
 
+class TestRatio:
+    """``_ratio``'s two cases, against the Fraction of the same value."""
+
+    def test_certificate_json_always_writes_the_denominator(self):
+        assert [_ratio(a, b, slash=True) for a, b in ((0, 7), (-4, 2), (8, 18), (3, 1))] == \
+            ["0/1", "-2/1", "4/9", "3/1"]
+        for num in range(-30, 31):
+            for den in range(1, 13):
+                assert _ratio(num, den, slash=True) == frac_str(F(num, den))
+
+    def test_reason_text_writes_what_str_of_a_fraction_writes(self):
+        assert [_ratio(a, b) for a, b in ((0, 7), (-4, 2), (8, 18), (3, 1))] == \
+            ["0", "-2", "4/9", "3"]
+        for num in range(-30, 31):
+            for den in range(1, 13):
+                assert _ratio(num, den) == str(F(num, den))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 60), min_size=2, max_size=8), st.integers(1, 12))
 def test_integer_polarization_is_the_fraction_one(parts, k):
@@ -107,8 +125,8 @@ def test_integer_polarization_is_the_fraction_one(parts, k):
     assert built.den == math.lcm(*(x.denominator for x in fracs))
     assert built.nums == tuple(x.numerator * (built.den // x.denominator) for x in fracs)
     assert repr(built) == str(built) == f"Polarization(nums={built.nums}, den={built.den})"
-    assert built.weights == fracs and all(type(x) is Fraction for x in built.weights)
-    assert cli._witness_json(built) == [cli.frac_str(x) for x in fracs]
+    assert weights(built) == fracs and all(type(x) is Fraction for x in weights(built))
+    assert cli._witness_json(built) == [frac_str(x) for x in fracs]
     barycentric = Polarization([1] * len(parts), len(parts))
     assert (built == barycentric) == (len(set(parts)) == 1)
 
@@ -132,10 +150,10 @@ class TestRationalInterval:
         def witness(iv):
             return simplex_intersect(chain([iv])).witness
 
-        assert witness((F(1, 3), F(2, 3))).weights == (F(1, 2), F(1, 2))
-        assert witness((F(5, 7), F(5, 7))).weights == (F(5, 7), F(2, 7))
+        assert weights(witness((F(1, 3), F(2, 3)))) == (F(1, 2), F(1, 2))
+        assert weights(witness((F(5, 7), F(5, 7)))) == (F(5, 7), F(2, 7))
         # an unbounded side stops at the simplex, 0 < S_1 < 1
-        assert witness((None, F(2))).weights == (F(1, 2), F(1, 2))
+        assert weights(witness((None, F(2)))) == (F(1, 2), F(1, 2))
         assert witness(EMPTY) is None
 
     def test_empty(self):
@@ -256,7 +274,7 @@ class TestSimplexIntersect:
     def test_trivial_feasible_with_midpoint_witness(self):
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]))
         assert region.status == FEASIBLE
-        assert region.witness.weights == (F(1, 2), F(1, 2))
+        assert weights(region.witness) == (F(1, 2), F(1, 2))
 
     def test_negative_interval_infeasible(self):
         region = simplex_intersect(chain([(F(-2), F(-1))]))
@@ -272,7 +290,7 @@ class TestSimplexIntersect:
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
                                    [WeightBound(1, 1, 3)])
         assert region.status == FEASIBLE
-        assert region.witness.weights[0] == F(1, 3)
+        assert weights(region.witness)[0] == F(1, 3)
 
     def test_boundary_only(self):
         # chi < 0 with chi_1 = rank: the interval upper endpoint is exactly 0
@@ -292,7 +310,7 @@ class TestSimplexIntersect:
         region = simplex_intersect(chain([(F(1, 3), F(2, 3))]),
                                    [WeightBound(1, 1, 2, lower=True)])
         assert region.status == FEASIBLE
-        assert region.witness.weights[0] >= F(1, 2)
+        assert weights(region.witness)[0] >= F(1, 2)
 
     def test_clashing_step_bounds(self):
         region = simplex_intersect(chain([UNBOUNDED]),
@@ -322,8 +340,8 @@ class TestSimplexIntersect:
             if region.status != FEASIBLE:
                 continue
             w = region.witness
-            assert sum(w.weights) == 1
-            assert all(0 < x < 1 for x in w.weights)
+            assert sum(weights(w)) == 1
+            assert all(0 < x < 1 for x in weights(w))
             assert check_bigas(s, w)
             assert simplex_intersect(region.s_intervals, pinned(w)).witness == w
 
@@ -335,14 +353,14 @@ class TestFindPolarization:
         assert (s.chi_components, s.chi) == ((-8, -8), -18)
         region = simplex_intersect(bigas_intervals(s))
         assert region.status == FEASIBLE
-        assert region.witness.weights == (F(1, 2), F(1, 2))
+        assert weights(region.witness) == (F(1, 2), F(1, 2))
 
     def test_trivial_on_genus_2_3(self):
         region = simplex_intersect(bigas_intervals(trivial_sheaf((2, 3))))
         assert region.status == FEASIBLE
         assert fractions_of(region.s_intervals)[0][0] == F(1, 4)
         assert fractions_of(region.s_intervals)[0][1] == F(2, 4)
-        assert region.witness.weights == (F(3, 8), F(5, 8))
+        assert weights(region.witness) == (F(3, 8), F(5, 8))
 
     def test_unbalanced_line_bundle_infeasible(self):
         region = simplex_intersect(bigas_intervals(
@@ -363,7 +381,7 @@ class TestFindPolarization:
             assert all(c < 0 for c in s.chi_components) and s.chi < 0
             region = simplex_intersect(bigas_intervals(s))
             assert region.status == FEASIBLE
-            for w_j, chi_j in zip(region.witness.weights, s.chi_components):
+            for w_j, chi_j in zip(weights(region.witness), s.chi_components):
                 assert w_j >= F(chi_j, s.chi) > 0
 
 
@@ -524,16 +542,16 @@ class TestInfeasibilityCertificate:
         cert = simplex_intersect(bigas_intervals(s), [WeightBound(1, 2, 9)]).certificate
         assert cert is not None
         assert cert.quantity == "S_1"
-        assert cert.lower == F(8, 18)
-        assert cert.upper == F(4, 18)
+        assert cert_bound(cert, "lower") == F(8, 18)
+        assert cert_bound(cert, "upper") == F(4, 18)
         assert cert.verify()
 
     def test_unit_interval_clash(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))
         cert = simplex_intersect(bigas_intervals(s)).certificate
         assert cert.quantity == "S_1"
-        assert cert.lower == 0 and cert.lower_open
-        assert cert.upper == -1 and not cert.upper_open
+        assert cert_bound(cert, "lower") == 0 and cert.lower_open
+        assert cert_bound(cert, "upper") == -1 and not cert.upper_open
         assert cert.verify()
 
     def test_feasible_has_no_certificate(self):
@@ -547,8 +565,8 @@ class TestInfeasibilityCertificate:
         cert = simplex_intersect(bigas_intervals(k), [WeightBound(2, 4, 13)]).certificate
         assert cert is not None
         assert cert.quantity == "S_1"
-        assert cert.lower == F(9, 13)   # S_1 >= 1 - 4/13
-        assert cert.upper == F(5, 13)   # slope-inequality upper bound
+        assert cert_bound(cert, "lower") == F(9, 13)   # S_1 >= 1 - 4/13
+        assert cert_bound(cert, "upper") == F(5, 13)   # slope-inequality upper bound
         assert "S_2 = 1" in cert.lower_reason
 
 

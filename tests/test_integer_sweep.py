@@ -4,10 +4,14 @@
 denominator of its interval chain and bounds.  These tests hold it to the
 Fraction sweep it replaced (``fraction_sweep``), field by field, and
 re-derive every certificate's bounds from the system (``certificate_check``).
+The reference always runs the relaxed sweep after a failed strict one; the
+library runs it only after a tie, so every status comparison also checks
+that skipping it after a numeric clash changes nothing.
 """
 
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -19,15 +23,15 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_sweep
 from certificate_check import check_certificate
-from chainstab import cli
+from chainstab import cli, feasibility
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
-from chainstab.feasibility import (FEASIBLE, INFEASIBLE, InfeasibilityCertificate, Polarization,
-                                   WeightBound, bigas_intervals, declared_bounds,
+from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, InfeasibilityCertificate,
+                                   Polarization, WeightBound, bigas_intervals, declared_bounds,
                                    simplex_intersect, weight_system)
 from chainstab.stability import analyze
-from reference import UNBOUNDED, chain, weight_bound
+from reference import UNBOUNDED, cert_bound, chain, weight_bound, weights
 
 F = Fraction
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,9 +47,11 @@ def assert_same_as_reference(intervals, bounds=()):
     if ref.certificate is None:
         assert region.certificate is None
     else:
-        for name in ("quantity", "lower", "lower_open", "lower_reason",
-                     "upper", "upper_open", "upper_reason"):
-            assert getattr(region.certificate, name) == getattr(ref.certificate, name), name
+        cert = region.certificate
+        for name in ("quantity", "lower_open", "lower_reason", "upper_open", "upper_reason"):
+            assert getattr(cert, name) == getattr(ref.certificate, name), name
+        for name in ("lower", "upper"):
+            assert cert_bound(cert, name) == getattr(ref.certificate, name), name
         check_certificate(region.certificate, intervals, bounds)
     return region
 
@@ -119,12 +125,12 @@ def test_midpoints_halve_past_the_common_denominator():
     # The common denominator is 315 and S_2's midpoint is 153/630.
     ivs = chain([(F(0), F(1, 3)), (F(1, 5), F(2, 7))])
     region = assert_same_as_reference(ivs, [WeightBound(2, 1, 9, open=True)])
-    assert region.witness.weights == (F(59, 315), F(1, 18), F(53, 70))
+    assert weights(region.witness) == (F(59, 315), F(1, 18), F(53, 70))
     # Only the simplex bounds each S_i: S_{n-1} = 1/2 and every earlier
     # S_i halves the next, so w_1 = 2**-(n-1) over a common denominator of 1.
     n = 40
     region = assert_same_as_reference(chain([UNBOUNDED] * (n - 1)))
-    assert region.witness.weights == (F(1, 2 ** (n - 1)),) + tuple(
+    assert weights(region.witness) == (F(1, 2 ** (n - 1)),) + tuple(
         F(1, 2 ** (n - j + 1)) for j in range(2, n + 1))
 
 
@@ -179,7 +185,8 @@ def test_accumulated_bounds_are_rendered_once():
     assert elapsed < 2.0
     cert = region.certificate
     assert region.status == INFEASIBLE
-    assert (cert.quantity, cert.lower, cert.upper) == (f"S_{n - 1}", F(n - 1, n), F(n - 2, n))
+    assert cert.quantity == f"S_{n - 1}"
+    assert (cert_bound(cert, "lower"), cert_bound(cert, "upper")) == (F(n - 1, n), F(n - 2, n))
     assert cert.lower_reason.split("; ") == (
         ["S_0 = 0"] + [f"w_{j} >= 1/{n} (weight bound)" for j in range(1, n)])
     assert cert.upper_reason == f"S_{n} = 1; w_{n} >= 1/{n // 2} (weight bound)"
@@ -204,8 +211,10 @@ def test_readme_certificate_rebuilds_from_the_system():
     match = re.fullmatch(r"certificate: (\S+) (>=|>) (\S+) \[(.*)\] clashes with "
                          r"\1 (<=|<) (\S+) \[(.*)\]", line)
     quantity, lo_rel, lo, lo_reason, hi_rel, hi, hi_reason = match.groups()
-    cert = InfeasibilityCertificate(quantity, F(lo), lo_rel == ">", lo_reason,
-                                    F(hi), hi_rel == "<", hi_reason)
+    lo, hi = F(lo), F(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    cert = InfeasibilityCertificate(quantity, den, int(lo * den), lo_rel == ">", lo_reason,
+                                    int(hi * den), hi_rel == "<", hi_reason)
     system = weight_system(scenario.curve, scenario.subject)
     check_certificate(cert, system.intervals, declared_bounds(system))
     assert line in cli.render_text(cli.cmd_check(scenario)).splitlines()
@@ -216,9 +225,10 @@ def test_checker_rejects_a_wrong_reason():
     bounds = [WeightBound(1, 2, 9, label="subsheaf slope bound")]
     cert = simplex_intersect(ivs, bounds).certificate
     check_certificate(cert, ivs, bounds)
+    assert cert.den == 9
     forgeries = [
         # the printed number agrees with the bound, but the system says 2/9
-        cert._replace(upper=F(1, 9),
+        cert._replace(upper=1,
                       upper_reason="S_0 = 0; w_1 <= 1/9 (subsheaf slope bound)"),
         # a bound the system does not have
         cert._replace(upper_reason="S_0 = 0; w_1 <= 2/9 (other)"),
@@ -238,9 +248,8 @@ class TestBoundaryFractions:
         assert {*map(type, [ivs.den, *ivs.lower, *ivs.upper])} == {int}
         bound = WeightBound(1, 2, 6)
         assert (bound.num, bound.den) == (2, 6)   # kept as given, not reduced
-        third = F(1, 3)
         w = Polarization((1, 2), 3)
-        assert w.weights[0] == third and type(w.weights[0]) is Fraction
+        assert {*map(type, (*w.nums, w.den))} == {int} and weights(w)[0] == F(1, 3)
 
     def test_subclass_is_refused(self):
         class Sub(Fraction):
@@ -278,8 +287,8 @@ class TestBoundaryFractions:
         assert str(exc.value) == text
 
     def test_witness_weights_are_exact_fractions(self):
-        region = simplex_intersect(chain([(F(1, 3), F(2, 3))]))
-        assert all(type(w) is Fraction for w in region.witness.weights)
+        w = simplex_intersect(chain([(F(1, 3), F(2, 3))])).witness
+        assert {*map(type, (*w.nums, w.den))} == {int} and weights(w) == (F(1, 2), F(1, 2))
 
     def test_polarization_sum_message(self):
         with pytest.raises(ValidationError, match=r"sum to exactly 1, got 5/6"):
@@ -306,3 +315,48 @@ def test_ties_on_a_small_grid_equal_fraction_reference():
         for chosen in bound_sets:
             bounds = [weight_bound(j, v, c, open=o) for j, v, o, c in chosen]
             assert_same_as_reference(ivs, bounds)
+
+
+# Strict sweeps that run dry on a tie: equal numerators with an open side.
+# The relaxed sweep then decides, and may still run dry, at the tie itself
+# (an open end that is not the simplex's) or at a later numeric clash.
+TIES = [
+    # S_1 <= 0 meets w_1 > 0; the relaxed w_1 >= 0 admits S_1 = 0
+    ([(None, F(0))], [], BOUNDARY_ONLY),
+    # S_1 >= 1 meets S_1 < 1; the relaxed S_1 <= 1 admits S_1 = 1
+    ([(F(1), None)], [], BOUNDARY_ONLY),
+    # S_1 = 1/2 meets w_2 > 1/2, open in both sweeps
+    ([(F(1, 2), F(1, 2))], [weight_bound(2, F(1, 2), lower=True, open=True)], INFEASIBLE),
+    # S_1 < 1/2 meets w_1 >= 1/2, open in both sweeps
+    ([(None, F(1, 2), True, True)], [weight_bound(1, F(1, 2), lower=True)], INFEASIBLE),
+    # the strict tie at S_1 = 0; the relaxed sweep passes it and clashes at S_2
+    ([(None, F(0)), (None, F(1, 4))], [weight_bound(2, F(1, 2), lower=True)], INFEASIBLE),
+]
+
+
+def count_sweeps(monkeypatch) -> list:
+    calls = []
+    sweep = feasibility._sweep
+    monkeypatch.setattr(feasibility, "_sweep", lambda *a: calls.append(a[2]) or sweep(*a))
+    return calls
+
+
+@pytest.mark.parametrize("ivs,bounds,status", TIES)
+def test_a_tie_runs_the_relaxed_sweep(monkeypatch, ivs, bounds, status):
+    calls = count_sweeps(monkeypatch)
+    region = assert_same_as_reference(chain(ivs), bounds)
+    cert = region.certificate
+    assert region.status == status and cert.lower == cert.upper
+    assert calls == [True, False]
+
+
+def test_a_numeric_clash_is_infeasible_without_the_relaxed_sweep(monkeypatch):
+    calls = count_sweeps(monkeypatch)
+    # S_1 >= 4/9 against w_1 <= 2/9, and the step bounds w_1 >= 1/2 > w_1 <= 1/3
+    for ivs, bounds in [([(F(4, 9), F(5, 9))], [weight_bound(1, F(2, 9))]),
+                        ([UNBOUNDED], [weight_bound(1, F(1, 2), lower=True),
+                                       weight_bound(1, F(1, 3))])]:
+        calls.clear()
+        region = assert_same_as_reference(chain(ivs), bounds)
+        assert region.status == INFEASIBLE and region.certificate.lower > region.certificate.upper
+        assert calls == [True]

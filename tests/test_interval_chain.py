@@ -3,8 +3,8 @@
 ``bigas_intervals`` keeps the system X_i - m*i <= S_i * chi <= X_i - m*(i-1)
 as integer numerators over |chi|.  These tests hold it to the Fraction
 formula it replaced (``reference.bigas_fractions``), hold every printed
-endpoint to ``frac_str`` of the same Fraction, and count the Fractions that
-``chainstab.feasibility`` builds on a long chain.
+endpoint to ``reference.frac_str`` of the same Fraction, and count the
+Fractions built while a long chain is decided: none.
 """
 
 import json
@@ -19,7 +19,7 @@ from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwis
                                    SheafNumerics, kernel_numerics)
 from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, bigas_intervals,
                                    simplex_intersect, weight_system)
-from reference import UNBOUNDED, bigas_fractions, chain, fractions_of, twisted_sheaf
+from reference import UNBOUNDED, bigas_fractions, chain, frac_str, fractions_of, twisted_sheaf
 
 
 def check_chain(sheaf: SheafNumerics) -> set:
@@ -36,9 +36,9 @@ def check_chain(sheaf: SheafNumerics) -> set:
     for iv, lo, lo_open, hi, hi_open in zip(rendered, c.lower, c.lower_open,
                                             c.upper, c.upper_open):
         assert iv == {
-            "lower": None if lo is None else cli.frac_str(Fraction(lo, c.den)),
+            "lower": None if lo is None else frac_str(Fraction(lo, c.den)),
             "lower_open": lo_open,
-            "upper": None if hi is None else cli.frac_str(Fraction(hi, c.den)),
+            "upper": None if hi is None else frac_str(Fraction(hi, c.den)),
             "upper_open": hi_open,
         }
     if sheaf.chi > 0:
@@ -75,25 +75,21 @@ def test_each_kind_on_two_components(degs, kinds):
     assert check_chain(SheafNumerics(ChainCurve((2, 2)), (1, 1), degs)) == kinds
 
 
-class _Counting(Fraction):
-    """A Fraction that counts the instances built through its own name."""
-
-    made = 0
-
-    def __new__(cls, *args, **kwargs):
-        _Counting.made += 1
-        return super().__new__(cls, *args, **kwargs)
-
-
 @pytest.fixture
 def fractions_made(monkeypatch):
-    """Reads the number of Fractions ``chainstab.feasibility`` built since the last read."""
-    monkeypatch.setattr(feasibility, "Fraction", _Counting)
-    _Counting.made = 0
+    """Reads the number of Fractions built anywhere since the last read."""
+    made = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
 
     def read():
-        made, _Counting.made = _Counting.made, 0
-        return made
+        count, made[0] = made[0], 0
+        return count
     return read
 
 
@@ -124,14 +120,14 @@ def test_long_chain_builds_no_fraction_per_index(fractions_made):
     assert fractions_made() == 0
     region = simplex_intersect(system.intervals)
     assert region.status == INFEASIBLE
-    assert fractions_made() <= 4          # the certificate's two bounds and cited endpoints
-    # S_1 pinned to 0: the strict sweep runs dry at once, the relaxed one
-    # runs to the end and stops without a witness
+    assert fractions_made() == 0          # the certificate holds integer numerators too
+    # S_1 pinned to 0: the strict sweep runs dry at once on a tie, the
+    # relaxed one runs to the end and stops without a witness
     system = chain([(0, 0)] + [UNBOUNDED] * (n - 2))
-    assert fractions_made() == 0
+    fractions_made()                      # the test's own chain is built from Fractions
     region = simplex_intersect(system)
     assert region.status == BOUNDARY_ONLY
-    assert fractions_made() <= 4
+    assert fractions_made() == 0
 
 
 @pytest.mark.parametrize("intervals,status,passes", [

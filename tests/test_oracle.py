@@ -15,7 +15,7 @@ from chainstab.feasibility import (FEASIBLE, INFEASIBLE, DestabilizerWitness, Po
                                    WeightBound, bigas_intervals, check_bigas,
                                    destabilizer_witness, simplex_intersect, weight_system)
 from chainstab.oracle import GridSpec, brute_force_region, cross_validate
-from reference import enumerate_polarizations, weight_bound
+from reference import destabilizer, enumerate_polarizations, weight_bound, weights
 
 F = Fraction
 
@@ -65,7 +65,7 @@ class TestEnumeratePolarizations:
     def test_three_parts_of_four(self):
         got = brute_force_region(vacuous(3), GridSpec(4, 3))
         assert len(got) == 3
-        assert all(sum(w.weights) == 1 for w in got)
+        assert all(sum(weights(w)) == 1 for w in got)
 
     @settings(max_examples=60)
     @given(st.integers(2, 4), st.integers(0, 8))
@@ -80,7 +80,7 @@ class TestBruteForceRegion:
     def test_trivial_bundle_denominator_six(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         got = brute_force_region(s, GridSpec(6, 2))
-        sums = [w.weights[0] for w in got]
+        sums = [weights(w)[0] for w in got]
         assert sums == [F(1, 3), F(1, 2), F(2, 3)]
 
     def test_infeasible_line_bundle_always_empty(self):
@@ -92,7 +92,7 @@ class TestBruteForceRegion:
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
         got = brute_force_region(kernel_numerics(curve, pair), GridSpec(18, 2))
-        assert [w.weights[0] for w in got] == [F(8, 18), F(9, 18), F(10, 18)]
+        assert [weights(w)[0] for w in got] == [F(8, 18), F(9, 18), F(10, 18)]
 
     def test_matches_plain_filter(self):
         rng = random.Random(3)
@@ -109,12 +109,12 @@ class TestBruteForceRegion:
     def test_bounds_filtering(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         got = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, 5, 12)])
-        assert [w.weights[0] for w in got] == [F(4, 12), F(5, 12)]
+        assert [weights(w)[0] for w in got] == [F(4, 12), F(5, 12)]
         got_open = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, 5, 12, open=True)])
-        assert [w.weights[0] for w in got_open] == [F(4, 12)]
+        assert [weights(w)[0] for w in got_open] == [F(4, 12)]
         got_comp = brute_force_region(s, GridSpec(12, 2),
                                       [WeightBound(1, 1, 2, lower=True)])
-        assert all(w.weights[0] >= F(1, 2) for w in got_comp)
+        assert all(weights(w)[0] >= F(1, 2) for w in got_comp)
         assert got_comp != []
 
     def test_vacuous_chi_zero_keeps_every_point_in_order(self):
@@ -137,18 +137,18 @@ class TestBruteForceRegion:
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), degrees)
         assert s.chi == chi
         for d, sums in ((6, [F(1, 3), F(1, 2), F(2, 3)]), (3, [F(1, 3), F(2, 3)])):
-            assert [w.weights[0] for w in brute_force_region(s, GridSpec(d, 2))] == sums
+            assert [weights(w)[0] for w in brute_force_region(s, GridSpec(d, 2))] == sums
 
     def test_bounds_on_last_weight(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
         spec = GridSpec(12, 2)
         closed = brute_force_region(s, spec, [WeightBound(2, 1, 2)])
         # w_1 rises along the grid, so w_2 falls
-        assert [w.weights[1] for w in closed] == [F(6, 12), F(5, 12), F(4, 12)]
+        assert [weights(w)[1] for w in closed] == [F(6, 12), F(5, 12), F(4, 12)]
         opened = brute_force_region(s, spec, [WeightBound(2, 1, 2, open=True)])
-        assert [w.weights[1] for w in opened] == [F(5, 12), F(4, 12)]
+        assert [weights(w)[1] for w in opened] == [F(5, 12), F(4, 12)]
         lower = brute_force_region(s, spec, [WeightBound(2, 1, 2, lower=True)])
-        assert [w.weights[1] for w in lower] == [F(8, 12), F(7, 12), F(6, 12)]
+        assert [weights(w)[1] for w in lower] == [F(8, 12), F(7, 12), F(6, 12)]
 
     def test_bound_index_beyond_chain_rejected(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
@@ -158,7 +158,7 @@ class TestBruteForceRegion:
 
 def _meets(bound, w):
     """Reference test of one weight bound in rationals."""
-    x, value = w.weights[bound.index - 1], F(bound.num, bound.den)
+    x, value = weights(w)[bound.index - 1], F(bound.num, bound.den)
     if bound.lower:
         return x > value if bound.open else x >= value
     return x < value if bound.open else x <= value
@@ -219,7 +219,8 @@ class TestDestabilizerWitness:
                                  ker_rho_nonzero=(True, True, True))
         w = Polarization((1, 1, 1), 3)
         got = destabilizer_witness(kernel_system(curve, pair, LineBundleTwist.trivial(3)), w)
-        assert got == DestabilizerWitness(1, F(-6), F(-19, 2))
+        assert destabilizer(got) == (1, F(-6), F(-19, 2))
+        assert got == DestabilizerWitness(1, (-6, 1), (-19, 2))
 
     def test_skewed_polarization_still_witnessed(self):
         curve = ChainCurve((2, 2, 2))
@@ -249,7 +250,7 @@ class TestDestabilizerWitness:
 
     def test_witness_invariant(self):
         with pytest.raises(ValidationError):
-            DestabilizerWitness(1, F(-3), F(-2))
+            DestabilizerWitness(1, (-3, 1), (-2, 1))
 
     def test_equal_slope_is_not_a_witness(self):
         # chi = -4, m = 1: at weights (1/2, 1/2) both subsheaves have slope
@@ -262,8 +263,7 @@ class TestDestabilizerWitness:
         system = kernel_system(curve, pair, trivial)
         assert destabilizer_witness(system, half) is None
         skewed = Polarization((1, 2), 3)
-        assert destabilizer_witness(system, skewed) == \
-            DestabilizerWitness(2, F(-3), F(-4))
+        assert destabilizer(destabilizer_witness(system, skewed)) == (2, F(-3), F(-4))
 
 
 def _reference_destabilizers(curve, pair, grid, twist_range):
@@ -278,9 +278,9 @@ def _reference_destabilizers(curve, pair, grid, twist_range):
             witness = None
             for j in range(1, n + 1):
                 nodes = 1 if j in (1, n) else 2
-                slope = F(degs[j - 1] - nodes + 1 - curve.genera[j - 1]) / w.weights[j - 1]
+                slope = F(degs[j - 1] - nodes + 1 - curve.genera[j - 1]) / weights(w)[j - 1]
                 if pair.ker_rho_nonzero[j - 1] and slope > target:
-                    witness = DestabilizerWitness(j, slope, target)
+                    witness = (j, slope, target)
                     break
             witnesses.append(witness)
             if witness is None:
@@ -346,7 +346,7 @@ def test_gated_pairs_have_a_destabilizer_everywhere(case):
     systems = [kernel_system(curve, pair, LineBundleTwist(degs))
                for degs in itertools.product(range(-twist_range, twist_range + 1),
                                              repeat=curve.n)]
-    assert [destabilizer_witness(system, w)
+    assert [destabilizer(destabilizer_witness(system, w))
             for system in systems for w in enumerate_polarizations(grid)] == witnesses
 
 
@@ -462,7 +462,7 @@ def test_completeness_at_matching_denominators():
         region = simplex_intersect(bigas_intervals(s))
         if region.status != FEASIBLE:
             continue
-        q = math.lcm(*(w.denominator for w in region.witness.weights))
+        q = math.lcm(*(w.denominator for w in weights(region.witness)))
         for mult in (1, 2):
             d = q * mult
             if d < n or d > 600:

@@ -11,14 +11,13 @@ import json
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import chainstab
 from chainstab import (FeasibleRegion, GridSpec, Polarization, analyze, cli,
-                       cross_validate, feasibility, simplex_intersect, weight_system)
+                       cross_validate, simplex_intersect, weight_system)
 from chainstab.curve_model import ChainCurve, GeneratedPairData
 from chainstab.feasibility import INFEASIBLE, declared_bounds, destabilizer_witness
 from chainstab.stability import k_bound_check
@@ -110,19 +109,21 @@ def test_region_equality_ignores_the_certificate():
     assert repr(bare) != repr(region)
 
 
-def test_weights_are_built_only_when_read(monkeypatch):
-    built = []
-    monkeypatch.setattr(feasibility, "Fraction", lambda *a: built.append(a) or Fraction(*a))
-    w = Polarization((2, 4), 6)
-    assert built == []
-    assert w.weights == (Fraction(1, 3), Fraction(2, 3)) and built == [(1, 3), (2, 3)]
-
-
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def modules_added_by_importing_the_cli() -> set:
+    """The modules a fresh ``python -I`` adds to ``sys.modules`` by importing ``chainstab.cli``."""
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import chainstab.cli; print(json.dumps(sorted(set(sys.modules) - before)))")
     res = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], capture_output=True,
                          text=True, check=True, timeout=60)
-    added = json.loads(res.stdout)
+    added = set(json.loads(res.stdout))
     assert "chainstab.cli" in added
-    assert not {"dataclasses", "inspect"} & set(added)
+    return added
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    assert not {"dataclasses", "inspect"} & modules_added_by_importing_the_cli()
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # every ratio is an integer numerator over a denominator until printed
+    assert not {"fractions", "decimal", "numbers"} & modules_added_by_importing_the_cli()

@@ -12,6 +12,7 @@ from chainstab.errors import ContradictoryHypotheses, RuleNotApplicable, Validat
 from chainstab.feasibility import FEASIBLE, INFEASIBLE, WeightBound, check_bigas, weight_system
 from chainstab.stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE,
                                  analyze, analyze_sheaf, clifford_h0_bound, k_bound_check)
+from reference import cert_bound, weights
 
 F = Fraction
 
@@ -58,7 +59,7 @@ class TestCertifyWSemistable:
                                  kernel_restriction_semistable=(True, True))
         v = analyze(curve, pair).verdict
         assert v.kind == W_SEMISTABLE
-        assert v.witness.weights == (F(1, 2), F(1, 2))
+        assert weights(v.witness) == (F(1, 2), F(1, 2))
         assert check_bigas(kernel_numerics(curve, pair), v.witness)
 
     def test_stable_upgrade(self):
@@ -68,7 +69,7 @@ class TestCertifyWSemistable:
                                  kernel_restriction_stable=(True, False))
         v = analyze(curve, pair).verdict
         assert v.kind == W_STABLE
-        assert v.witness.weights == (F(1, 2), F(1, 2))
+        assert weights(v.witness) == (F(1, 2), F(1, 2))
 
     def test_missing_flag_is_inconclusive(self):
         curve = ChainCurve((2, 2))
@@ -180,8 +181,8 @@ class TestEndpointRule:
                                  restriction_semistable=(True, False))
         v = analyze(curve, pair).verdict
         assert (v.kind, v.criterion) == (STRONGLY_UNSTABLE, "endpoint-degree-excess")
-        assert v.certificate.lower == F(8, 18)
-        assert v.certificate.upper == F(4, 18)
+        assert cert_bound(v.certificate, "lower") == F(8, 18)
+        assert cert_bound(v.certificate, "upper") == F(4, 18)
         assert v.certificate.verify()
 
     def test_large_sections_inconclusive(self):
@@ -243,8 +244,8 @@ class TestMiddleRule:
                                  restriction_semistable=(False, True, False))
         cert = analyze(curve, pair).verdict.certificate
         assert cert.quantity == "S_2"
-        assert cert.lower == F(13, 18)
-        assert cert.upper == F(11, 18)
+        assert cert_bound(cert, "lower") == F(13, 18)
+        assert cert_bound(cert, "upper") == F(11, 18)
 
 
 class TestAllTwistsRule:
@@ -483,8 +484,8 @@ class TestAnalyze:
         assert report.region.status == INFEASIBLE
         cert = report.verdict.certificate
         assert cert.quantity == "S_1"
-        assert (cert.lower, cert.lower_open) == (F(6, 11), False)
-        assert (cert.upper, cert.upper_open) == (F(2, 11), False)
+        assert (cert_bound(cert, "lower"), cert.lower_open) == (F(6, 11), False)
+        assert (cert_bound(cert, "upper"), cert.upper_open) == (F(2, 11), False)
         assert cert.upper_reason == "S_0 = 0; w_1 <= 2/11 (subsheaf slope bound)"
         assert cert.verify()
 
@@ -494,7 +495,7 @@ class TestAnalyze:
                                  kernel_restriction_semistable=(True, True))
         report = analyze(curve, pair)
         assert report.verdict.kind == W_SEMISTABLE
-        assert report.verdict.witness.weights == (F(1, 2), F(1, 2))
+        assert weights(report.verdict.witness) == (F(1, 2), F(1, 2))
         assert report.region.status == FEASIBLE
 
     def test_no_flags_inconclusive_with_region(self):

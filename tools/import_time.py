@@ -1,19 +1,24 @@
 """Time the start-up import of ``chainstab.cli`` in two or more source trees.
 
-Usage: python3 tools/import_time.py SRC_DIR [SRC_DIR ...]
+Usage: python3 tools/import_time.py OLD_SRC NEW_SRC [SRC_DIR ...] [--runs N]
 
 Runs the benchmark's own start-up timing (``SETUP_CODE`` of
 ``bench/run.py``, read from that file, not imported) in fresh
-``python -I`` interpreters, 20 times per tree, alternating the trees so
-that a slow stretch of the machine falls on all of them alike.  One
-uncounted run per tree comes first, so byte-code caches are written
-before timing.  For each tree it prints the median and the quartiles of
-the import time, in ms, and the modules that importing ``chainstab.cli``
-added to ``sys.modules``.  Standard library only.
+``python -I`` interpreters, N times per tree (default 20).  Each round
+times every tree once, in alternating order, so that a slow stretch of
+the machine falls on all of them alike.  One uncounted run per tree comes
+first, so byte-code caches are written before timing.  For each tree it
+prints the median and the quartiles of the import time, in ms, and the
+modules that importing ``chainstab.cli`` added to ``sys.modules``.  Each
+tree after the first is then set against the first, as
+``tools/bench_pairs.py`` states a claim: the ratio of the medians (that
+tree over the first) and the number of rounds each of the two was faster
+in (ties count for neither).  Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import statistics
 import subprocess
@@ -21,7 +26,6 @@ import sys
 from pathlib import Path
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
-RUNS = 20
 ADDED_CODE = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
               "import chainstab.cli; print(' '.join(sorted(set(sys.modules) - before)))")
 
@@ -41,24 +45,39 @@ def child(code: str, src: Path) -> str:
     return res.stdout.strip()
 
 
-def main(argv: list[str]) -> int:
-    trees = [Path(a).resolve() for a in argv[1:]]
-    if not trees or not all((t / "chainstab" / "cli.py").is_file() for t in trees):
-        print("usage: python3 tools/import_time.py SRC_DIR [SRC_DIR ...]", file=sys.stderr)
-        return 2
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("trees", nargs="+", type=Path, metavar="SRC_DIR",
+                        help="a source tree holding chainstab/cli.py")
+    parser.add_argument("--runs", type=int, default=20, help="timed imports per tree")
+    args = parser.parse_args(argv)
+    trees = [t.resolve() for t in args.trees]
+    for tree in trees:
+        if not (tree / "chainstab" / "cli.py").is_file():
+            parser.error(f"{tree} holds no chainstab/cli.py")
+    if args.runs < 2:
+        parser.error("--runs must be at least 2")
     code = setup_code()
     for tree in trees:
         child(code, tree)
     times = {tree: [] for tree in trees}
-    for i in range(RUNS):
+    for i in range(args.runs):
         for tree in (trees if i % 2 == 0 else trees[::-1]):
             times[tree].append(float(child(code, tree)) * 1000)
+    medians = {}
     for tree in trees:
-        q1, median, q3 = statistics.quantiles(times[tree], n=4)
-        print(f"{tree}: median {median:.2f} ms [q1 {q1:.2f}, q3 {q3:.2f}] over {RUNS} imports")
+        q1, medians[tree], q3 = statistics.quantiles(times[tree], n=4)
+        print(f"{tree}: median {medians[tree]:.2f} ms [q1 {q1:.2f}, q3 {q3:.2f}] "
+              f"over {args.runs} imports")
         print(f"  added: {child(ADDED_CODE, tree)}")
+    first = trees[0]
+    for tree in trees[1:]:
+        won = sum(t < f for f, t in zip(times[first], times[tree]))
+        lost = sum(t > f for f, t in zip(times[first], times[tree]))
+        print(f"{tree} against {first}: ratio of medians {medians[tree] / medians[first]:.3f}, "
+              f"faster in {won} of {args.runs} rounds, slower in {lost}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
