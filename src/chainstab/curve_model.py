@@ -29,22 +29,33 @@ from .errors import UnsupportedData, ValidationError
 from .record import Record
 
 
-def _int_tuple(name: str, values: Sequence[int]) -> tuple[int, ...]:
+def _int_tuple(path: str, values: Sequence[int]) -> tuple[int, ...]:
+    """``values`` as a tuple, refused unless every entry is an int (not a bool).
+
+    ``path`` names the list as a scenario file does ("curve.genera"), so the
+    library and the command line refuse it with one text:
+    "curve.genera: expected an integer, got 0.5".
+    """
     out = tuple(values)
     if {*map(type, out)} <= {int}:  # the common case, checked at C speed
         return out
     for v in out:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise ValidationError(f"{name} must contain integers, got {v!r}")
+            raise ValidationError(f"{path}: expected an integer, got {v!r}")
     return out
 
 
 def _bool_tuple(name: str, values, n: int) -> tuple[bool, ...]:
+    """The pair flag list ``name`` as a tuple of ``n`` bools; all false if omitted.
+
+    A non-boolean entry is refused with the flag's scenario path, as the
+    command line prints it: "pair.h1_vanishes: expected booleans, got 1".
+    """
     if values is None:
         return (False,) * n
     out = tuple(values)
     if not {*map(type, out)} <= {bool}:  # bool has no subclasses
-        raise ValidationError(f"{name} must contain booleans, "
+        raise ValidationError(f"pair.{name}: expected booleans, "
                               f"got {next(v for v in out if type(v) is not bool)!r}")
     if len(out) != n:
         raise ValidationError(f"{name} must have length {n}, got {len(out)}")
@@ -57,7 +68,7 @@ class ChainCurve(Record):
     __slots__ = ("genera",)
 
     def __init__(self, genera: Sequence[int]):
-        genera = _int_tuple("genera", genera)
+        genera = _int_tuple("curve.genera", genera)
         if len(genera) < 2:
             raise ValidationError("a chain-like curve needs at least two components")
         if min(genera) < 2:
@@ -96,8 +107,8 @@ class SheafNumerics(Record):
     __slots__ = ("curve", "multirank", "multidegree", "chi_components", "chi")
 
     def __init__(self, curve: ChainCurve, multirank: Sequence[int], multidegree: Sequence[int]):
-        multirank = _int_tuple("multirank", multirank)
-        multidegree = _int_tuple("multidegree", multidegree)
+        multirank = _int_tuple("sheaf.multirank", multirank)
+        multidegree = _int_tuple("sheaf.multidegree", multidegree)
         n = curve.n
         for name, seq in (("multirank", multirank), ("multidegree", multidegree)):
             if len(seq) != n:
@@ -129,7 +140,7 @@ class LineBundleTwist(Record):
     __slots__ = ("multidegree",)
 
     def __init__(self, multidegree: Sequence[int]):
-        multidegree = _int_tuple("multidegree", multidegree)
+        multidegree = _int_tuple("twist.multidegree", multidegree)
         if not multidegree:
             raise ValidationError("twist multidegree must be non-empty")
         object.__setattr__(self, "multidegree", multidegree)
@@ -176,14 +187,16 @@ class GeneratedPairData(Record):
                  ker_rho_nonzero: Optional[Sequence[bool]] = None,
                  twisted_sections_nonzero: Optional[Sequence[bool]] = None,
                  h1_vanishes: Optional[Sequence[bool]] = None):
-        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-            raise ValidationError(f"rank must be a positive integer, got {rank!r}")
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise ValidationError(f"pair.rank: expected an integer, got {rank!r}")
         if isinstance(sections, bool) or not isinstance(sections, int):
-            raise ValidationError(f"sections must be an integer, got {sections!r}")
+            raise ValidationError(f"pair.sections: expected an integer, got {sections!r}")
+        multidegree = _int_tuple("pair.multidegree", multidegree)
+        if rank < 1:
+            raise ValidationError(f"rank must be a positive integer, got {rank!r}")
         if sections <= rank:
             raise ValidationError(
                 f"a generated pair needs more sections than rank, got {sections} <= {rank}")
-        multidegree = _int_tuple("multidegree", multidegree)
         n = len(multidegree)
         if n < 2:
             raise ValidationError("multidegree must cover at least two components")
@@ -239,7 +252,7 @@ def validate_pair(curve: ChainCurve, pair: GeneratedPairData) -> None:
     """Check that pair data refers to the same number of components as the curve."""
     if pair.n != curve.n:
         raise ValidationError(
-            f"pair data covers {pair.n} components but the curve has {curve.n}")
+            f"pair.multidegree has length {pair.n} but the curve has {curve.n} components")
 
 
 def kernel_numerics(curve: ChainCurve, pair: GeneratedPairData) -> SheafNumerics:
@@ -251,10 +264,11 @@ def kernel_numerics(curve: ChainCurve, pair: GeneratedPairData) -> SheafNumerics
 
 def twist(sheaf: SheafNumerics, line: LineBundleTwist) -> SheafNumerics:
     """Twist a uniform-rank sheaf by a line bundle: each degree d_j shifts by rank * t_j."""
+    if line.n != sheaf.n:
+        raise ValidationError(
+            f"twist.multidegree has length {line.n} but the curve has {sheaf.n} components")
     r = sheaf.uniform_rank()
     if r is None:
         raise UnsupportedData("twisting is only defined here for uniform multirank")
-    if line.n != sheaf.n:
-        raise ValidationError(f"twist multidegree must have length {sheaf.n}, got {line.n}")
     return SheafNumerics(sheaf.curve, sheaf.multirank,
                          tuple(map(add, sheaf.multidegree, map(mul, repeat(r), line.multidegree))))

@@ -101,14 +101,11 @@ class KBoundResult(NamedTuple):
     """Result of the global section-count bound check.
 
     ``bound`` is sum(per_component) - (n-1)*rank, from the per-component
-    bounds and the ``methods`` that gave them.  ``holds`` records that the
-    bound is strictly below total degree + rank (guaranteed whenever the
-    check's preconditions are met); ``k_within_bound`` compares the declared
-    section count against the bound.
+    bounds and the ``methods`` that gave them; ``k_within_bound`` compares
+    the declared section count against the bound.
     """
 
     bound: int
-    holds: bool
     k_within_bound: bool
     per_component: tuple[int, ...]
     methods: tuple[str, ...]
@@ -149,12 +146,19 @@ def clifford_h0_bound(genus: int, rank: int, degree: int) -> tuple[int, str]:
 
 
 def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
-    """Check the strict bound (section count) < degree + rank.
+    """The section-count bound of a pair whose restrictions are all semistable.
 
     Applicable when every restriction is semistable and some component has
     positive degree.  The global bound is the sum of the per-component
-    bounds less the node correction (n-1)*rank; it is then always strictly
-    below d + r, and the declared section count is validated against it.
+    bounds b_j of ``clifford_h0_bound`` less the node correction (n-1)*r,
+    and the declared section count is compared against it.
+
+    The bound is always strictly below d + r (d the total degree, r the
+    rank).  Each b_j is at most d_j + r, with equality only for d_j = 0:
+    in the Clifford branch floor(d_j/2) + r <= d_j + r, with equality
+    exactly when floor(d_j/2) = d_j, that is d_j = 0; in the Riemann-Roch
+    branch d_j + r(1 - g_j) <= d_j - r, as g_j >= 2.  Some d_j is positive,
+    so sum_j b_j < d + n*r, and the bound sum_j b_j - (n-1)*r < d + r.
     """
     validate_pair(curve, pair)
     if not all(pair.restriction_semistable):
@@ -164,9 +168,7 @@ def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
     per, methods = zip(*(clifford_h0_bound(g, pair.rank, d)
                          for g, d in zip(curve.genera, pair.multidegree)))
     bound = sum(per) - (curve.n - 1) * pair.rank
-    return KBoundResult(bound=bound,
-                        holds=bound < pair.total_degree + pair.rank,
-                        k_within_bound=pair.sections <= bound,
+    return KBoundResult(bound=bound, k_within_bound=pair.sections <= bound,
                         per_component=per, methods=methods)
 
 

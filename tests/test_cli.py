@@ -393,6 +393,132 @@ class TestValidation:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def pair_scenario(genera=(2, 2, 2), twist=None, **fields):
+    """A valid three-component pair scenario, with ``fields`` set in the pair."""
+    data = {"curve": {"genera": list(genera)},
+            "subject": {"pair": {"rank": 1, "sections": 3, "multidegree": [1, 1, 1], **fields}}}
+    if twist is not None:
+        data["twist"] = {"multidegree": twist}
+    return data
+
+
+def sheaf_scenario(multirank=(1, 1, 1), multidegree=(0, 0, 0)):
+    return {"curve": {"genera": [2, 2, 2]},
+            "subject": {"sheaf": {"multirank": list(multirank), "multidegree": list(multidegree)}}}
+
+
+# One fault per scenario, for each check that parsing or the model makes: the
+# refusal every command prints for it.
+REFUSALS = [
+    pytest.param([], "scenario: expected an object, got list", id="scenario-shape"),
+    pytest.param(dict(pair_scenario(), extra=1), "scenario: unknown fields ['extra']",
+                 id="scenario-unknown"),
+    pytest.param({"subject": pair_scenario()["subject"]},
+                 "scenario: missing required field 'curve'", id="curve-missing"),
+    pytest.param(dict(pair_scenario(), curve={"genera": 2}),
+                 "curve.genera: expected a list, got int", id="genera-shape"),
+    pytest.param(pair_scenario(genera=(2, 0.5, 2)), "curve.genera: expected an integer, got 0.5",
+                 id="genera-type"),
+    pytest.param(pair_scenario(genera=(2, True, 2)), "curve.genera: expected an integer, got True",
+                 id="genera-bool"),
+    pytest.param(pair_scenario(genera=(2,)), "a chain-like curve needs at least two components",
+                 id="one-component"),
+    pytest.param(pair_scenario(genera=(2, 1, 2)), "every component genus must be at least 2, got [1]",
+                 id="genus-below-2"),
+    pytest.param(dict(pair_scenario(), subject={}),
+                 "subject: provide exactly one of 'sheaf' or 'pair'", id="subject-none"),
+    pytest.param(sheaf_scenario(multirank=(1, True, 1)),
+                 "sheaf.multirank: expected an integer, got True", id="multirank-type"),
+    pytest.param(sheaf_scenario(multidegree=(0, "0", 0)),
+                 "sheaf.multidegree: expected an integer, got '0'", id="sheaf-degree-type"),
+    pytest.param(sheaf_scenario(multirank=(1, -1, 1)), "multirank entries must be non-negative",
+                 id="multirank-negative"),
+    pytest.param(sheaf_scenario(multirank=(1, 1)), "multirank must have length 3, got 2",
+                 id="multirank-length"),
+    pytest.param(sheaf_scenario(multidegree=(0, 0, 0, 0)), "multidegree must have length 3, got 4",
+                 id="sheaf-degree-length"),
+    pytest.param({"curve": {"genera": [2, 2, 2]}, "subject": {"sheaf": {"multirank": [1, 1, 1]}}},
+                 "subject.sheaf: missing required field 'multidegree'", id="sheaf-missing"),
+    pytest.param(pair_scenario(multidegree=[1, 1.0, 1]),
+                 "pair.multidegree: expected an integer, got 1.0", id="pair-degree-type"),
+    pytest.param(pair_scenario(multidegree=3), "pair.multidegree: expected a list, got int",
+                 id="pair-degree-shape"),
+    pytest.param(pair_scenario(rank=1.5), "pair.rank: expected an integer, got 1.5",
+                 id="rank-type"),
+    pytest.param(pair_scenario(rank=True), "pair.rank: expected an integer, got True",
+                 id="rank-bool"),
+    pytest.param(pair_scenario(sections="3"), "pair.sections: expected an integer, got '3'",
+                 id="sections-type"),
+    pytest.param(pair_scenario(rank=0), "rank must be a positive integer, got 0",
+                 id="rank-below-1"),
+    pytest.param(pair_scenario(sections=1),
+                 "a generated pair needs more sections than rank, got 1 <= 1",
+                 id="sections-not-above-rank"),
+    pytest.param(pair_scenario(multidegree=[1, -1, 1]),
+                 "a globally generated restriction has non-negative degree",
+                 id="pair-degree-negative"),
+    pytest.param(pair_scenario(multidegree=[1]), "multidegree must cover at least two components",
+                 id="pair-one-component"),
+    pytest.param(pair_scenario(multidegree=[1, 1]),
+                 "pair.multidegree has length 2 but the curve has 3 components",
+                 id="pair-degree-length"),
+    pytest.param(pair_scenario(h1_vanishes=True), "pair.h1_vanishes: expected a list, got bool",
+                 id="flag-shape"),
+    pytest.param(pair_scenario(h1_vanishes=[False, 0, False]),
+                 "pair.h1_vanishes: expected booleans, got 0", id="flag-type"),
+    pytest.param(pair_scenario(ker_rho_nonzero=[False, False]),
+                 "ker_rho_nonzero must have length 3, got 2", id="flag-length"),
+    pytest.param(pair_scenario(restriction_stable=[False, True, False]),
+                 "component 2: restriction_stable requires restriction_semistable",
+                 id="stable-not-semistable"),
+    pytest.param(pair_scenario(kernel_restriction_stable=[False, True, False]),
+                 "component 2: kernel_restriction_stable requires kernel_restriction_semistable",
+                 id="kernel-stable-not-semistable"),
+    pytest.param(pair_scenario(rank=2, sections=4, multidegree=[2, 1, 2],
+                               restriction_semistable=[False, True, False],
+                               twisted_sections_nonzero=[False, True, False]),
+                 "component 2: a semistable restriction with a twisted section forces "
+                 "degree >= rank, got 1 < 2", id="twisted-section-below-rank"),
+    pytest.param({"curve": {"genera": [2, 2, 2]},
+                  "subject": {"pair": {"rank": 1, "multidegree": [1, 1, 1]}}},
+                 "subject.pair: missing required field 'sections'", id="pair-missing"),
+    pytest.param(pair_scenario(extra=[]), "subject.pair: unknown fields ['extra']",
+                 id="pair-unknown"),
+    pytest.param(pair_scenario(twist=[0, None, 0]),
+                 "twist.multidegree: expected an integer, got None", id="twist-type"),
+    pytest.param(pair_scenario(twist=[0, 0]),
+                 "twist.multidegree has length 2 but the curve has 3 components",
+                 id="twist-length"),
+    pytest.param(pair_scenario(twist=[]), "twist multidegree must be non-empty", id="twist-empty"),
+    pytest.param(dict(pair_scenario(), twist={"degrees": [0, 0, 0]}),
+                 "twist: unknown fields ['degrees']", id="twist-unknown"),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "polarize", "oracle"])
+@pytest.mark.parametrize("data,message", REFUSALS)
+def test_refusal_text(tmp_path, capsys, command, data, message):
+    path = write_scenario(tmp_path, data)
+    assert cli.main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("build,data", [
+    (lambda: GeneratedPairData(rank=1, sections=3, multidegree=(1, 1, 1),
+                               h1_vanishes=(False, 0, False)),
+     pair_scenario(h1_vanishes=[False, 0, False])),
+    (lambda: ChainCurve((2, 0.5, 2)), pair_scenario(genera=(2, 0.5, 2))),
+], ids=["flag-list", "integer-list"])
+def test_library_and_parser_refuse_with_one_text(build, data):
+    with pytest.raises(ValidationError) as library:
+        build()
+    with pytest.raises(ValidationError) as parser:
+        cli.parse_scenario(data)
+    assert str(library.value) == str(parser.value)
+
+
 class TestCanonicalOutput:
     @pytest.mark.parametrize("command,data", [
         ("polarize", TRIVIAL_SHEAF),

@@ -143,8 +143,8 @@ class TestGeneratedPairData:
          "component 2: restriction_stable requires restriction_semistable"),
         (dict(kernel_restriction_stable=(False, True, False)),
          "component 2: kernel_restriction_stable requires kernel_restriction_semistable"),
-        (dict(h1_vanishes=(True, 1, False)), "h1_vanishes must contain booleans, got 1"),
-        (dict(h1_vanishes=[False, None]), "h1_vanishes must contain booleans, got None"),
+        (dict(h1_vanishes=(True, 1, False)), "pair.h1_vanishes: expected booleans, got 1"),
+        (dict(h1_vanishes=[False, None]), "pair.h1_vanishes: expected booleans, got None"),
         (dict(h1_vanishes=(True, False)), "h1_vanishes must have length 3, got 2"),
     ])
     def test_flag_refusal_texts(self, flags, text):

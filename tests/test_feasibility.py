@@ -389,7 +389,7 @@ class TestWeightSystem:
     def test_pair_of_another_length_refused(self):
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
         with pytest.raises(ValidationError,
-                           match="pair data covers 2 components but the curve has 3"):
+                           match="pair.multidegree has length 2 but the curve has 3 components"):
             weight_system(ChainCurve((2, 2, 2)), pair)
 
     def test_sheaf_on_another_curve_refused(self):

@@ -342,7 +342,7 @@ def test_gated_pairs_have_a_destabilizer_everywhere(case):
     assert report.witness_checks == checks
     assert report.agreement
     assert cli.cmd_oracle(cli.Scenario(curve, pair, None), grid.denominator,
-                          twist_range)["witness_failures"] == []
+                          twist_range)["discrepancies"] == []
     systems = [kernel_system(curve, pair, LineBundleTwist(degs))
                for degs in itertools.product(range(-twist_range, twist_range + 1),
                                              repeat=curve.n)]
@@ -367,7 +367,7 @@ def test_all_twists_check_is_one_identity(monkeypatch):
     report = cross_validate(curve, grid, pair, twist_range=3)
     assert report.witness_checks == 86779 and report.agreement
     assert len(kernels) == 1 and len(built) == report.grid_count
-    assert cli.cmd_oracle(cli.Scenario(curve, pair, None), 24, 3)["witness_failures"] == []
+    assert cli.cmd_oracle(cli.Scenario(curve, pair, None), 24, 3)["discrepancies"] == []
     # d - (n-1)m = 9 - 2*2 = 5; one more per subsheaf chi adds m*n = 6 to the left side
     subsheaf_chi = feasibility._subsheaf_chi
     monkeypatch.setattr(feasibility, "_subsheaf_chi",
@@ -413,7 +413,7 @@ class TestCrossValidate:
         report = cross_validate(curve, GridSpec(8, 3), pair, twist_range=1)
         assert report.witness_checks == math.comb(7, 2) * 27
         assert report.agreement
-        assert cli.cmd_oracle(cli.Scenario(curve, pair, None), 8, 1)["witness_failures"] == []
+        assert cli.cmd_oracle(cli.Scenario(curve, pair, None), 8, 1)["discrepancies"] == []
 
     def test_oversized_runs_refused_before_any_work(self):
         curve = ChainCurve((2, 2, 2))
@@ -439,7 +439,7 @@ class TestCrossValidate:
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
         with pytest.raises(ValidationError,
-                           match="pair data covers 2 components but the curve has 3"):
+                           match="pair.multidegree has length 2 but the curve has 3 components"):
             cross_validate(curve, GridSpec(6, 3), pair)
 
     def test_sheaf_on_another_curve_refused(self):

@@ -106,7 +106,7 @@ class TestKBoundCheck:
                                  restriction_semistable=(True, True))
         res = k_bound_check(curve, pair)
         assert res.bound == 5 + 5 - 1 == 9
-        assert res.holds and res.bound < 6 + 6 + 1
+        assert res.bound < 6 + 6 + 1
         assert res.methods == ("riemann_roch_h1_zero",) * 2
 
     def test_both_in_clifford_range(self):
@@ -115,7 +115,7 @@ class TestKBoundCheck:
                                  restriction_semistable=(True, True))
         res = k_bound_check(curve, pair)
         assert res.bound == (2 + 2) + (0 + 2) - 2 == 4
-        assert res.holds and res.bound < 4 + 0 + 2
+        assert res.bound < 4 + 0 + 2
         assert res.methods == ("clifford", "clifford")
 
     def test_mixed_case(self):
@@ -124,7 +124,7 @@ class TestKBoundCheck:
                                  restriction_semistable=(True, True))
         res = k_bound_check(curve, pair)
         assert res.bound == 5 + (1 + 1) - 1 == 6
-        assert res.holds
+        assert res.bound < 6 + 2 + 1
         assert set(res.methods) == {"riemann_roch_h1_zero", "clifford"}
 
     def test_preconditions(self):
@@ -154,13 +154,13 @@ class TestKBoundCheck:
                 degs[0] = 1
             pair = GeneratedPairData(rank=r, sections=r + 1, multidegree=tuple(degs),
                                      restriction_semistable=(True,) * n)
-            assert k_bound_check(curve, pair).holds
+            assert k_bound_check(curve, pair).bound < pair.total_degree + pair.rank
 
     def test_pair_of_another_length_refused(self):
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  restriction_semistable=(True, True))
         with pytest.raises(ValidationError,
-                           match="pair data covers 2 components but the curve has 3"):
+                           match="pair.multidegree has length 2 but the curve has 3 components"):
             k_bound_check(ChainCurve((2, 2, 2)), pair)
 
 
@@ -459,7 +459,7 @@ def test_genus_without_ratio_declares_more_sections_than_chi(n, r, m, data):
 class TestAnalyze:
     def test_pair_of_another_length_refused(self):
         with pytest.raises(ValidationError,
-                           match="pair data covers 2 components but the curve has 3"):
+                           match="pair.multidegree has length 2 but the curve has 3 components"):
             analyze(ChainCurve((2, 2, 2)), endpoint_pair())
 
     def test_endpoint_scenario(self):

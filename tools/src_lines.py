@@ -1,12 +1,16 @@
 """Count the source lines of a package directory, without comments, blanks or docstrings.
 
 Usage: python3 tools/src_lines.py DIR
+       python3 tools/src_lines.py OLD_DIR NEW_DIR
 
 A line counts when it holds a token other than a comment, a blank line or a
 docstring (a string literal that is a statement on its own at the start of
 a module or block).  A token spanning several lines counts each of them.
 Prints one ``name count`` line per ``*.py`` file of DIR, sorted by name,
-then ``total count``.  Standard library only.
+then ``total count``.  Given two directories, it prints ``name old new
+difference`` for each file of either (a file missing from one counts 0),
+then the same for the totals, the difference signed as in "-25".
+Standard library only.
 """
 
 from __future__ import annotations
@@ -32,16 +36,24 @@ def count_lines(source: str) -> int:
     return len(lines)
 
 
+def counts(directory: Path) -> dict[str, int]:
+    """The counted lines of each ``*.py`` file of ``directory``, by file name."""
+    return {path.name: count_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not Path(argv[1]).is_dir():
-        print("usage: python3 tools/src_lines.py DIR", file=sys.stderr)
+    dirs = [Path(arg) for arg in argv[1:]]
+    if len(dirs) not in (1, 2) or not all(d.is_dir() for d in dirs):
+        print("usage: python3 tools/src_lines.py DIR | OLD_DIR NEW_DIR", file=sys.stderr)
         return 2
-    total = 0
-    for path in sorted(Path(argv[1]).glob("*.py")):
-        count = count_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(path.name, count)
-    print("total", total)
+    trees = [counts(d) for d in dirs]
+    rows = [(name, [tree.get(name, 0) for tree in trees])
+            for name in sorted(set().union(*trees))]
+    rows.append(("total", [sum(tree.values()) for tree in trees]))
+    for name, values in rows:
+        diff = [f"{values[1] - values[0]:+d}"] if len(values) == 2 else []
+        print(name, *values, *diff)
     return 0
 
 
