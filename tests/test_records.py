@@ -1,9 +1,11 @@
 """Value-record semantics of the exported types, and what importing the CLI loads.
 
-The validated types are ``__slots__`` records and the plain field bags are
-``NamedTuple``s; both must behave as immutable values: equal and equally
-hashed after ``copy``, ``deepcopy`` and ``pickle``, with the same ``repr``,
-and refusing assignment.
+The validated types are ``__slots__`` records and the types that only carry
+fields are ``collections.namedtuple`` types; both must behave as immutable
+values: equal and equally hashed after ``copy``, ``deepcopy`` and
+``pickle``, with the same ``repr``, and refusing assignment.  The field
+types keep their field names, order and defaults, and ``_replace`` builds
+a copy of the same type.
 """
 
 import copy
@@ -17,7 +19,8 @@ import pytest
 
 import chainstab
 from chainstab import (FeasibleRegion, GridSpec, Polarization, analyze, cli,
-                       cross_validate, simplex_intersect, weight_system)
+                       cross_validate, feasibility, oracle, simplex_intersect, stability,
+                       weight_system)
 from chainstab.curve_model import ChainCurve, GeneratedPairData
 from chainstab.feasibility import INFEASIBLE, declared_bounds, destabilizer_witness
 from chainstab.stability import k_bound_check
@@ -99,6 +102,35 @@ def test_repr_names_every_field():
     assert repr(RECORDS["SheafNumerics"]) == (
         "SheafNumerics(curve=ChainCurve(genera=(2, 2)), multirank=(2, 2), "
         "multidegree=(-6, -6), chi_components=(-8, -8), chi=-18)")
+
+
+FIELD_TYPES = {
+    cli.Scenario: (("curve", "subject", "twist"), {}),
+    stability.KBoundResult: (("bound", "k_within_bound", "per_component", "methods"), {}),
+    stability.Report: (("verdict", "region", "sheaf", "obstructions", "fired", "k_bound",
+                        "notes"), {"notes": ()}),
+    stability._Rule: (("criterion", "fired", "notes", "bounds"), {"bounds": ()}),
+    feasibility.IntervalChain: (("den", "lower", "lower_open", "upper", "upper_open"), {}),
+    feasibility.InfeasibilityCertificate: (
+        ("quantity", "den", "lower", "lower_open", "lower_reason", "upper", "upper_open",
+         "upper_reason"), {}),
+    feasibility._Edges: (("lower", "lower_open", "lower_src", "upper", "upper_open",
+                          "upper_src"), {}),
+    feasibility._Dry: (("on_step", "index", "reach"), {}),
+    feasibility.WeightSystem: (("curve", "pair", "line", "subject", "intervals"), {}),
+    oracle.ValidationReport: (("region_status", "grid_count", "agreement", "discrepancies",
+                               "witness_checks", "notes"), {"notes": ()}),
+}
+
+
+@pytest.mark.parametrize("cls", FIELD_TYPES, ids=lambda cls: cls.__name__)
+def test_field_types_keep_their_fields_and_defaults(cls):
+    fields, defaults = FIELD_TYPES[cls]
+    assert issubclass(cls, tuple)
+    assert cls._fields == fields and cls._field_defaults == defaults
+    record = cls(*range(len(fields)))
+    changed = record._replace(**{fields[0]: -1})
+    assert type(changed) is cls and changed == (-1, *range(1, len(fields)))
 
 
 def test_region_equality_ignores_the_certificate():
