@@ -21,8 +21,9 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .curve_model import PAIR_FLAGS, ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, ValidationError
@@ -74,10 +75,18 @@ rationals appear only in output, as reduced "p/q" strings.  Exit codes:
 """.replace("{limit}", f"{ORACLE_WORK_LIMIT:,}").replace("{chain}", f"{CHAIN_LENGTH_LIMIT:,}")
 
 
-class Scenario(NamedTuple):
-    curve: ChainCurve
-    subject: SheafNumerics | GeneratedPairData
-    twist: Optional[LineBundleTwist]
+class Scenario(namedtuple("Scenario", "curve subject twist")):
+    """A scenario's curve, its subject (sheaf numerics or a generated pair)
+    and its twist, ``None`` when the scenario gives none.
+
+    Fields::
+
+        curve: ChainCurve
+        subject: SheafNumerics | GeneratedPairData
+        twist: Optional[LineBundleTwist]
+    """
+
+    __slots__ = ()
 
 
 def _expect(obj, key, where):

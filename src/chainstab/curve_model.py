@@ -50,6 +50,8 @@ def _bool_tuple(name: str, values, n: int) -> tuple[bool, ...]:
 
     A non-boolean entry is refused with the flag's scenario path, as the
     command line prints it: "pair.h1_vanishes: expected booleans, got 1".
+    ``n`` is the length of ``pair.multidegree``, which a length refusal names
+    beside the flag list, since either of the two may be the one at fault.
     """
     if values is None:
         return (False,) * n
@@ -58,7 +60,8 @@ def _bool_tuple(name: str, values, n: int) -> tuple[bool, ...]:
         raise ValidationError(f"pair.{name}: expected booleans, "
                               f"got {next(v for v in out if type(v) is not bool)!r}")
     if len(out) != n:
-        raise ValidationError(f"{name} must have length {n}, got {len(out)}")
+        raise ValidationError(
+            f"pair.{name} has length {len(out)} but pair.multidegree has length {n}")
     return out
 
 
@@ -70,9 +73,9 @@ class ChainCurve(Record):
     def __init__(self, genera: Sequence[int]):
         genera = _int_tuple("curve.genera", genera)
         if len(genera) < 2:
-            raise ValidationError("a chain-like curve needs at least two components")
+            raise ValidationError("curve.genera: a chain-like curve needs at least two components")
         if min(genera) < 2:
-            raise ValidationError("every component genus must be at least 2, "
+            raise ValidationError("curve.genera: every component genus must be at least 2, "
                                   f"got {[g for g in genera if g < 2]}")
         object.__setattr__(self, "genera", genera)
 
@@ -112,9 +115,10 @@ class SheafNumerics(Record):
         n = curve.n
         for name, seq in (("multirank", multirank), ("multidegree", multidegree)):
             if len(seq) != n:
-                raise ValidationError(f"{name} must have length {n}, got {len(seq)}")
+                raise ValidationError(
+                    f"sheaf.{name} has length {len(seq)} but the curve has {n} components")
         if min(multirank) < 0:
-            raise ValidationError("multirank entries must be non-negative")
+            raise ValidationError("sheaf.multirank: entries must be non-negative")
         # chi_j = d_j + r_j * (1 - g_j)
         chis = tuple(map(add, multidegree, map(mul, multirank, map(sub, repeat(1), curve.genera))))
         object.__setattr__(self, "curve", curve)
@@ -142,7 +146,7 @@ class LineBundleTwist(Record):
     def __init__(self, multidegree: Sequence[int]):
         multidegree = _int_tuple("twist.multidegree", multidegree)
         if not multidegree:
-            raise ValidationError("twist multidegree must be non-empty")
+            raise ValidationError("twist.multidegree must be non-empty")
         object.__setattr__(self, "multidegree", multidegree)
 
     @property
@@ -193,15 +197,16 @@ class GeneratedPairData(Record):
             raise ValidationError(f"pair.sections: expected an integer, got {sections!r}")
         multidegree = _int_tuple("pair.multidegree", multidegree)
         if rank < 1:
-            raise ValidationError(f"rank must be a positive integer, got {rank!r}")
+            raise ValidationError(f"pair.rank: expected a positive integer, got {rank!r}")
         if sections <= rank:
-            raise ValidationError(
-                f"a generated pair needs more sections than rank, got {sections} <= {rank}")
+            raise ValidationError(f"pair.sections: a generated pair needs more sections than "
+                                  f"rank, got {sections} <= {rank}")
         n = len(multidegree)
         if n < 2:
-            raise ValidationError("multidegree must cover at least two components")
+            raise ValidationError("pair.multidegree must cover at least two components")
         if min(multidegree) < 0:
-            raise ValidationError("a globally generated restriction has non-negative degree")
+            raise ValidationError(
+                "pair.multidegree: a globally generated restriction has non-negative degree")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "multidegree", multidegree)

@@ -50,9 +50,10 @@ exceeds the twisted kernel's.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate, compress, repeat
 from operator import add, floordiv, neg, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
                           kernel_numerics, twist)
@@ -113,20 +114,24 @@ class Polarization(Record):
         return len(self.nums)
 
 
-class IntervalChain(NamedTuple):
+class IntervalChain(namedtuple("IntervalChain", "den lower lower_open upper upper_open")):
     """Intervals on S_1..S_{n-1}, at tuple index i - 1, as integer numerators
     over the one positive denominator ``den``.
 
     An endpoint is ``None`` where unbounded, and an unbounded endpoint is
     open.  Bounds that exclude each other give the empty set; the canonical
     empty interval is (0, 0) with both endpoints open.
+
+    Fields::
+
+        den: int
+        lower: tuple
+        lower_open: tuple
+        upper: tuple
+        upper_open: tuple
     """
 
-    den: int
-    lower: tuple
-    lower_open: tuple
-    upper: tuple
-    upper_open: tuple
+    __slots__ = ()
 
 
 class WeightBound(Record):
@@ -154,23 +159,29 @@ class WeightBound(Record):
         object.__setattr__(self, "label", label)
 
 
-class InfeasibilityCertificate(NamedTuple):
+class InfeasibilityCertificate(namedtuple(
+        "InfeasibilityCertificate",
+        "quantity den lower lower_open lower_reason upper upper_open upper_reason")):
     """A clashing pair of one-sided bounds on a single quantity, the values
     ``lower`` / ``den`` and ``upper`` / ``den`` for integer numerators over
     the swept system's positive denominator.
 
     The contradiction re-verifies by a single integer comparison: the lower
     bound exceeds the upper bound (or they meet with a strict side).
+
+    Fields::
+
+        quantity: str
+        den: int
+        lower: int
+        lower_open: bool
+        lower_reason: str
+        upper: int
+        upper_open: bool
+        upper_reason: str
     """
 
-    quantity: str
-    den: int
-    lower: int
-    lower_open: bool
-    lower_reason: str
-    upper: int
-    upper_open: bool
-    upper_reason: str
+    __slots__ = ()
 
     def verify(self) -> bool:
         return _clash(self.lower, self.lower_open, self.upper, self.upper_open)
@@ -286,20 +297,24 @@ def _scale(chain: IntervalChain, bounds: Sequence[WeightBound]) -> tuple[Interva
     return chain, [b.num * (den // b.den) for b in bounds]
 
 
-class _Edges(NamedTuple):
+class _Edges(namedtuple("_Edges", "lower lower_open lower_src upper upper_open upper_src")):
     """The tightest bounds on each step w_j = S_j - S_{j-1}, at list index j - 1.
 
     ``lower_src``/``upper_src`` hold the position of the ``WeightBound`` a
     bound came from, or ``None`` for the simplex's w_j > 0 and for a missing
     upper bound (whose value is then ``None`` too).
+
+    Fields::
+
+        lower: list
+        lower_open: list
+        lower_src: list
+        upper: list
+        upper_open: list
+        upper_src: list
     """
 
-    lower: list
-    lower_open: list
-    lower_src: list
-    upper: list
-    upper_open: list
-    upper_src: list
+    __slots__ = ()
 
 
 def _edges(n: int, values: Sequence[int], bounds: Sequence[WeightBound],
@@ -316,16 +331,20 @@ def _edges(n: int, values: Sequence[int], bounds: Sequence[WeightBound],
     return _Edges(lo, lo_open, lo_src, up, up_open, up_src)
 
 
-class _Dry(NamedTuple):
+class _Dry(namedtuple("_Dry", "on_step index reach")):
     """Where a sweep ran dry: on the step w_index, or on S_index.
 
     ``reach[i]`` is ``(lower, lower_open, lower_tag, upper, upper_open,
     upper_tag)`` for S_i, from S_0 up to the failing index.
+
+    Fields::
+
+        on_step: bool
+        index: int
+        reach: list
     """
 
-    on_step: bool
-    index: int
-    reach: list
+    __slots__ = ()
 
 
 def _sweep(system: IntervalChain, edges: _Edges, strict: bool):
@@ -611,19 +630,23 @@ def destabilizer_witness(system: WeightSystem, w: Polarization
     return None
 
 
-class WeightSystem(NamedTuple):
+class WeightSystem(namedtuple("WeightSystem", "curve pair line subject intervals")):
     """A subject's weight system before any rule contributes to it.
 
     ``subject`` is the twisted sheaf whose slope inequalities give
     ``intervals``; ``pair`` is set only for a pair's kernel, whose declared
     subsheaf bounds ``declared_bounds`` builds.
+
+    Fields::
+
+        curve: ChainCurve
+        pair: Optional[GeneratedPairData]
+        line: LineBundleTwist
+        subject: SheafNumerics
+        intervals: IntervalChain
     """
 
-    curve: ChainCurve
-    pair: Optional[GeneratedPairData]
-    line: LineBundleTwist
-    subject: SheafNumerics
-    intervals: IntervalChain
+    __slots__ = ()
 
 
 def weight_system(curve: ChainCurve, subject: SheafNumerics | GeneratedPairData,

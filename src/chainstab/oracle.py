@@ -22,7 +22,8 @@ estimated up front, exactly up to a cap, and refused above
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import Optional, Sequence
 
 from .curve_model import ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
@@ -141,19 +142,24 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
     return survivors
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(namedtuple("ValidationReport", "region_status grid_count agreement "
+                                  "discrepancies witness_checks notes", defaults=((),))):
     """Outcome of one cross-validation run; discrepancies are data, not errors.
 
     ``witness_checks`` counts the grid/twist pairs the destabilizer identity
     decides; none of them can fail.
+
+    Fields::
+
+        region_status: str
+        grid_count: int
+        agreement: bool
+        discrepancies: tuple[str, ...]
+        witness_checks: int
+        notes: tuple[str, ...] = ()
     """
 
-    region_status: str
-    grid_count: int
-    agreement: bool
-    discrepancies: tuple[str, ...]
-    witness_checks: int
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def _sweeps_twists(pair: Optional[GeneratedPairData]) -> bool:

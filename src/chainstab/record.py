@@ -3,7 +3,8 @@
 The package's validated types subclass ``Record``: a subclass names its
 fields in ``__slots__``, and its ``__init__`` checks the arguments and sets
 each field once with ``object.__setattr__``.  Types that only carry fields
-are ``typing.NamedTuple``s instead.
+subclass a ``collections.namedtuple`` type instead, with ``__slots__ = ()``
+and their field types listed in their docstring.
 """
 
 from __future__ import annotations

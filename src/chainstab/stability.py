@@ -40,9 +40,10 @@ printed beside it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import compress, count
 from operator import and_
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,
                           arithmetic_genus, validate_pair)
@@ -97,52 +98,71 @@ class Verdict(Record):
         object.__setattr__(self, "notes", tuple(notes))
 
 
-class KBoundResult(NamedTuple):
+class KBoundResult(namedtuple("KBoundResult", "bound k_within_bound per_component methods")):
     """Result of the global section-count bound check.
 
     ``bound`` is sum(per_component) - (n-1)*rank, from the per-component
     bounds and the ``methods`` that gave them; ``k_within_bound`` compares
     the declared section count against the bound.
+
+    Fields::
+
+        bound: int
+        k_within_bound: bool
+        per_component: tuple[int, ...]
+        methods: tuple[str, ...]
     """
 
-    bound: int
-    k_within_bound: bool
-    per_component: tuple[int, ...]
-    methods: tuple[str, ...]
+    __slots__ = ()
 
 
-class Report(NamedTuple):
-    """Aggregated analysis: strongest verdict plus all diagnostics."""
+class Report(namedtuple("Report", "verdict region sheaf obstructions fired k_bound notes",
+                        defaults=((),))):
+    """Aggregated analysis: strongest verdict plus all diagnostics.
 
-    verdict: Verdict
-    region: Optional[FeasibleRegion]
-    sheaf: SheafNumerics
-    obstructions: tuple[bool, ...]
-    fired: tuple[str, ...]
-    k_bound: Optional[KBoundResult]
-    notes: tuple[str, ...] = ()
+    Fields::
 
+        verdict: Verdict
+        region: Optional[FeasibleRegion]
+        sheaf: SheafNumerics
+        obstructions: tuple[bool, ...]
+        fired: tuple[str, ...]
+        k_bound: Optional[KBoundResult]
+        notes: tuple[str, ...] = ()
+    """
 
-class _Rule(NamedTuple):
-    """One rule's evaluation: whether it fired, why, and the bounds it adds."""
-
-    criterion: str
-    fired: bool
-    notes: tuple[str, ...]
-    bounds: tuple[WeightBound, ...] = ()
+    __slots__ = ()
 
 
-def clifford_h0_bound(genus: int, rank: int, degree: int) -> tuple[int, str]:
-    """Section-count bound for one semistable component bundle.
+class _Rule(namedtuple("_Rule", "criterion fired notes bounds", defaults=((),))):
+    """One rule's evaluation: whether it fired, why, and the bounds it adds.
+
+    Fields::
+
+        criterion: str
+        fired: bool
+        notes: tuple[str, ...]
+        bounds: tuple[WeightBound, ...] = ()
+    """
+
+    __slots__ = ()
+
+
+def clifford_h0_bounds(genera: Sequence[int], rank: int,
+                       degrees: Sequence[int]) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Section-count bounds of semistable bundles of rank ``rank``, one per
+    component of genus ``genera[i]`` and degree ``degrees[i]``, and the
+    method that gave each.
 
     In the slope range [0, 2g-2] the bound is floor(d/2) + r; above the
     range h1 vanishes and it is the Euler characteristic d + r(1-g).
     """
-    if genus < 2 or rank < 1 or degree < 0:
+    if min(genera) < 2 or rank < 1 or min(degrees) < 0:
         raise ValidationError("the section bound needs genus >= 2, rank >= 1, degree >= 0")
-    if degree <= (2 * genus - 2) * rank:
-        return degree // 2 + rank, METHOD_CLIFFORD
-    return degree + rank * (1 - genus), METHOD_RIEMANN_ROCH
+    clifford = [d <= (2 * g - 2) * rank for g, d in zip(genera, degrees)]
+    return (tuple([d // 2 + rank if c else d + rank * (1 - g)
+                   for g, d, c in zip(genera, degrees, clifford)]),
+            tuple([METHOD_CLIFFORD if c else METHOD_RIEMANN_ROCH for c in clifford]))
 
 
 def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
@@ -150,7 +170,7 @@ def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
 
     Applicable when every restriction is semistable and some component has
     positive degree.  The global bound is the sum of the per-component
-    bounds b_j of ``clifford_h0_bound`` less the node correction (n-1)*r,
+    bounds b_j of ``clifford_h0_bounds`` less the node correction (n-1)*r,
     and the declared section count is compared against it.
 
     The bound is always strictly below d + r (d the total degree, r the
@@ -163,10 +183,9 @@ def k_bound_check(curve: ChainCurve, pair: GeneratedPairData) -> KBoundResult:
     validate_pair(curve, pair)
     if not all(pair.restriction_semistable):
         raise RuleNotApplicable("the section bound needs every restriction semistable")
-    if all(d == 0 for d in pair.multidegree):
+    if not any(pair.multidegree):
         raise RuleNotApplicable("the section bound needs a component of positive degree")
-    per, methods = zip(*(clifford_h0_bound(g, pair.rank, d)
-                         for g, d in zip(curve.genera, pair.multidegree)))
+    per, methods = clifford_h0_bounds(curve.genera, pair.rank, pair.multidegree)
     bound = sum(per) - (curve.n - 1) * pair.rank
     return KBoundResult(bound=bound, k_within_bound=pair.sections <= bound,
                         per_component=per, methods=methods)

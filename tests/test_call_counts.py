@@ -20,7 +20,9 @@ from chainstab import cli
 def scenarios(n: int) -> dict:
     """Long-chain scenarios of ``n`` components: a pair whose kernel system
     is feasible, the same pair twisted so that its sweep runs dry in the last
-    tenth of the chain, and a sheaf of negative chi on every component."""
+    tenth of the chain, the same pair with every restriction declared
+    semistable, so that ``check`` bounds its section count, and a sheaf of
+    negative chi on every component."""
     rng = random.Random(f"calls:{n}")
     genera = [rng.randint(2, 6) for _ in range(n)]
     m = 2
@@ -34,11 +36,15 @@ def scenarios(n: int) -> dict:
              "subject": {"sheaf": {"multirank": [m] * n,
                                    "multidegree": [rng.randint(-6, m * (g - 1) - 1)
                                                    for g in genera]}}}
-    return {"pair": pair, "dry pair": dict(pair, twist={"multidegree": tw}), "sheaf": sheaf}
+    semistable = {"curve": {"genera": genera},
+                  "subject": {"pair": dict(pair["subject"]["pair"],
+                                           restriction_semistable=[True] * n)}}
+    return {"pair": pair, "dry pair": dict(pair, twist={"multidegree": tw}),
+            "semistable pair": semistable, "sheaf": sheaf}
 
 
 COMMANDS = [("check", "pair"), ("polarize", "pair"), ("check", "dry pair"),
-            ("polarize", "dry pair"), ("check", "sheaf")]
+            ("polarize", "dry pair"), ("check", "semistable pair"), ("check", "sheaf")]
 
 
 def run(command: str, data: dict) -> dict:
@@ -66,7 +72,7 @@ def calls(fn, *args) -> Counter:
 def test_the_scenarios_reach_each_status():
     data = scenarios(1000)
     assert [run(command, data[kind])["region"]["status"] for command, kind in COMMANDS] == [
-        "feasible", "feasible", "infeasible", "infeasible", "feasible"]
+        "feasible", "feasible", "infeasible", "infeasible", "feasible", "feasible"]
 
 
 @pytest.mark.parametrize("command,kind", COMMANDS)

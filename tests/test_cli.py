@@ -421,9 +421,11 @@ REFUSALS = [
                  id="genera-type"),
     pytest.param(pair_scenario(genera=(2, True, 2)), "curve.genera: expected an integer, got True",
                  id="genera-bool"),
-    pytest.param(pair_scenario(genera=(2,)), "a chain-like curve needs at least two components",
+    pytest.param(pair_scenario(genera=(2,)),
+                 "curve.genera: a chain-like curve needs at least two components",
                  id="one-component"),
-    pytest.param(pair_scenario(genera=(2, 1, 2)), "every component genus must be at least 2, got [1]",
+    pytest.param(pair_scenario(genera=(2, 1, 2)),
+                 "curve.genera: every component genus must be at least 2, got [1]",
                  id="genus-below-2"),
     pytest.param(dict(pair_scenario(), subject={}),
                  "subject: provide exactly one of 'sheaf' or 'pair'", id="subject-none"),
@@ -431,11 +433,13 @@ REFUSALS = [
                  "sheaf.multirank: expected an integer, got True", id="multirank-type"),
     pytest.param(sheaf_scenario(multidegree=(0, "0", 0)),
                  "sheaf.multidegree: expected an integer, got '0'", id="sheaf-degree-type"),
-    pytest.param(sheaf_scenario(multirank=(1, -1, 1)), "multirank entries must be non-negative",
-                 id="multirank-negative"),
-    pytest.param(sheaf_scenario(multirank=(1, 1)), "multirank must have length 3, got 2",
+    pytest.param(sheaf_scenario(multirank=(1, -1, 1)),
+                 "sheaf.multirank: entries must be non-negative", id="multirank-negative"),
+    pytest.param(sheaf_scenario(multirank=(1, 1)),
+                 "sheaf.multirank has length 2 but the curve has 3 components",
                  id="multirank-length"),
-    pytest.param(sheaf_scenario(multidegree=(0, 0, 0, 0)), "multidegree must have length 3, got 4",
+    pytest.param(sheaf_scenario(multidegree=(0, 0, 0, 0)),
+                 "sheaf.multidegree has length 4 but the curve has 3 components",
                  id="sheaf-degree-length"),
     pytest.param({"curve": {"genera": [2, 2, 2]}, "subject": {"sheaf": {"multirank": [1, 1, 1]}}},
                  "subject.sheaf: missing required field 'multidegree'", id="sheaf-missing"),
@@ -449,15 +453,16 @@ REFUSALS = [
                  id="rank-bool"),
     pytest.param(pair_scenario(sections="3"), "pair.sections: expected an integer, got '3'",
                  id="sections-type"),
-    pytest.param(pair_scenario(rank=0), "rank must be a positive integer, got 0",
+    pytest.param(pair_scenario(rank=0), "pair.rank: expected a positive integer, got 0",
                  id="rank-below-1"),
     pytest.param(pair_scenario(sections=1),
-                 "a generated pair needs more sections than rank, got 1 <= 1",
+                 "pair.sections: a generated pair needs more sections than rank, got 1 <= 1",
                  id="sections-not-above-rank"),
     pytest.param(pair_scenario(multidegree=[1, -1, 1]),
-                 "a globally generated restriction has non-negative degree",
+                 "pair.multidegree: a globally generated restriction has non-negative degree",
                  id="pair-degree-negative"),
-    pytest.param(pair_scenario(multidegree=[1]), "multidegree must cover at least two components",
+    pytest.param(pair_scenario(multidegree=[1]),
+                 "pair.multidegree must cover at least two components",
                  id="pair-one-component"),
     pytest.param(pair_scenario(multidegree=[1, 1]),
                  "pair.multidegree has length 2 but the curve has 3 components",
@@ -467,7 +472,11 @@ REFUSALS = [
     pytest.param(pair_scenario(h1_vanishes=[False, 0, False]),
                  "pair.h1_vanishes: expected booleans, got 0", id="flag-type"),
     pytest.param(pair_scenario(ker_rho_nonzero=[False, False]),
-                 "ker_rho_nonzero must have length 3, got 2", id="flag-length"),
+                 "pair.ker_rho_nonzero has length 2 but pair.multidegree has length 3",
+                 id="flag-length"),
+    pytest.param(pair_scenario(multidegree=[1, 1], h1_vanishes=[False, False, False]),
+                 "pair.h1_vanishes has length 3 but pair.multidegree has length 2",
+                 id="flag-length-degree-short"),
     pytest.param(pair_scenario(restriction_stable=[False, True, False]),
                  "component 2: restriction_stable requires restriction_semistable",
                  id="stable-not-semistable"),
@@ -489,7 +498,7 @@ REFUSALS = [
     pytest.param(pair_scenario(twist=[0, 0]),
                  "twist.multidegree has length 2 but the curve has 3 components",
                  id="twist-length"),
-    pytest.param(pair_scenario(twist=[]), "twist multidegree must be non-empty", id="twist-empty"),
+    pytest.param(pair_scenario(twist=[]), "twist.multidegree must be non-empty", id="twist-empty"),
     pytest.param(dict(pair_scenario(), twist={"degrees": [0, 0, 0]}),
                  "twist: unknown fields ['degrees']", id="twist-unknown"),
 ]

@@ -145,7 +145,8 @@ class TestGeneratedPairData:
          "component 2: kernel_restriction_stable requires kernel_restriction_semistable"),
         (dict(h1_vanishes=(True, 1, False)), "pair.h1_vanishes: expected booleans, got 1"),
         (dict(h1_vanishes=[False, None]), "pair.h1_vanishes: expected booleans, got None"),
-        (dict(h1_vanishes=(True, False)), "h1_vanishes must have length 3, got 2"),
+        (dict(h1_vanishes=(True, False)),
+         "pair.h1_vanishes has length 2 but pair.multidegree has length 3"),
     ])
     def test_flag_refusal_texts(self, flags, text):
         with pytest.raises(ValidationError) as exc:

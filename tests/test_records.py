@@ -133,6 +133,15 @@ def test_field_types_keep_their_fields_and_defaults(cls):
     assert type(changed) is cls and changed == (-1, *range(1, len(fields)))
 
 
+@pytest.mark.parametrize("cls", FIELD_TYPES, ids=lambda cls: cls.__name__)
+def test_field_types_document_every_field_and_take_no_other_attribute(cls):
+    fields, _ = FIELD_TYPES[cls]
+    assert all(f"\n        {name}: " in cls.__doc__ for name in fields)
+    record = cls(*range(len(fields)))
+    with pytest.raises(AttributeError):
+        record.not_a_field = 0
+
+
 def test_region_equality_ignores_the_certificate():
     region = RECORDS["FeasibleRegion"]
     bare = FeasibleRegion(region.s_intervals, INFEASIBLE)

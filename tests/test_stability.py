@@ -11,7 +11,7 @@ from chainstab.curve_model import (PAIR_FLAGS, ChainCurve, GeneratedPairData, Li
 from chainstab.errors import ContradictoryHypotheses, RuleNotApplicable, ValidationError
 from chainstab.feasibility import FEASIBLE, INFEASIBLE, WeightBound, check_bigas, weight_system
 from chainstab.stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE,
-                                 analyze, analyze_sheaf, clifford_h0_bound, k_bound_check)
+                                 analyze, analyze_sheaf, clifford_h0_bounds, k_bound_check)
 from reference import cert_bound, weights
 
 F = Fraction
@@ -80,23 +80,23 @@ class TestCertifyWSemistable:
 
 class TestCliffordH0Bound:
     def test_in_range(self):
-        assert clifford_h0_bound(3, 2, 4) == (4, "clifford")
+        assert clifford_h0_bounds((3,), 2, (4,)) == ((4,), ("clifford",))
 
     def test_above_range_riemann_roch(self):
         # declared h1 vanishing leaves the bound of a semistable component as it is
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  restriction_semistable=(True, True), h1_vanishes=(True, True))
         assert k_bound_check(ChainCurve((2, 2)), pair).per_component == (5, 5)
-        assert clifford_h0_bound(2, 1, 6) == (5, "riemann_roch_h1_zero")
+        assert clifford_h0_bounds((2,), 1, (6,)) == ((5,), ("riemann_roch_h1_zero",))
 
     def test_degree_zero(self):
-        assert clifford_h0_bound(2, 1, 0) == (1, "clifford")
+        assert clifford_h0_bounds((2,), 1, (0,)) == ((1,), ("clifford",))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
-            clifford_h0_bound(1, 1, 0)
+            clifford_h0_bounds((2, 1), 1, (0, 0))
         with pytest.raises(ValidationError):
-            clifford_h0_bound(2, 1, -1)
+            clifford_h0_bounds((2, 2), 1, (0, -1))
 
 
 class TestKBoundCheck:
