@@ -168,3 +168,14 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_importing_the_cli_loads_no_fractions():
     # every ratio is an integer numerator over a denominator until printed
     assert not {"fractions", "decimal", "numbers"} & modules_added_by_importing_the_cli()
+
+
+# The modules besides its own that the CLI may load: argparse with gettext,
+# and the json package (which the probe itself imports before it looks).
+CLI_IMPORTS = {"__future__", "_json", "argparse", "gettext", "json", "json.decoder",
+               "json.encoder", "json.scanner"}
+
+
+def test_importing_the_cli_loads_only_the_known_modules():
+    added = modules_added_by_importing_the_cli()
+    assert {name for name in added if name.partition(".")[0] != "chainstab"} <= CLI_IMPORTS

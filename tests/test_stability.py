@@ -3,11 +3,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chainstab import cli, stability
 from chainstab.curve_model import (PAIR_FLAGS, ChainCurve, GeneratedPairData, LineBundleTwist,
-                                   SheafNumerics, arithmetic_genus, kernel_numerics)
+                                   SheafNumerics, arithmetic_genus, kernel_numerics, twist)
 from chainstab.errors import ContradictoryHypotheses, RuleNotApplicable, ValidationError
 from chainstab.feasibility import FEASIBLE, INFEASIBLE, WeightBound, check_bigas, weight_system
 from chainstab.stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE,
@@ -295,6 +295,41 @@ def test_all_twists_verdict_independent_of_twist(twist_degrees):
     v = analyze(curve, pair, LineBundleTwist(tuple(twist_degrees))).verdict
     assert v.kind == STRONGLY_UNSTABLE
     assert v.criterion == "all-twists-degree-ratio"
+
+
+@st.composite
+def gated_pairs_and_twists(draw):
+    """Pairs meeting the all-twists condition (every restriction kernel
+    non-zero, d/m > n - 1) with a non-trivial twist, on 2 to 6 components."""
+    n = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, 3))
+    pair = GeneratedPairData(
+        rank=rank, sections=rank + draw(st.integers(1, 3)),
+        multidegree=tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))),
+        ker_rho_nonzero=(True,) * n)
+    assume(pair.degree_ratio_exceeds())
+    curve = ChainCurve(tuple(draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))))
+    line = LineBundleTwist(tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))))
+    assume(not line.is_trivial())
+    return curve, pair, line
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_pairs_and_twists())
+def test_barycentric_note_names_the_first_destabilizing_subsheaf(case):
+    # at w = (1/n, .., 1/n) the component-j subsheaf has slope numer_j * n, with
+    # numer_j = deg L_j - delta_j + 1 - g_j; the note names the first flagged j
+    # whose slope exceeds the twisted kernel's chi_L / m
+    curve, pair, line = case
+    n, m = curve.n, pair.kernel_rank
+    target = F(twist(kernel_numerics(curve, pair), line).chi, m)
+    slopes = [F((line.multidegree[j - 1] - (1 if j in (1, n) else 2) + 1
+                 - curve.genera[j - 1]) * n) for j in range(1, n + 1)]
+    j = next(j for j in range(1, n + 1) if pair.ker_rho_nonzero[j - 1] and slopes[j - 1] > target)
+    notes = analyze(curve, pair, line).verdict.notes
+    assert [note for note in notes if note.startswith("supplied twist")] == [
+        f"supplied twist, barycentric weights: component {j} subsheaf slope "
+        f"{slopes[j - 1]} exceeds {target}"]
 
 
 class TestTwoComponentRule:
