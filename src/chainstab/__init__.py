@@ -11,11 +11,11 @@ A weight system's slope-inequality intervals are integers throughout: a
 held by ``WeightSystem.intervals`` and ``FeasibleRegion.s_intervals`` and
 printed as reduced "p/q" strings.  A ``WeightBound`` is an integer ratio
 too, built by ``feasibility.declared_bounds`` only for the ``check`` and
-``oracle`` sweeps.  So is everything else: a ``Polarization`` holds integer
-numerators over one denominator, an ``InfeasibilityCertificate`` its two
-bounds as numerators over the swept system's denominator, and a
-``feasibility.DestabilizerWitness`` its slopes as integer pairs.  No module
-imports ``fractions``; ratios become text only when printed.
+``oracle`` sweeps and tested at a weight by ``WeightBound.admits``.  So is
+everything else: a ``Polarization`` holds integer numerators over one
+denominator, and an ``InfeasibilityCertificate`` its two bounds as
+numerators over the swept system's denominator.  No module imports
+``fractions``; ratios become text only when printed.
 """
 
 from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics,

@@ -226,15 +226,16 @@ class GeneratedPairData(Record):
                        default=rank) < rank):
             for j in range(n):
                 if self.restriction_stable[j] and not semi[j]:
-                    raise ValidationError(
-                        f"component {j + 1}: restriction_stable requires restriction_semistable")
+                    raise ValidationError(f"pair.restriction_stable: component {j + 1} "
+                                          "requires pair.restriction_semistable")
                 if kstable[j] and not ksemi[j]:
-                    raise ValidationError(f"component {j + 1}: kernel_restriction_stable requires "
-                                          "kernel_restriction_semistable")
+                    raise ValidationError(f"pair.kernel_restriction_stable: component {j + 1} "
+                                          "requires pair.kernel_restriction_semistable")
                 if twisted[j] and semi[j] and multidegree[j] < rank:
                     raise ValidationError(
-                        f"component {j + 1}: a semistable restriction with a twisted section "
-                        f"forces degree >= rank, got {multidegree[j]} < {rank}")
+                        f"pair.twisted_sections_nonzero: component {j + 1} has a twisted "
+                        "section on a semistable restriction, which forces degree >= rank, "
+                        f"got {multidegree[j]} < {rank}")
 
     @property
     def n(self) -> int:

@@ -42,9 +42,9 @@ given a sheaf, or a pair whose kernel it builds, it twists the subject and
 builds its intervals.  A pair's declared subsheaf bounds are built from
 that system by ``declared_bounds``, only where a command reads them
 (``check`` and ``oracle``), as integer ratios over the twisted kernel's
-|chi|.  Beside them sits their pointwise test, ``destabilizer_witness``:
-the first component subsheaf whose slope under a given polarization
-exceeds the twisted kernel's.
+|chi|.  A bound's own ``WeightBound.admits`` is the one pointwise test:
+a weight it does not admit is one at which that component's subsheaf
+destabilizes the twisted kernel.
 """
 
 from __future__ import annotations
@@ -157,6 +157,20 @@ class WeightBound(Record):
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "open", open)
         object.__setattr__(self, "label", label)
+
+    def admits(self, a: int, d: int) -> bool:
+        """Whether the weight a/d, for a positive ``d``, meets the bound, by one
+        integer cross-multiplication.
+
+        For component j's ``subsheaf_weight_bound``, with numer_j that
+        subsheaf's chi and chi / m the twisted kernel's slope, a/d fails the
+        bound exactly when numer_j*d*m > chi*a: the subsheaf's slope
+        numer_j / w_j then exceeds the kernel's, and it destabilizes at w_j.
+        """
+        lhs, rhs = a * self.den, self.num * d
+        if self.lower:
+            lhs, rhs = rhs, lhs
+        return lhs < rhs if self.open else lhs <= rhs
 
 
 class InfeasibilityCertificate(namedtuple(
@@ -576,58 +590,6 @@ def declared_bounds(system: WeightSystem) -> list[WeightBound]:
     bounds = [subsheaf_weight_bound(system, j)
               for j in compress(range(1, system.curve.n + 1), system.pair.ker_rho_nonzero)]
     return [b for b in bounds if b is not None]
-
-
-class DestabilizerWitness(Record):
-    """A component subsheaf whose slope strictly exceeds the subject's slope;
-    each slope an integer ratio ``(num, den)`` with ``den`` positive."""
-
-    __slots__ = ("component", "subsheaf_slope", "target_slope")
-
-    def __init__(self, component: int, subsheaf_slope: tuple[int, int],
-                 target_slope: tuple[int, int]):
-        if not subsheaf_slope[0] * target_slope[1] > target_slope[0] * subsheaf_slope[1]:
-            raise ValidationError("a destabilizer must strictly exceed the target slope")
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "subsheaf_slope", subsheaf_slope)
-        object.__setattr__(self, "target_slope", target_slope)
-
-
-def _destabilizer_terms(curve: ChainCurve, pair: GeneratedPairData,
-                        degs: Sequence[int]) -> list[tuple[int, int]]:
-    """(j, numer_j) for each component j with a non-zero restriction kernel,
-    in increasing j, under the twist of multidegree ``degs``.
-
-    Under weights w the component-j subsheaf has slope numer_j / w_j, and the
-    kernel twisted by L has slope chi / m: its untwisted chi shifted by
-    m * deg L, with m the kernel rank.
-    """
-    return [(j, _subsheaf_chi(curve, j, degs[j - 1]))
-            for j in range(1, curve.n + 1) if pair.ker_rho_nonzero[j - 1]]
-
-
-def destabilizer_witness(system: WeightSystem, w: Polarization
-                         ) -> Optional[DestabilizerWitness]:
-    """First component whose twisted kernel subsheaf destabilizes under ``w``.
-
-    ``system`` is a pair's weight system: its subject is the kernel twisted
-    by ``system.line``.  For each component j with a non-zero restriction
-    kernel, the subsheaf slope is (deg L_j - delta_j + 1 - g_j) / w_j; the
-    target is the twisted kernel's own slope chi / m.  With w_j = p/q the
-    comparison is the integer one numer*q*m > chi*p, read from the
-    witness's numerators p over its denominator q.  Components are scanned
-    in increasing order so the output is deterministic.
-    """
-    curve, pair, line = system.curve, system.pair, system.line
-    if w.n != curve.n:
-        raise ValidationError("polarization must match the curve's components")
-    m, chi = pair.kernel_rank, system.subject.chi
-    q = w.den
-    for j, numer in _destabilizer_terms(curve, pair, line.multidegree):
-        p = w.nums[j - 1]
-        if numer * q * m > chi * p:
-            return DestabilizerWitness(j, (numer * q, p), (chi, m))
-    return None
 
 
 class WeightSystem(namedtuple("WeightSystem", "curve pair line subject intervals")):

@@ -10,14 +10,14 @@ pair, twisted when a twist is given) and its system come from
 ``feasibility.weight_system``, as for ``check`` and ``polarize``.
 
 For a pair meeting the twist-independent instability condition, the
-component-supported subsheaves of ``feasibility.destabilizer_witness``
-destabilize the kernel at every grid point and every sampled twist.  That
-follows from one integer identity (see ``stability._all_twists``), which
-is checked on the subject's own numbers in O(n) steps: nothing is
-enumerated per twist, and the C(D-1, n-1) * (2B+1)^n grid/twist pairs are
-reported as checks the identity decides.  The work a run may do is
-estimated up front, exactly up to a cap, and refused above
-``ORACLE_WORK_LIMIT``.
+component-supported subsheaves, whose bounds ``WeightBound.admits`` tests
+at a weight, destabilize the kernel at every grid point and every sampled
+twist.  That follows from one integer identity (see
+``stability._all_twists``), which is checked on the subject's own numbers
+in O(n) steps: nothing is enumerated per twist, and the
+C(D-1, n-1) * (2B+1)^n grid/twist pairs are reported as checks the
+identity decides.  The work a run may do is estimated up front, exactly
+up to a cap, and refused above ``ORACLE_WORK_LIMIT``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .curve_model import ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
 from .errors import InternalInvariantError, UnsupportedData, ValidationError
-from .feasibility import (FEASIBLE, Polarization, WeightBound, _destabilizer_terms, _ratio,
+from .feasibility import (FEASIBLE, Polarization, WeightBound, _ratio, _subsheaf_chi,
                           check_bigas, declared_bounds, simplex_intersect, weight_system)
 from .record import Record
 
@@ -57,14 +57,6 @@ class GridSpec(Record):
                 f"denominator {denominator} < {n}: no strictly positive composition exists")
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "n", n)
-
-
-def _admits(bound: WeightBound, a: int, d: int) -> bool:
-    """Whether the weight a/d meets ``bound``, by one integer cross-multiplication."""
-    lhs, rhs = a * bound.den, bound.num * d
-    if bound.lower:
-        lhs, rhs = rhs, lhs
-    return lhs < rhs if bound.open else lhs <= rhs
 
 
 def _cut_ranges(sheaf: SheafNumerics, m: int, d: int) -> tuple[list[int], list[int]]:
@@ -129,12 +121,12 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
             level -= 1
             continue
         cuts[level] = c
-        if at[level] and not all(_admits(b, c - cuts[level - 1], d) for b in at[level]):
+        if at[level] and not all(b.admits(c - cuts[level - 1], d) for b in at[level]):
             continue
         if level < n - 1:
             level += 1
             cuts[level] = max(first[level], c + 1) - 1
-        elif all(_admits(b, d - c, d) for b in at[n]):
+        elif all(b.admits(d - c, d) for b in at[n]):
             survivors.append(Polarization([hi - lo for lo, hi in zip(cuts, cuts[1:])], d))
     for w in survivors:
         if not check_bigas(sheaf, w):
@@ -268,8 +260,9 @@ def cross_validate(curve: ChainCurve, grid: GridSpec,
     if _sweeps_twists(pair):
         m = pair.kernel_rank
         witness_checks = _grid_count(grid) * (2 * twist_range + 1) ** curve.n
-        terms = _destabilizer_terms(curve, pair, system.line.multidegree)
-        excess = m * sum(numer for _, numer in terms) - system.subject.chi
+        degs = system.line.multidegree
+        excess = m * sum([_subsheaf_chi(curve, j, degs[j - 1])
+                          for j in range(1, curve.n + 1)]) - system.subject.chi
         expected = pair.total_degree - (curve.n - 1) * m
         if excess != expected:
             discrepancies.append(

@@ -29,13 +29,12 @@ from the pair itself: the slope-inequality intervals of the (possibly
 twisted) kernel.  ``feasibility.declared_bounds`` adds the weight bound of
 every declared destabilizing subsheaf, an integer ratio over the twisted
 kernel's |chi|, and ``analyze`` builds those bounds only for the sweeps
-that read them.  The same module tests those subsheaves under a
-polarization (``destabilizer_witness``), which the all-twists rule reports
-for a supplied twist.  The rules are predicates over that system that report
-whether they fire and which bounds they add; ``analyze`` builds the
-system once, adds the firing rules' bounds and decides it with one sweep,
-so the certificate or witness of a verdict always comes from the region
-printed beside it.
+that read them.  A bound's ``WeightBound.admits`` tests a subsheaf at one
+weight, which the all-twists rule reports for a supplied twist.  The rules
+are predicates over that system that report whether they fire and which
+bounds they add; ``analyze`` builds the system once, adds the firing
+rules' bounds and decides it with one sweep, so the certificate or witness
+of a verdict always comes from the region printed beside it.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ from .curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist, SheafN
 from .errors import (ContradictoryHypotheses, InternalInvariantError, RuleNotApplicable,
                      ValidationError)
 from .feasibility import (FEASIBLE, FeasibleRegion, InfeasibilityCertificate, Polarization,
-                          WeightBound, WeightSystem, declared_bounds, destabilizer_witness,
-                          _ratio, simplex_intersect, subsheaf_weight_bound, weight_system)
+                          WeightBound, WeightSystem, declared_bounds, _ratio, _subsheaf_chi,
+                          simplex_intersect, subsheaf_weight_bound, weight_system)
 from .record import Record
 
 W_SEMISTABLE = "w_semistable"
@@ -237,7 +236,9 @@ def _all_twists(system: WeightSystem) -> _Rule:
     As sum_k w_k = 1, sum_k w_k (numer_k / w_k - chi_L / m) =
     (d - (n - 1)m) / m > 0, and some subsheaf slope numer_k / w_k exceeds
     the kernel's chi_L / m.  ``oracle.cross_validate`` checks the identity
-    on the subject's own numbers.
+    on the subject's own numbers.  For a supplied twist the rule notes the
+    first component whose ``subsheaf_weight_bound`` does not admit the
+    barycentric weight 1/n, which the identity at w = (1/n, .., 1/n) finds.
     """
     curve, pair, m = system.curve, system.pair, system.pair.kernel_rank
     if not all(pair.ker_rho_nonzero):
@@ -248,12 +249,15 @@ def _all_twists(system: WeightSystem) -> _Rule:
                      (f"degree ratio {pair.total_degree}/{m} does not exceed {curve.n - 1}",))
     notes = [_EVERY_TWIST]
     if not system.line.is_trivial():
-        w = Polarization((1,) * curve.n, curve.n)
-        witness = destabilizer_witness(system, w)
-        if witness is not None:
-            notes.append(f"supplied twist, barycentric weights: component {witness.component} "
-                         f"subsheaf slope {_ratio(*witness.subsheaf_slope)} exceeds "
-                         f"{_ratio(*witness.target_slope)}")
+        n, degs = curve.n, system.line.multidegree
+        bounds = (subsheaf_weight_bound(system, j) for j in range(1, n + 1))
+        j = next((b.index for b in bounds if b is not None and not b.admits(1, n)), None)
+        if j is None:
+            raise InternalInvariantError("the all-twists identity guarantees a subsheaf "
+                                         "destabilizing at the barycentric weights")
+        notes.append(f"supplied twist, barycentric weights: component {j} subsheaf slope "
+                     f"{_subsheaf_chi(curve, j, degs[j - 1]) * n} exceeds "
+                     f"{_ratio(system.subject.chi, m)}")
     return _Rule(CRITERION_ALL_TWISTS, True, tuple(notes))
 
 

@@ -15,10 +15,9 @@ back, and ``bigas_fractions`` is the Fraction formula that
 
 The library holds every ratio as integers: a ``Polarization`` its weights
 as ``nums`` over ``den``, an ``InfeasibilityCertificate`` its two bounds
-as numerators over ``den``, a ``DestabilizerWitness`` its slopes as
-``(num, den)`` pairs.  ``weights``, ``cert_bound`` and ``destabilizer`` read
-them back as Fractions, and ``frac_str`` is the "p/q" text that canonical JSON
-prints for a Fraction, so tests state their values as rationals.
+as numerators over ``den``.  ``weights`` and ``cert_bound`` read them back
+as Fractions, and ``frac_str`` is the "p/q" text that canonical JSON prints
+for a Fraction, so tests state their values as rationals.
 An interval here is a tuple ``(lower, upper, lower_open, upper_open)``
 with ``None`` for an unbounded end; the two flags default to closed, and
 an unbounded end is always open, as in the library.
@@ -33,8 +32,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from chainstab.curve_model import ChainCurve, LineBundleTwist, SheafNumerics, twist
-from chainstab.feasibility import (DestabilizerWitness, InfeasibilityCertificate, IntervalChain,
-                                   Polarization, WeightBound)
+from chainstab.feasibility import (InfeasibilityCertificate, IntervalChain, Polarization,
+                                   WeightBound)
 from chainstab.oracle import GridSpec
 
 
@@ -46,12 +45,6 @@ def weights(w: Polarization) -> tuple[Fraction, ...]:
 def cert_bound(cert: InfeasibilityCertificate, side: str) -> Fraction:
     """The ``side`` ("lower" or "upper") bound of ``cert`` as a Fraction."""
     return Fraction(getattr(cert, side), cert.den)
-
-
-def destabilizer(w: Optional[DestabilizerWitness]) -> Optional[tuple[int, Fraction, Fraction]]:
-    """``(component, subsheaf slope, target slope)`` of ``w`` in Fractions, or ``None``."""
-    return None if w is None else (w.component, Fraction(*w.subsheaf_slope),
-                                   Fraction(*w.target_slope))
 
 
 def frac_str(value: Fraction) -> str:

@@ -478,16 +478,18 @@ REFUSALS = [
                  "pair.h1_vanishes has length 3 but pair.multidegree has length 2",
                  id="flag-length-degree-short"),
     pytest.param(pair_scenario(restriction_stable=[False, True, False]),
-                 "component 2: restriction_stable requires restriction_semistable",
+                 "pair.restriction_stable: component 2 requires pair.restriction_semistable",
                  id="stable-not-semistable"),
     pytest.param(pair_scenario(kernel_restriction_stable=[False, True, False]),
-                 "component 2: kernel_restriction_stable requires kernel_restriction_semistable",
+                 "pair.kernel_restriction_stable: component 2 requires "
+                 "pair.kernel_restriction_semistable",
                  id="kernel-stable-not-semistable"),
     pytest.param(pair_scenario(rank=2, sections=4, multidegree=[2, 1, 2],
                                restriction_semistable=[False, True, False],
                                twisted_sections_nonzero=[False, True, False]),
-                 "component 2: a semistable restriction with a twisted section forces "
-                 "degree >= rank, got 1 < 2", id="twisted-section-below-rank"),
+                 "pair.twisted_sections_nonzero: component 2 has a twisted section on a "
+                 "semistable restriction, which forces degree >= rank, got 1 < 2",
+                 id="twisted-section-below-rank"),
     pytest.param({"curve": {"genera": [2, 2, 2]},
                   "subject": {"pair": {"rank": 1, "multidegree": [1, 1, 1]}}},
                  "subject.pair: missing required field 'sections'", id="pair-missing"),

@@ -136,13 +136,14 @@ class TestGeneratedPairData:
         # the first failing component is named, whichever check fails there
         (dict(restriction_stable=(False, False, True), restriction_semistable=(False, True, False),
               twisted_sections_nonzero=(False, True, False)),
-         "component 2: a semistable restriction with a twisted section forces degree >= rank, "
-         "got 1 < 2"),
+         "pair.twisted_sections_nonzero: component 2 has a twisted section on a semistable "
+         "restriction, which forces degree >= rank, got 1 < 2"),
         (dict(restriction_stable=(False, True, False), kernel_restriction_stable=(True, True, True),
               kernel_restriction_semistable=(True, False, True)),
-         "component 2: restriction_stable requires restriction_semistable"),
+         "pair.restriction_stable: component 2 requires pair.restriction_semistable"),
         (dict(kernel_restriction_stable=(False, True, False)),
-         "component 2: kernel_restriction_stable requires kernel_restriction_semistable"),
+         "pair.kernel_restriction_stable: component 2 requires "
+         "pair.kernel_restriction_semistable"),
         (dict(h1_vanishes=(True, 1, False)), "pair.h1_vanishes: expected booleans, got 1"),
         (dict(h1_vanishes=[False, None]), "pair.h1_vanishes: expected booleans, got None"),
         (dict(h1_vanishes=(True, False)),

@@ -13,7 +13,7 @@ from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, Polariza
                                    WeightBound, _ratio, bigas_intervals, check_bigas,
                                    declared_bounds, simplex_intersect, subsheaf_weight_bound,
                                    weight_system)
-from chainstab.oracle import GridSpec, _admits
+from chainstab.oracle import GridSpec
 from reference import (EMPTY, UNBOUNDED, cert_bound, chain, enumerate_polarizations, frac_str,
                        fractions_of, slope, weight_bound, weights)
 
@@ -475,6 +475,16 @@ class TestSubsheafSlopeConstraints:
         assert bound_value(bounds[0]) == F(4, 2)
 
 
+@pytest.mark.parametrize("lower", (False, True))
+@pytest.mark.parametrize("open_", (False, True))
+def test_weight_bound_admits_its_side_and_its_end_when_closed(lower, open_):
+    # w_1 <= 2/6, or >= 2/6 when lower, kept unreduced; its end 1/3 only when closed
+    bound = WeightBound(1, 2, 6, lower=lower, open=open_)
+    for a, d in ((1, 4), (1, 3), (2, 6), (3, 9), (1, 2)):
+        side = F(a, d) > F(1, 3) if lower else F(a, d) < F(1, 3)
+        assert bound.admits(a, d) == (side or (F(a, d) == F(1, 3) and not open_)), (a, d)
+
+
 @st.composite
 def twisted_pairs(draw, sign):
     """A pair on 2..6 components and a twist that gives its kernel a chi of
@@ -530,7 +540,7 @@ def test_subsheaf_bound_admits_exactly_the_unbroken_slopes(sign, data):
                 w = Polarization(tuple(a * (n - 1) if k == j else d - a
                                        for k in range(1, n + 1)), d * (n - 1))
                 unbroken = slope(sub, w, sub_chi) <= slope(kernel, w)
-                assert unbroken == (bound is None or _admits(bound, a, d)), (j, a, d, bound)
+                assert unbroken == (bound is None or bound.admits(a, d)), (j, a, d, bound)
     assert declared == []     # the flagged components' bounds, and no others
 
 

@@ -11,11 +11,11 @@ from chainstab import cli, feasibility, oracle
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
-from chainstab.feasibility import (FEASIBLE, INFEASIBLE, DestabilizerWitness, Polarization,
-                                   WeightBound, bigas_intervals, check_bigas,
-                                   destabilizer_witness, simplex_intersect, weight_system)
+from chainstab.feasibility import (FEASIBLE, INFEASIBLE, Polarization, WeightBound,
+                                   bigas_intervals, check_bigas, declared_bounds,
+                                   simplex_intersect, weight_system)
 from chainstab.oracle import GridSpec, brute_force_region, cross_validate
-from reference import destabilizer, enumerate_polarizations, weight_bound, weights
+from reference import enumerate_polarizations, weight_bound, weights
 
 F = Fraction
 
@@ -212,15 +212,24 @@ def kernel_system(curve, pair, line):
     return weight_system(curve, pair, line)
 
 
-class TestDestabilizerWitness:
+def first_destabilizer(system, w):
+    """The first component whose declared subsheaf bound does not admit its
+    weight under ``w``, or ``None``."""
+    return next((b.index for b in declared_bounds(system)
+                 if not b.admits(w.nums[b.index - 1], w.den)), None)
+
+
+class TestDeclaredBoundAdmits:
     def test_barycentric_polarization(self):
+        # chi = -19, m = 2: at w_1 = 1/3 the component-1 subsheaf has slope
+        # -2 / (1/3) = -6 > -19/2, so its bound w_1 <= 4/19 does not admit 1/3
         curve = ChainCurve((2, 2, 2))
         pair = GeneratedPairData(rank=2, sections=4, multidegree=(3, 3, 3),
                                  ker_rho_nonzero=(True, True, True))
-        w = Polarization((1, 1, 1), 3)
-        got = destabilizer_witness(kernel_system(curve, pair, LineBundleTwist.trivial(3)), w)
-        assert destabilizer(got) == (1, F(-6), F(-19, 2))
-        assert got == DestabilizerWitness(1, (-6, 1), (-19, 2))
+        system = kernel_system(curve, pair, LineBundleTwist.trivial(3))
+        assert declared_bounds(system)[0] == weight_bound(1, F(4, 19),
+                                                          label="subsheaf slope bound")
+        assert first_destabilizer(system, Polarization((1, 1, 1), 3)) == 1
 
     def test_skewed_polarization_still_witnessed(self):
         curve = ChainCurve((2, 2, 2))
@@ -228,7 +237,7 @@ class TestDestabilizerWitness:
                                  ker_rho_nonzero=(True, True, True))
         w = Polarization((1, 1, 4), 6)
         system = kernel_system(curve, pair, LineBundleTwist.trivial(3))
-        assert destabilizer_witness(system, w) is not None
+        assert first_destabilizer(system, w) == 3
 
     def test_absent_when_hypothesis_fails(self):
         # d/(k-r) <= n-1: no guarantee, and the barycentric weights admit no
@@ -238,32 +247,27 @@ class TestDestabilizerWitness:
                                  ker_rho_nonzero=(True, True))
         w = Polarization((1, 1), 2)
         system = kernel_system(curve, pair, LineBundleTwist.trivial(2))
-        assert destabilizer_witness(system, w) is None
+        assert first_destabilizer(system, w) is None
 
     def test_skips_components_without_flag(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6),
                                  ker_rho_nonzero=(False, True))
         w = Polarization((1, 1), 2)
-        got = destabilizer_witness(kernel_system(curve, pair, LineBundleTwist.trivial(2)), w)
-        assert got is not None and got.component == 2
-
-    def test_witness_invariant(self):
-        with pytest.raises(ValidationError):
-            DestabilizerWitness(1, (-3, 1), (-2, 1))
+        system = kernel_system(curve, pair, LineBundleTwist.trivial(2))
+        assert [b.index for b in declared_bounds(system)] == [2]
+        assert first_destabilizer(system, w) == 2
 
     def test_equal_slope_is_not_a_witness(self):
         # chi = -4, m = 1: at weights (1/2, 1/2) both subsheaves have slope
-        # -2 / (1/2) = -4, equal to the target
+        # -2 / (1/2) = -4, equal to the target; at (1/3, 2/3) the second has
+        # slope -3 > -4
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=2, multidegree=(1, 0),
                                  ker_rho_nonzero=(True, True))
-        half = Polarization((1, 1), 2)
-        trivial = LineBundleTwist.trivial(2)
-        system = kernel_system(curve, pair, trivial)
-        assert destabilizer_witness(system, half) is None
-        skewed = Polarization((1, 2), 3)
-        assert destabilizer(destabilizer_witness(system, skewed)) == (2, F(-3), F(-4))
+        system = kernel_system(curve, pair, LineBundleTwist.trivial(2))
+        assert first_destabilizer(system, Polarization((1, 1), 2)) is None
+        assert first_destabilizer(system, Polarization((1, 2), 3)) == 2
 
 
 def _reference_destabilizers(curve, pair, grid, twist_range):
@@ -346,8 +350,9 @@ def test_gated_pairs_have_a_destabilizer_everywhere(case):
     systems = [kernel_system(curve, pair, LineBundleTwist(degs))
                for degs in itertools.product(range(-twist_range, twist_range + 1),
                                              repeat=curve.n)]
-    assert [destabilizer(destabilizer_witness(system, w))
-            for system in systems for w in enumerate_polarizations(grid)] == witnesses
+    assert [first_destabilizer(system, w)
+            for system in systems for w in enumerate_polarizations(grid)] == [
+                j for j, _, _ in witnesses]
 
 
 def test_all_twists_check_is_one_identity(monkeypatch):
@@ -370,8 +375,9 @@ def test_all_twists_check_is_one_identity(monkeypatch):
     assert cli.cmd_oracle(cli.Scenario(curve, pair, None), 24, 3)["discrepancies"] == []
     # d - (n-1)m = 9 - 2*2 = 5; one more per subsheaf chi adds m*n = 6 to the left side
     subsheaf_chi = feasibility._subsheaf_chi
-    monkeypatch.setattr(feasibility, "_subsheaf_chi",
-                        lambda c, j, deg: subsheaf_chi(c, j, deg) + 1)
+    for module in (feasibility, oracle):
+        monkeypatch.setattr(module, "_subsheaf_chi",
+                            lambda c, j, deg: subsheaf_chi(c, j, deg) + 1)
     report = cross_validate(curve, grid, pair, twist_range=3)
     assert not report.agreement
     assert report.discrepancies[-1] == ("destabilizer identity fails: m * sum of subsheaf "

@@ -22,7 +22,7 @@ from chainstab import (FeasibleRegion, GridSpec, Polarization, analyze, cli,
                        cross_validate, feasibility, oracle, simplex_intersect, stability,
                        weight_system)
 from chainstab.curve_model import ChainCurve, GeneratedPairData
-from chainstab.feasibility import INFEASIBLE, declared_bounds, destabilizer_witness
+from chainstab.feasibility import INFEASIBLE, declared_bounds
 from chainstab.stability import k_bound_check
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,7 +47,7 @@ def readme_records() -> dict:
         "InfeasibilityCertificate": report.region.certificate, "SheafNumerics": report.sheaf,
         "WeightSystem": system, "LineBundleTwist": system.line,
         "IntervalChain": system.intervals, "WeightBound": declared_bounds(system)[0],
-        "Polarization": witness, "DestabilizerWitness": destabilizer_witness(system, witness),
+        "Polarization": witness,
         "GridSpec": GridSpec(60, 2),
         "ValidationReport": cross_validate(scn.curve, GridSpec(60, 2), scn.subject),
         "KBoundResult": k_bound_check(scn.curve, GeneratedPairData(
