@@ -238,7 +238,8 @@ def _all_twists(system: WeightSystem) -> _Rule:
     the kernel's chi_L / m.  ``oracle.cross_validate`` checks the identity
     on the subject's own numbers.  For a supplied twist the rule notes the
     first component whose ``subsheaf_weight_bound`` does not admit the
-    barycentric weight 1/n, which the identity at w = (1/n, .., 1/n) finds.
+    barycentric weight 1/n; the identity read at w = (1/n, .., 1/n) says
+    that one does.
     """
     curve, pair, m = system.curve, system.pair, system.pair.kernel_rank
     if not all(pair.ker_rho_nonzero):
