@@ -10,6 +10,7 @@ The library keeps partial-sum intervals as an integer ``IntervalChain``.
 ``chain`` builds one from rational endpoints, ``fractions_of`` reads one
 back, and ``bigas_fractions`` is the Fraction formula that
 ``bigas_intervals`` used before it returned chains, kept as its oracle;
+``inside`` tests a polarization against such Fraction intervals, and
 ``twisted_sheaf`` draws a subject of every kind of chain.
 ``weight_bound`` builds the integer ``WeightBound`` of a rational value.
 
@@ -128,6 +129,20 @@ def bigas_fractions(sheaf: SheafNumerics) -> list[tuple]:
         else:
             out.append(EMPTY)
     return out
+
+
+def inside(intervals: Sequence[tuple], w: Polarization) -> bool:
+    """Whether every partial sum S_i of ``w`` lies in the i-th of ``intervals``,
+    an open end excluding its own value, computed in Fractions."""
+    s = Fraction(0)
+    for x, iv in zip(weights(w), intervals):
+        s += x
+        lo, hi, lo_open, hi_open = _interval(iv)
+        if lo is not None and (s < lo or (s == lo and lo_open)):
+            return False
+        if hi is not None and (s > hi or (s == hi and hi_open)):
+            return False
+    return True
 
 
 def twisted_sheaf(rng: random.Random) -> SheafNumerics:

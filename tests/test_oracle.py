@@ -15,7 +15,7 @@ from chainstab.feasibility import (FEASIBLE, INFEASIBLE, Polarization, WeightBou
                                    bigas_intervals, check_bigas, declared_bounds,
                                    simplex_intersect, weight_system)
 from chainstab.oracle import GridSpec, brute_force_region, cross_validate
-from reference import enumerate_polarizations, weight_bound, weights
+from reference import bigas_fractions, enumerate_polarizations, inside, weight_bound, weights
 
 F = Fraction
 
@@ -103,7 +103,8 @@ class TestBruteForceRegion:
             degs = tuple(rng.randint(-6, 6) for _ in range(n))
             s = SheafNumerics(curve, (m,) * n, degs)
             spec = GridSpec(rng.randint(n, 12), n)
-            expected = [w for w in enumerate_polarizations(spec) if check_bigas(s, w)]
+            expected = [w for w in enumerate_polarizations(spec)
+                        if inside(bigas_fractions(s), w)]
             assert brute_force_region(s, spec) == expected
 
     def test_bounds_filtering(self):
@@ -203,7 +204,7 @@ def sheaves_with_bounds(draw):
 def test_grid_walk_matches_reference_filter(case):
     sheaf, spec, bounds = case
     expected = [w for w in enumerate_polarizations(spec)
-                if check_bigas(sheaf, w) and all(_meets(b, w) for b in bounds)]
+                if inside(bigas_fractions(sheaf), w) and all(_meets(b, w) for b in bounds)]
     assert brute_force_region(sheaf, spec, bounds) == expected
 
 
