@@ -16,9 +16,11 @@ and 0 < S_i < 1.  A system solvable only when some weight degenerates to 0
 is reported ``boundary-only``, never feasible.
 
 A subject's slope inequalities stay integers from construction to output:
-``bigas_intervals`` returns an ``IntervalChain``, whose endpoints are
-numerators over |chi| (the inequalities read X_i - m*i <= S_i * chi <=
-X_i - m*(i-1)).  ``simplex_intersect`` rescales the chain only when a
+``bigas_intervals``, the one place that states them, returns an
+``IntervalChain``, whose endpoints are numerators over |chi|, and every
+other reader reads that chain: ``IntervalChain.admits`` tests a
+polarization against it, and the oracle's grid walk places its cuts
+within it.  ``simplex_intersect`` rescales the chain only when a
 ``WeightBound``'s integer denominator does not divide it, and propagates
 per-index ``(numerator, open)`` reach bounds over that one denominator.  A
 subject's own subsheaf bounds are already over |chi| (1 when chi = 0), so
@@ -132,6 +134,26 @@ class IntervalChain(namedtuple("IntervalChain", "den lower lower_open upper uppe
     """
 
     __slots__ = ()
+
+    def admits(self, w: Polarization) -> bool:
+        """Whether every partial sum S_i of ``w`` lies in its interval, an open
+        end excluding its own value, by one integer cross-multiplication per
+        finite end: S_i = s / w.den against v / den compares s*den with v*w.den.
+        """
+        if w.n != len(self.lower) + 1:
+            raise ValidationError(
+                f"polarization has {w.n} weights, chain needs {len(self.lower) + 1}")
+        den, d = self.den, w.den
+        s = 0
+        for a, lo, lo_open, hi, hi_open in zip(w.nums, self.lower, self.lower_open,
+                                               self.upper, self.upper_open):
+            s += a
+            x = s * den
+            if lo is not None and (x < lo * d or (lo_open and x == lo * d)):
+                return False
+            if hi is not None and (x > hi * d or (hi_open and x == hi * d)):
+                return False
+        return True
 
 
 class WeightBound(Record):
@@ -263,23 +285,6 @@ def bigas_intervals(sheaf: SheafNumerics) -> IntervalChain:
                              tuple(map(neg, lo)), closed)
     ends = tuple([None if -m <= v <= 0 else 0 for v in lo])
     return IntervalChain(1, ends, (True,) * len(lo), ends, (True,) * len(lo))
-
-
-def check_bigas(sheaf: SheafNumerics, w: Polarization) -> bool:
-    """Exact membership test for the partial-sum inequality system."""
-    m = sheaf.uniform_rank()
-    if m is None:
-        raise UnsupportedData("the inequality system requires uniform multirank")
-    if w.n != sheaf.n:
-        raise ValidationError(f"polarization has {w.n} weights, sheaf has {sheaf.n} components")
-    chi, den = sheaf.chi, w.den
-    part = s = 0
-    for i in range(1, sheaf.n):
-        part += sheaf.chi_components[i - 1]
-        s += w.nums[i - 1]
-        if not ((part - m * i) * den <= s * chi <= (part - m * (i - 1)) * den):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Checks the subject's weight system on every polarization with a fixed
 common denominator D (integer compositions of D into n positive parts),
 independently of the interval sweep.  The grid is walked level by level:
 the cut c_i = D*S_i is placed within the integer range that the i-th
-partial-sum inequality allows, so the walk visits only points that meet
-every inequality, in lexicographic order.  The subject (a sheaf or a
-pair, twisted when a twist is given) and its system come from
-``feasibility.weight_system``, as for ``check`` and ``polarize``.
+interval of the system's ``IntervalChain`` allows, so the walk visits
+only points that meet every interval, in lexicographic order.  The
+subject (a sheaf or a pair, twisted when a twist is given) and its chain
+come from ``feasibility.weight_system``, as for ``check`` and
+``polarize``; the walk reads the chain, as ``simplex_intersect`` does,
+and states no inequality of its own.
 
 For a pair meeting the twist-independent instability condition, the
 component-supported subsheaves, whose bounds ``WeightBound.admits`` tests
@@ -26,9 +28,9 @@ from collections import namedtuple
 from typing import Optional, Sequence
 
 from .curve_model import ChainCurve, GeneratedPairData, LineBundleTwist, SheafNumerics
-from .errors import InternalInvariantError, UnsupportedData, ValidationError
-from .feasibility import (FEASIBLE, Polarization, WeightBound, _ratio, _subsheaf_chi,
-                          check_bigas, declared_bounds, simplex_intersect, weight_system)
+from .errors import InternalInvariantError, ValidationError
+from .feasibility import (FEASIBLE, IntervalChain, Polarization, WeightBound, _ratio,
+                          _subsheaf_chi, declared_bounds, simplex_intersect, weight_system)
 from .record import Record
 
 # Most work units (grid points plus destabilizer checks) one cross-validation
@@ -59,57 +61,52 @@ class GridSpec(Record):
         object.__setattr__(self, "n", n)
 
 
-def _cut_ranges(sheaf: SheafNumerics, m: int, d: int) -> tuple[list[int], list[int]]:
+def _cut_ranges(chain: IntervalChain, d: int) -> tuple[list[int], list[int]]:
     """Least and greatest cut c_i = D*S_i allowed at each level i = 1..n-1
     (index 0 unused); a level that admits no cut has greatest < least.
 
-    Level i keeps the integers c with lo_i <= c*chi <= hi_i, where
-    lo_i = (chi_1 + .. + chi_i - m*i)*D and hi_i = lo_i + m*D, within
-    i <= c <= D-(n-i).  Each greatest cut is then lowered below the next
-    level's, so every cut in range extends to a full grid point.
+    Level i keeps the integers c with c / D in the chain's i-th interval,
+    within i <= c <= D-(n-i): a closed lower end lo / den gives
+    c >= ceil(lo*D/den), an open one c >= floor(lo*D/den) + 1, the upper
+    ends likewise, and an unbounded end no bound.  Each greatest cut is
+    then lowered below the next level's, so every cut in range extends to
+    a full grid point.
     """
-    chi, n = sheaf.chi, sheaf.n
+    n, den = len(chain.lower) + 1, chain.den
     first, last = [0] * n, [0] * n
-    part = 0
-    for i in range(1, n):
-        part += sheaf.chi_components[i - 1]
-        lo, hi = (part - m * i) * d, (part - m * (i - 1)) * d
+    for i, lo, lo_open, hi, hi_open in zip(range(1, n), chain.lower, chain.lower_open,
+                                           chain.upper, chain.upper_open):
         a, b = i, d - (n - i)
-        if chi > 0:
-            a, b = max(a, -(-lo // chi)), min(b, hi // chi)
-        elif chi < 0:
-            a, b = max(a, -(-hi // chi)), min(b, lo // chi)
-        elif not lo <= 0 <= hi:
-            b = 0
+        if lo is not None:
+            a = max(a, lo * d // den + 1 if lo_open else -(-lo * d // den))
+        if hi is not None:
+            b = min(b, -(-hi * d // den) - 1 if hi_open else hi * d // den)
         first[i], last[i] = a, b
     for i in range(n - 2, 0, -1):
         last[i] = min(last[i], last[i + 1] - 1)
     return first, last
 
 
-def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
+def brute_force_region(intervals: IntervalChain, spec: GridSpec,
                        bounds: Sequence[WeightBound] = ()) -> list[Polarization]:
-    """Grid points satisfying the slope inequalities (and any weight bounds).
+    """Grid points meeting every interval of the chain (and any weight bounds).
 
     Places the cuts c_i = D*S_i level by level, each within the integer range
-    its own inequality lo_i <= c_i*chi <= hi_i allows (``_cut_ranges``), so
-    every cut placed extends to a point meeting all the inequalities.  A
-    bound on w_j is tested as soon as c_j is placed, one on w_n at the last
-    level.  Points come in the lexicographic order of their cuts, and
-    survivors are re-asserted with the exact rational check.
+    the chain's i-th interval allows (``_cut_ranges``), so every cut placed
+    extends to a point inside every interval.  A bound on w_j is tested as
+    soon as c_j is placed, one on w_n at the last level.  Points come in the
+    lexicographic order of their cuts, and survivors are re-asserted with
+    ``IntervalChain.admits``.
     """
-    m = sheaf.uniform_rank()
-    if m is None or m < 1:
-        raise UnsupportedData("grid filtering requires uniform positive multirank")
-    if spec.n != sheaf.n:
-        raise ValidationError(f"grid has {spec.n} components, sheaf has {sheaf.n}")
     n, d = spec.n, spec.denominator
+    if n != len(intervals.lower) + 1:
+        raise ValidationError(f"grid has {n} components, chain needs {len(intervals.lower) + 1}")
     at = [[] for _ in range(n + 1)]   # at[j]: the bounds on w_j
     for b in bounds:
         if b.index > n:
             raise ValidationError(f"bound index {b.index} out of range 1..{n}")
         at[b.index].append(b)
-    first, last = _cut_ranges(sheaf, m, d)
+    first, last = _cut_ranges(intervals, d)
 
     survivors = []
     cuts = [0] * n + [d]   # c_0 = 0 and c_n = D frame the cuts c_1..c_{n-1}
@@ -129,7 +126,7 @@ def brute_force_region(sheaf: SheafNumerics, spec: GridSpec,
         elif all(b.admits(d - c, d) for b in at[n]):
             survivors.append(Polarization([hi - lo for lo, hi in zip(cuts, cuts[1:])], d))
     for w in survivors:
-        if not check_bigas(sheaf, w):
+        if not intervals.admits(w):
             raise InternalInvariantError("integer grid walk disagreed with the exact check")
     return survivors
 
@@ -238,7 +235,7 @@ def cross_validate(curve: ChainCurve, grid: GridSpec,
     system = weight_system(curve, subject, line)
     declared = declared_bounds(system)
     region = simplex_intersect(system.intervals, declared)
-    grid_points = brute_force_region(system.subject, grid, declared)
+    grid_points = brute_force_region(system.intervals, grid, declared)
     notes = []
     discrepancies = []
     if grid_points and region.status != FEASIBLE:

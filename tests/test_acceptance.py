@@ -13,7 +13,7 @@ from fractions import Fraction
 from chainstab import cli
 from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, kernel_numerics, twist)
-from chainstab.feasibility import (FEASIBLE, WeightBound, bigas_intervals, check_bigas,
+from chainstab.feasibility import (FEASIBLE, WeightBound, bigas_intervals,
                                    declared_bounds, simplex_intersect, weight_system)
 from chainstab.oracle import GridSpec, brute_force_region, cross_validate
 from chainstab.stability import analyze, k_bound_check
@@ -66,7 +66,7 @@ def test_criterion_2_trivial_bundle_polarization(tmp_path, capsys):
     assert payload["region"]["witness"] == ["1/2", "1/2"]
 
     sheaf = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
-    grid = brute_force_region(sheaf, GridSpec(12, 2))
+    grid = brute_force_region(bigas_intervals(sheaf), GridSpec(12, 2))
     assert [weights(w)[0] for w in grid] == \
         [F(4, 12), F(5, 12), F(6, 12), F(7, 12), F(8, 12)]
     elapsed = time.perf_counter() - start
@@ -92,7 +92,7 @@ def test_criterion_3_constructive_polarization_property(capsys):
             failures += 1
             continue
         w = region.witness
-        if not (check_bigas(sheaf, w) and sum(weights(w)) == 1
+        if not (bigas_intervals(sheaf).admits(w) and sum(weights(w)) == 1
                 and all(0 < x < 1 for x in weights(w))):
             failures += 1
     elapsed = time.perf_counter() - start
@@ -147,14 +147,13 @@ def test_criterion_5_endpoint_infeasibility(capsys):
     assert cert.verify()
 
     system = weight_system(curve, pair)
-    kernel = system.subject
     bounds = declared_bounds(system)
     assert bounds == [WeightBound(1, 4, 18, label="subsheaf slope bound")]   # w_1 <= 2/9
     engine_cert = simplex_intersect(system.intervals, bounds).certificate
     assert cert_bound(engine_cert, "lower") == F(8, 18)
     assert cert_bound(engine_cert, "upper") == F(4, 18)
     for d in range(2, 61):
-        assert brute_force_region(kernel, GridSpec(d, 2), bounds) == []
+        assert brute_force_region(system.intervals, GridSpec(d, 2), bounds) == []
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
     with capsys.disabled():
@@ -234,7 +233,7 @@ def test_criterion_8_oracle_emptiness_agreement(capsys):
         degs = tuple(rng.randint(-8, 8) for _ in range(n))
         sheaf = SheafNumerics(curve, (m,) * n, degs)
         region = simplex_intersect(bigas_intervals(sheaf))
-        grid = brute_force_region(sheaf, GridSpec(40, n))
+        grid = brute_force_region(bigas_intervals(sheaf), GridSpec(40, n))
         if grid and region.status != FEASIBLE:
             discrepancies += 1
         if region.status == FEASIBLE:

@@ -6,6 +6,9 @@ a pass that makes a Python call per chain index shows as a count that grows
 with the chain.  Writing a long chain's payload must make as many calls at
 n = 3000 as at n = 1000, and parsing and deciding one must resume no
 generator expression and make far fewer calls than the chain has indices.
+The oracle's grid walk re-checks each grid point it keeps at every index,
+so a run that keeps one point must also make as many calls at n = 3000 as
+at n = 1000.
 """
 
 import random
@@ -90,3 +93,21 @@ def test_parsing_and_deciding_resume_no_generator_expression(command, kind):
     assert seen["run"] == 1
     assert seen["<genexpr>"] == 0
     assert sum(seen.values()) < n // 10
+
+
+def oracle_run(n: int) -> dict:
+    """``oracle`` at D = n on a sheaf of chi = 0 whose inequalities are all
+    vacuous: its one grid point survives and is re-checked at every index."""
+    scn = cli.parse_scenario(
+        {"curve": {"genera": [2] * n},
+         "subject": {"sheaf": {"multirank": [1] * n, "multidegree": [2] * (n - 1) + [1]}}})
+    return cli.cmd_oracle(scn, n, 0)
+
+
+def test_the_oracle_scenario_keeps_its_one_grid_point():
+    assert oracle_run(1000)["grid_count"] == 1
+
+
+def test_the_oracle_makes_no_call_per_index():
+    short, long = (calls(oracle_run, n) for n in (1000, 3000))
+    assert sum(short.values()) == sum(long.values()) < 1000 // 10

@@ -10,7 +10,7 @@ from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwis
                                    SheafNumerics, arithmetic_genus, kernel_numerics)
 from chainstab.errors import UnsupportedData, ValidationError
 from chainstab.feasibility import (BOUNDARY_ONLY, FEASIBLE, INFEASIBLE, Polarization,
-                                   WeightBound, _ratio, bigas_intervals, check_bigas,
+                                   WeightBound, _ratio, bigas_intervals,
                                    declared_bounds, simplex_intersect, subsheaf_weight_bound,
                                    weight_system)
 from chainstab.oracle import GridSpec
@@ -256,18 +256,22 @@ class TestBigasIntervals:
         ivs = bigas_intervals(s)
         for w in enumerate_polarizations(GridSpec(denominator, curve.n)):
             inside = simplex_intersect(ivs, pinned(w)).status == FEASIBLE
-            assert inside == check_bigas(s, w)
+            assert inside == ivs.admits(w)
 
 
 class TestCheckBigas:
     def test_trivial_accepts_midpoint(self):
-        assert check_bigas(trivial_sheaf(), Polarization((1, 1), 2))
+        assert bigas_intervals(trivial_sheaf()).admits(Polarization((1, 1), 2))
 
     def test_trivial_rejects_skewed(self):
-        assert not check_bigas(trivial_sheaf(), Polarization((1, 4), 5))
+        assert not bigas_intervals(trivial_sheaf()).admits(Polarization((1, 4), 5))
 
     def test_boundary_is_allowed(self):
-        assert check_bigas(trivial_sheaf(), Polarization((1, 2), 3))
+        assert bigas_intervals(trivial_sheaf()).admits(Polarization((1, 2), 3))
+
+    def test_polarization_of_another_length_rejected(self):
+        with pytest.raises(ValidationError, match="polarization has 3 weights, chain needs 2"):
+            bigas_intervals(trivial_sheaf()).admits(Polarization((1, 1, 1), 3))
 
 
 class TestSimplexIntersect:
@@ -342,7 +346,7 @@ class TestSimplexIntersect:
             w = region.witness
             assert sum(weights(w)) == 1
             assert all(0 < x < 1 for x in weights(w))
-            assert check_bigas(s, w)
+            assert bigas_intervals(s).admits(w)
             assert simplex_intersect(region.s_intervals, pinned(w)).witness == w
 
 
@@ -595,7 +599,7 @@ def test_two_component_feasible_set_matches_closed_form():
         hi = F(s.chi_components[0] - m, s.chi)
         for a in range(1, 24):
             member = lo <= F(a, 24) <= hi
-            assert member == check_bigas(s, Polarization((a, 24 - a), 24))
+            assert member == bigas_intervals(s).admits(Polarization((a, 24 - a), 24))
         region = simplex_intersect(bigas_intervals(s))
         strict_nonempty = hi > 0 and lo < 1 and lo <= hi
         assert (region.status == FEASIBLE) == strict_nonempty
@@ -631,4 +635,4 @@ def test_adding_bounds_is_monotone(sheaf, index, value, is_open, lower):
 def test_feasible_witness_always_valid(sheaf):
     region = simplex_intersect(bigas_intervals(sheaf))
     if region.status == FEASIBLE:
-        assert check_bigas(sheaf, region.witness)
+        assert bigas_intervals(sheaf).admits(region.witness)

@@ -12,18 +12,19 @@ from chainstab.curve_model import (ChainCurve, GeneratedPairData, LineBundleTwis
                                    SheafNumerics, kernel_numerics, twist)
 from chainstab.errors import ValidationError
 from chainstab.feasibility import (FEASIBLE, INFEASIBLE, Polarization, WeightBound,
-                                   bigas_intervals, check_bigas, declared_bounds,
+                                   bigas_intervals, declared_bounds,
                                    simplex_intersect, weight_system)
 from chainstab.oracle import GridSpec, brute_force_region, cross_validate
-from reference import bigas_fractions, enumerate_polarizations, inside, weight_bound, weights
+from reference import (EMPTY, bigas_fractions, chain, enumerate_polarizations, inside,
+                       weight_bound, weights)
 
 F = Fraction
 
 
 def vacuous(n):
-    """A sheaf with chi_j = (1, .., 1, 0): chi = 0 and every inequality is
-    vacuous, so its grid region is the whole grid."""
-    return SheafNumerics(ChainCurve((2,) * n), (1,) * n, (2,) * (n - 1) + (1,))
+    """The chain of a sheaf with chi_j = (1, .., 1, 0): chi = 0 and every
+    inequality is vacuous, so its grid region is the whole grid."""
+    return bigas_intervals(SheafNumerics(ChainCurve((2,) * n), (1,) * n, (2,) * (n - 1) + (1,)))
 
 
 class TestGridSpec:
@@ -78,20 +79,20 @@ class TestEnumeratePolarizations:
 
 class TestBruteForceRegion:
     def test_trivial_bundle_denominator_six(self):
-        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
-        got = brute_force_region(s, GridSpec(6, 2))
+        ivs = bigas_intervals(SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0)))
+        got = brute_force_region(ivs, GridSpec(6, 2))
         sums = [weights(w)[0] for w in got]
         assert sums == [F(1, 3), F(1, 2), F(2, 3)]
 
     def test_infeasible_line_bundle_always_empty(self):
-        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4))
+        ivs = bigas_intervals(SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 4)))
         for d in range(2, 121):
-            assert brute_force_region(s, GridSpec(d, 2)) == []
+            assert brute_force_region(ivs, GridSpec(d, 2)) == []
 
     def test_kernel_denominator_eighteen(self):
         curve = ChainCurve((2, 2))
         pair = GeneratedPairData(rank=1, sections=3, multidegree=(6, 6))
-        got = brute_force_region(kernel_numerics(curve, pair), GridSpec(18, 2))
+        got = brute_force_region(weight_system(curve, pair).intervals, GridSpec(18, 2))
         assert [weights(w)[0] for w in got] == [F(8, 18), F(9, 18), F(10, 18)]
 
     def test_matches_plain_filter(self):
@@ -105,16 +106,15 @@ class TestBruteForceRegion:
             spec = GridSpec(rng.randint(n, 12), n)
             expected = [w for w in enumerate_polarizations(spec)
                         if inside(bigas_fractions(s), w)]
-            assert brute_force_region(s, spec) == expected
+            assert brute_force_region(bigas_intervals(s), spec) == expected
 
     def test_bounds_filtering(self):
-        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
-        got = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, 5, 12)])
+        ivs = bigas_intervals(SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0)))
+        got = brute_force_region(ivs, GridSpec(12, 2), [WeightBound(1, 5, 12)])
         assert [weights(w)[0] for w in got] == [F(4, 12), F(5, 12)]
-        got_open = brute_force_region(s, GridSpec(12, 2), [WeightBound(1, 5, 12, open=True)])
+        got_open = brute_force_region(ivs, GridSpec(12, 2), [WeightBound(1, 5, 12, open=True)])
         assert [weights(w)[0] for w in got_open] == [F(4, 12)]
-        got_comp = brute_force_region(s, GridSpec(12, 2),
-                                      [WeightBound(1, 1, 2, lower=True)])
+        got_comp = brute_force_region(ivs, GridSpec(12, 2), [WeightBound(1, 1, 2, lower=True)])
         assert all(weights(w)[0] >= F(1, 2) for w in got_comp)
         assert got_comp != []
 
@@ -123,38 +123,44 @@ class TestBruteForceRegion:
         s = SheafNumerics(ChainCurve((2, 2, 2, 2)), (1,) * 4, (2, 2, 2, 1))
         assert s.chi == 0
         spec = GridSpec(12, 4)
-        got = brute_force_region(s, spec)
+        got = brute_force_region(bigas_intervals(s), spec)
         assert len(got) == oracle.work_estimate(spec) == math.comb(11, 3)
         assert got == list(enumerate_polarizations(spec))
 
     def test_chi_zero_unmet_inequality_is_empty(self):
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (3, 0))
         assert s.chi == 0
-        assert brute_force_region(s, GridSpec(12, 2)) == []
+        assert brute_force_region(bigas_intervals(s), GridSpec(12, 2)) == []
 
     @pytest.mark.parametrize("degrees, chi", [((0, 0), -3), ((3, 3), 3)])
     def test_closed_endpoints_on_grid_points_kept(self, degrees, chi):
         # S_1 in [1/3, 2/3] whether chi is negative or positive
         s = SheafNumerics(ChainCurve((2, 2)), (1, 1), degrees)
         assert s.chi == chi
+        ivs = bigas_intervals(s)
         for d, sums in ((6, [F(1, 3), F(1, 2), F(2, 3)]), (3, [F(1, 3), F(2, 3)])):
-            assert [weights(w)[0] for w in brute_force_region(s, GridSpec(d, 2))] == sums
+            assert [weights(w)[0] for w in brute_force_region(ivs, GridSpec(d, 2))] == sums
 
     def test_bounds_on_last_weight(self):
-        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
+        ivs = bigas_intervals(SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0)))
         spec = GridSpec(12, 2)
-        closed = brute_force_region(s, spec, [WeightBound(2, 1, 2)])
+        closed = brute_force_region(ivs, spec, [WeightBound(2, 1, 2)])
         # w_1 rises along the grid, so w_2 falls
         assert [weights(w)[1] for w in closed] == [F(6, 12), F(5, 12), F(4, 12)]
-        opened = brute_force_region(s, spec, [WeightBound(2, 1, 2, open=True)])
+        opened = brute_force_region(ivs, spec, [WeightBound(2, 1, 2, open=True)])
         assert [weights(w)[1] for w in opened] == [F(5, 12), F(4, 12)]
-        lower = brute_force_region(s, spec, [WeightBound(2, 1, 2, lower=True)])
+        lower = brute_force_region(ivs, spec, [WeightBound(2, 1, 2, lower=True)])
         assert [weights(w)[1] for w in lower] == [F(8, 12), F(7, 12), F(6, 12)]
 
     def test_bound_index_beyond_chain_rejected(self):
-        s = SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0))
+        ivs = bigas_intervals(SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0)))
         with pytest.raises(ValidationError):
-            brute_force_region(s, GridSpec(6, 2), [WeightBound(3, 1, 2)])
+            brute_force_region(ivs, GridSpec(6, 2), [WeightBound(3, 1, 2)])
+
+    def test_grid_of_another_length_rejected(self):
+        ivs = bigas_intervals(SheafNumerics(ChainCurve((2, 2)), (1, 1), (0, 0)))
+        with pytest.raises(ValidationError, match="grid has 3 components, chain needs 2"):
+            brute_force_region(ivs, GridSpec(6, 3))
 
 
 def _meets(bound, w):
@@ -205,7 +211,51 @@ def test_grid_walk_matches_reference_filter(case):
     sheaf, spec, bounds = case
     expected = [w for w in enumerate_polarizations(spec)
                 if inside(bigas_fractions(sheaf), w) and all(_meets(b, w) for b in bounds)]
-    assert brute_force_region(sheaf, spec, bounds) == expected
+    assert brute_force_region(bigas_intervals(sheaf), spec, bounds) == expected
+
+
+@st.composite
+def chains_with_bounds(draw):
+    """Intervals no sheaf's slope inequalities give, a grid and 0-3 weight bounds.
+
+    As in ``sheaves_with_bounds``, ends are drawn around a grid point with
+    cuts c_i: each end of the i-th interval is unbounded, or closed or open
+    at c_i/D or a step of 1/(2D) or 1/D off it, mostly outwards, so a lower
+    end only sometimes passes the upper one; now and then an interval is
+    the canonical empty one.  Each bound sits at a_j/D or a step off it.
+    """
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(n, 12))
+    cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=n - 1, max_size=n - 1,
+                                unique=True)))
+    center = [hi - lo for lo, hi in zip([0] + cuts, cuts + [d])]
+
+    def near(a, low, high):
+        return F(2 * a + draw(st.integers(low, high)), 2 * d)
+
+    def end(c, low, high):
+        return None if draw(st.integers(0, 3)) == 0 else near(c, low, high)
+
+    intervals = [EMPTY if draw(st.integers(0, 19)) == 0 else
+                 (end(c, -2, 1), end(c, -1, 2), draw(st.booleans()), draw(st.booleans()))
+                 for c in cuts]
+    bounds = []
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(1, n))
+        bounds.append(weight_bound(j, near(center[j - 1], -2, 2), draw(st.booleans()),
+                                   open=draw(st.booleans())))
+    return intervals, GridSpec(d, n), bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains_with_bounds())
+def test_grid_walk_and_admits_match_fraction_membership_on_any_chain(case):
+    intervals, spec, bounds = case
+    ivs = chain(intervals)
+    grid = list(enumerate_polarizations(spec))
+    assert [ivs.admits(w) for w in grid] == [inside(intervals, w) for w in grid]
+    assert brute_force_region(ivs, spec, bounds) == \
+        [w for w in grid if inside(intervals, w) and all(_meets(b, w) for b in bounds)]
 
 
 def kernel_system(curve, pair, line):
@@ -474,7 +524,7 @@ def test_completeness_at_matching_denominators():
             d = q * mult
             if d < n or d > 600:
                 continue
-            assert region.witness in brute_force_region(s, GridSpec(d, n))
+            assert region.witness in brute_force_region(bigas_intervals(s), GridSpec(d, n))
             checked += 1
     assert checked >= 20
 
@@ -482,8 +532,8 @@ def test_completeness_at_matching_denominators():
 def test_soundness_every_grid_point_passes():
     curve = ChainCurve((2, 3))
     s = SheafNumerics(curve, (2, 2), (3, -1))
-    for w in brute_force_region(s, GridSpec(20, 2)):
-        assert check_bigas(s, w)
+    for w in brute_force_region(bigas_intervals(s), GridSpec(20, 2)):
+        assert bigas_intervals(s).admits(w)
 
 
 @st.composite

@@ -9,7 +9,8 @@ from chainstab import cli, stability
 from chainstab.curve_model import (PAIR_FLAGS, ChainCurve, GeneratedPairData, LineBundleTwist,
                                    SheafNumerics, arithmetic_genus, kernel_numerics, twist)
 from chainstab.errors import ContradictoryHypotheses, RuleNotApplicable, ValidationError
-from chainstab.feasibility import FEASIBLE, INFEASIBLE, WeightBound, check_bigas, weight_system
+from chainstab.feasibility import (FEASIBLE, INFEASIBLE, WeightBound, bigas_intervals,
+                                   weight_system)
 from chainstab.stability import (INCONCLUSIVE, STRONGLY_UNSTABLE, W_SEMISTABLE, W_STABLE,
                                  analyze, analyze_sheaf, clifford_h0_bounds, k_bound_check)
 from reference import cert_bound, weights
@@ -60,7 +61,7 @@ class TestCertifyWSemistable:
         v = analyze(curve, pair).verdict
         assert v.kind == W_SEMISTABLE
         assert weights(v.witness) == (F(1, 2), F(1, 2))
-        assert check_bigas(kernel_numerics(curve, pair), v.witness)
+        assert bigas_intervals(kernel_numerics(curve, pair)).admits(v.witness)
 
     def test_stable_upgrade(self):
         curve = ChainCurve((2, 2))
@@ -592,7 +593,7 @@ class TestAnalyze:
         line = LineBundleTwist((1, 1))
         report = analyze(curve, pair, line)
         assert report.verdict.kind == W_SEMISTABLE
-        assert check_bigas(report.sheaf, report.verdict.witness)
+        assert bigas_intervals(report.sheaf).admits(report.verdict.witness)
 
     def test_twisted_strong_instability_of_twisted_kernel(self):
         # twisting hard enough makes chi_1 of the kernel non-negative and the
